@@ -14,7 +14,6 @@ from .spectral import (
     analyze,
     synthesize,
     synth_at,
-    mean,
     dtn_apply,
     laplace_beltrami,
     gradient_norm_sq,

@@ -47,49 +47,61 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import ConformalMap, boundary_map, bubble_cap_mass, bubble_field, center_of_mass
+from .conformal import (ConformalMap, _cap_integrals, boundary_map, bubble_cap_mass, bubble_field,
+                        center_of_mass)
 from .curvature import DEFAULT_CONSTANTS, mean_curvature, total_energy, volume
 from .errors import AdmissibilityError, ConfigError, FlowFailure, NotMorseError, SpecParseError
 from .flow import FlowConfig, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
-from .spectral import BoundaryField, analyze, dtn_apply, make_grid
-from . import conformal as _conformal
+from .spectral import BoundaryField, dtn_apply, make_grid
 
 _EXIT_OK = 0
 _EXIT_CONCENTRATING = 2
 _EXIT_FAILURE = 3
 _EXIT_USAGE = 64
 
+_EXPERIMENT_KEYS = ("seed", "L", "n", "f_spec", "u0_spec", "flow", "checks")
+_U0_FIELDS = {"constant": ("value",), "bubble": ("p", "eps"), "perturbation": ("base", "modes", "random")}
+_CHECKS = ("identities", "morse")
+
+
+def _reject_unknown(given, known, what):
+    unknown = [name for name in given if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what}: {unknown}")
+
 
 def _build_u0(spec, grid, rng):
     kind = spec.get("type")
+    if kind not in _U0_FIELDS:
+        raise ConfigError(f"unknown u0_spec type {kind!r}")
+    _reject_unknown(spec, ("type",) + _U0_FIELDS[kind], f"{kind} u0_spec fields")
     if kind == "constant":
         return BoundaryField.constant(float(spec.get("value", 1.0)), grid)
     if kind == "bubble":
         p = np.asarray(spec["p"], dtype=float)
         return bubble_field(p, float(spec["eps"]), grid)
-    if kind == "perturbation":
-        L = grid.L
-        coeffs = np.zeros((L + 1, 2 * L + 1))
-        coeffs[0, L] = float(spec.get("base", 1.0))
-        for mode in spec.get("modes", []):
-            l, m = int(mode["l"]), int(mode["m"])
-            if not (0 <= l <= L and -l <= m <= l):
-                raise ConfigError(f"mode (l={l}, m={m}) outside the band limit L={L}")
-            coeffs[l, m + L] += float(mode["amp"])
-        rand = spec.get("random")
-        if rand is not None:
-            lmax = min(int(rand["lmax"]), L)
-            amp = float(rand["amp"])
-            for l in range(1, lmax + 1):
-                coeffs[l, L - l:L + l + 1] += amp * rng.standard_normal(2 * l + 1)
-        return BoundaryField.from_coeffs(coeffs, grid)
-    raise ConfigError(f"unknown u0_spec type {kind!r}")
+    L = grid.L
+    coeffs = np.zeros((L + 1, 2 * L + 1))
+    coeffs[0, L] = float(spec.get("base", 1.0))
+    for mode in spec.get("modes", []):
+        l, m = int(mode["l"]), int(mode["m"])
+        if not (0 <= l <= L and -l <= m <= l):
+            raise ConfigError(f"mode (l={l}, m={m}) outside the band limit L={L}")
+        coeffs[l, m + L] += float(mode["amp"])
+    rand = spec.get("random")
+    if rand is not None:
+        lmax = min(int(rand["lmax"]), L)
+        amp = float(rand["amp"])
+        for l in range(1, lmax + 1):
+            coeffs[l, L - l:L + l + 1] += amp * rng.standard_normal(2 * l + 1)
+    return BoundaryField.from_coeffs(coeffs, grid)
 
 
 def _load_experiment(path):
@@ -97,6 +109,7 @@ def _load_experiment(path):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(doc, _EXPERIMENT_KEYS, "config keys")
     L = int(doc.get("L", 31))
     n = int(doc.get("n", 2))
     if n != 2:
@@ -106,15 +119,14 @@ def _load_experiment(path):
     if not isinstance(f_spec, str):
         raise ConfigError("config needs an f_spec string")
     flow_fields = doc.get("flow", {})
-    unknown = set(flow_fields) - set(FlowConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown flow config fields: {sorted(unknown)}")
+    _reject_unknown(flow_fields, FlowConfig.__dataclass_fields__, "flow config fields")
     if "p_list" in flow_fields:
         flow_fields["p_list"] = tuple(flow_fields["p_list"])
     if "cap_radii" in flow_fields:
         flow_fields["cap_radii"] = tuple(flow_fields["cap_radii"])
     config = FlowConfig(**flow_fields).validate()
-    checks = doc.get("checks", ["identities"])
+    checks = list(doc.get("checks", ["identities"]))
+    _reject_unknown(checks, _CHECKS, "checks")
     u0_spec = doc.get("u0_spec", {"type": "constant", "value": 1.0})
     return {
         "seed": seed,
@@ -123,13 +135,12 @@ def _load_experiment(path):
         "f_spec": f_spec,
         "u0_spec": u0_spec,
         "flow": config,
-        "checks": list(checks),
+        "checks": checks,
         "raw": doc,
     }
 
 
 def _experiment_echo(exp):
-    cfg = exp["flow"]
     return {
         "seed": exp["seed"],
         "L": exp["L"],
@@ -137,20 +148,7 @@ def _experiment_echo(exp):
         "f_spec": exp["f_spec"],
         "u0_spec": exp["u0_spec"],
         "checks": exp["checks"],
-        "flow": {
-            "dt0": cfg.dt0,
-            "dt_min": cfg.dt_min,
-            "dt_max": cfg.dt_max,
-            "t_end": cfg.t_end,
-            "vol_project": cfg.vol_project,
-            "conv_tol": cfg.conv_tol,
-            "blowup_maxu": cfg.blowup_maxu,
-            "record_every": cfg.record_every,
-            "p_list": list(cfg.p_list),
-            "Lambda0": cfg.Lambda0,
-            "tau": cfg.tau,
-            "cap_radii": list(cfg.cap_radii),
-        },
+        "flow": asdict(exp["flow"]),
     }
 
 
@@ -308,6 +306,7 @@ def cmd_bubble_probe(args):
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
     radii = (0.1, 0.2, 0.5)
+    caps = _cap_integrals(u.values**c.two_sharp, grid, radii)
     doc = {
         "p": [float(v) for v in p / np.linalg.norm(p)],
         "eps": args.eps,
@@ -317,22 +316,13 @@ def cmd_bubble_probe(args):
         "max_H_deviation": float(np.abs(H.values - 1.0).max()),
         "peak": float(u.values.max()),
         "peak_closed_form": ((2.0 - args.eps) / args.eps) ** ((c.n - 1.0) / 2.0),
-        "cap_mass_fraction": {f"{r:g}": _grid_cap_fraction(u, r) for r in radii},
+        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / c.omega_n for r, cap in zip(radii, caps)},
         "cap_mass_closed_form": {f"{r:g}": bubble_cap_mass(args.eps, r) for r in radii},
         "center_of_mass_S": [float(v) for v in S],
         "Q": None if Q is None else [float(v) for v in Q],
     }
     print(json.dumps(doc, indent=2, default=_json_default))
     return _EXIT_OK
-
-
-def _grid_cap_fraction(u, r):
-    c = DEFAULT_CONSTANTS
-    W = u.values**c.two_sharp
-    cw = analyze(W, u.grid)
-    mu = _conformal._cap_kernel(u.grid.L, r)
-    cap = _conformal.synthesize(cw * mu[:, None], u.grid)
-    return float(cap.max()) / c.omega_n
 
 
 def _break_dtn_amount():

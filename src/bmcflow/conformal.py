@@ -293,6 +293,16 @@ def _cap_kernel(L, r):
     return mu
 
 
+def _cap_integrals(density, grid, radii):
+    """Integral of a gridded density over the cap of each radius around every node.
+
+    One grid field per radius: a spherical convolution with the cap
+    indicator, evaluated by its Funk-Hecke multipliers.
+    """
+    cw = analyze(density, grid)
+    return [synthesize(cw * _cap_kernel(grid.L, r)[:, None], grid) for r in radii]
+
+
 @dataclass
 class ConcentrationReport:
     radii: tuple
@@ -317,16 +327,15 @@ def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5), constants=DEFAULT_
     """
     if not tau < 2.0 ** (1.0 / constants.n):
         raise ValueError(f"tau must be below 2^(1/n), got {tau}")
+    if not radii:
+        raise ValueError("need at least one cap radius")
     grid = u.grid
     W = np.abs(H.values) ** constants.n * u.values ** constants.two_sharp
-    cw = analyze(W, grid)
     total = constants.omega_n * grid.integrate(W)
     flags = np.ones(grid.shape, dtype=bool)
     cap_max = {}
     threshold = tau**constants.n * constants.omega_n
-    for r in radii:
-        mu = _cap_kernel(grid.L, r)
-        cap = synthesize(cw * mu[:, None], grid)
+    for r, cap in zip(radii, _cap_integrals(W, grid, radii)):
         cap_max[r] = float(cap.max())
         flags &= cap >= threshold
     nodes = grid.nodes()

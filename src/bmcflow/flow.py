@@ -22,7 +22,7 @@ residual-based controller does not see them until they are large).
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,14 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        tau_max = 2.0 ** (1.0 / DEFAULT_CONSTANTS.n)
+        if not 0.0 < self.tau < tau_max:
+            raise ConfigError(f"tau must lie in (0, 2^(1/n)) = (0, {tau_max:.6g}), got {self.tau}")
+        if not self.cap_radii:
+            raise ConfigError("cap_radii must name at least one radius")
+        for r in self.cap_radii:
+            if not 0.0 < r < np.pi:
+                raise ConfigError(f"cap radii must lie in (0, pi), got {r}")
         return self
 
 
@@ -99,46 +107,15 @@ class Trajectory:
 
     def verdict_document(self):
         """Verdict + config echo as a plain dict with a fixed key order."""
-        cfg = self.config
-        doc = {
+        return {
             "verdict": self.verdict,
             "reason": self.reason,
             "t_final": self.rows[-1][0] if self.rows else None,
             "steps_recorded": len(self.rows),
-            "config": {
-                "dt0": cfg.dt0,
-                "dt_min": cfg.dt_min,
-                "dt_max": cfg.dt_max,
-                "t_end": cfg.t_end,
-                "vol_project": cfg.vol_project,
-                "conv_tol": cfg.conv_tol,
-                "blowup_maxu": cfg.blowup_maxu,
-                "record_every": cfg.record_every,
-                "p_list": list(cfg.p_list),
-                "Lambda0": cfg.Lambda0,
-                "tau": cfg.tau,
-                "cap_radii": list(cfg.cap_radii),
-            },
-            "bounds": None,
+            "config": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.config).items()},
+            "bounds": None if self.bounds is None else asdict(self.bounds),
             "concentration": self.info.get("concentration"),
         }
-        if self.bounds is not None:
-            b = self.bounds
-            doc["bounds"] = {
-                "lambda1": b.lambda1,
-                "lambda2": b.lambda2,
-                "Lambda0": b.Lambda0,
-                "gamma": b.gamma,
-                "c_star": b.c_star,
-                "sigma": b.sigma,
-                "beta": b.beta,
-                "condition_ii_ok": b.condition_ii_ok,
-                "f_mean": b.f_mean,
-                "f_max": b.f_max,
-                "f_absmax": b.f_absmax,
-                "min_H0": b.min_H0,
-            }
-        return doc
 
     def write_verdict(self, path):
         with open(path, "w") as fh:

@@ -12,7 +12,8 @@ polynomial degree 2L+1 and 2L+2 longitudes resolve all modes |m| <= L,
 so analyze/synthesize round-trip band-limited data to machine precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import lpmv, gammaln
@@ -28,8 +29,6 @@ class Grid:
     x: np.ndarray          # cos(colatitude), ascending, shape (L+1,)
     w: np.ndarray          # Gauss weights, sum 2
     n_lon: int
-    _leg: dict = field(default_factory=dict, repr=False)
-    _dleg: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_lat(self):
@@ -57,17 +56,38 @@ class Grid:
         out[..., 2] = self.x[:, None] * np.ones_like(phi)
         return out
 
-    def legendre(self, m):
-        """Normalized associated Legendre table N_{l,m} P_l^m(x_j), shape (n_lat, L+1-m)."""
-        if m not in self._leg:
-            self._leg[m] = _norm_legendre(m, self.L, self.x)
-        return self._leg[m]
+    @cached_property
+    def _table(self):
+        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j), zero where l < m.
 
-    def dlegendre(self, m):
-        """d/dtheta of the normalized table, same shape as legendre(m)."""
-        if m not in self._dleg:
-            self._dleg[m] = _norm_legendre_dtheta(m, self.L, self.x)
-        return self._dleg[m]
+        s_0 = 1 and s_m = sqrt(2) fold the real-basis normalization in.
+        Filled one order at a time so lpmv never holds more than one
+        order's values on top of the (L+1)^3 table.
+        """
+        L = self.L
+        T = np.zeros((L + 1, self.n_lat, L + 1))
+        for m in range(L + 1):
+            T[m, :, m:] = _norm_legendre(m, L, self.x)
+        T[1:] *= np.sqrt(2.0)
+        return T
+
+    @cached_property
+    def _dtheta_table(self):
+        """d/dtheta of the packed table, from the table itself.
+
+        sin(theta) dP_l^m/dtheta = l x P_l^m - (l+m) P_{l-1}^m, and with
+        the normalization (l+m) N_{l,m} = r_{l,m} N_{l-1,m} where
+        r_{l,m} = sqrt((2l+1)(l^2-m^2)/(2l-1)), taken as 0 for l < m where
+        the table is zero.  Gauss nodes exclude the poles, so dividing by
+        sin(theta) is safe.
+        """
+        T = self._table
+        ls = np.arange(self.L + 1, dtype=float)
+        ms = ls[:, None]
+        r = np.sqrt((2 * ls[1:] + 1) * np.maximum(ls[1:] ** 2 - ms**2, 0.0) / (2 * ls[1:] - 1))
+        dT = ls * self.x[:, None] * T
+        dT[..., 1:] -= r[:, None, :] * T[..., :-1]
+        return dT / self.sin_theta[:, None]
 
     def integrate(self, values):
         """Spherical mean (1/4pi) * integral of a gridded field."""
@@ -89,18 +109,6 @@ def _norm_legendre(m, L, x):
     return P * _norm_factor(m, ls)[None, :]
 
 
-def _norm_legendre_dtheta(m, L, x):
-    # (1-x^2) dP_l^m/dx = -l x P_l^m + (l+m) P_{l-1}^m, and d/dtheta = -sin(theta) d/dx
-    ls = np.arange(m, L + 1)
-    P = lpmv(m, ls[None, :], x[:, None])
-    Pdown = np.zeros_like(P)
-    if len(ls) > 1:
-        Pdown[:, 1:] = lpmv(m, ls[:-1][None, :], x[:, None])
-    sin_t = np.sqrt(1.0 - x**2)[:, None]
-    dP = (ls[None, :] * x[:, None] * P - (ls + m)[None, :] * Pdown) / sin_t
-    return dP * _norm_factor(m, ls)[None, :]
-
-
 def make_grid(L):
     """Build the transform grid for maximum degree L (4 <= L <= 85).
 
@@ -117,16 +125,37 @@ def make_grid(L):
     return Grid(L=L, x=x, w=w, n_lon=2 * L + 2)
 
 
-def _fourier_coeffs(values, grid):
-    """Per-latitude cosine/sine longitude coefficients A_m, B_m."""
-    F = np.fft.rfft(values, axis=1)
+def _order_stack(coeffs, L):
+    """(m, 2, l) stack of the cosine c[l, L+m] and sine c[l, L-m] coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (L + 1, 2 * L + 1):
+        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
+    stack = np.zeros((L + 1, 2, L + 1))
+    stack[:, 0] = coeffs[:, L:].T
+    stack[1:, 1] = coeffs[:, L - 1::-1].T
+    return stack
+
+
+def _legendre(stack, table):
+    """Legendre stage: contract an (m, 2, k) cosine/sine stack with an (m, j, k) table over k.
+
+    With the packed table this maps coefficients (k = l) to longitude
+    coefficients on the latitudes (j); with its transpose, the reverse.
+    """
+    return np.matmul(stack, table.transpose(0, 2, 1))
+
+
+def _fourier_synthesis(cos_sin, grid, weight=1.0):
+    """Grid values from (m, 2, n_lat) cosine/sine longitude coefficients.
+
+    weight scales order m in Fourier space (1j*m differentiates in phi).
+    """
     n = grid.n_lon
-    A = np.empty((grid.n_lat, grid.L + 1))
-    B = np.zeros_like(A)
-    A[:, 0] = F[:, 0].real / n
-    A[:, 1:] = 2.0 * F[:, 1 : grid.L + 1].real / n
-    B[:, 1:] = -2.0 * F[:, 1 : grid.L + 1].imag / n
-    return A, B
+    scale = np.full(grid.L + 1, n / 2.0)
+    scale[0] = n
+    G = np.zeros((grid.n_lat, n // 2 + 1), dtype=complex)
+    G[:, : grid.L + 1] = ((cos_sin[:, 0] - 1j * cos_sin[:, 1]) * (weight * scale)[:, None]).T
+    return np.fft.irfft(G, n=n, axis=1)
 
 
 def analyze(values, grid):
@@ -134,35 +163,18 @@ def analyze(values, grid):
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-    A, B = _fourier_coeffs(values, grid)
-    q = 0.5 * grid.w
     L = grid.L
-    c = np.zeros((L + 1, 2 * L + 1))
-    c[:, L] = grid.legendre(0).T @ (q * A[:, 0])
-    s2 = np.sqrt(2.0) / 2.0
-    for m in range(1, L + 1):
-        lam_q = grid.legendre(m).T * q
-        c[m:, L + m] = s2 * (lam_q @ A[:, m])
-        c[m:, L - m] = s2 * (lam_q @ B[:, m])
+    F = np.fft.rfft(values, axis=1)[:, : L + 1].T * (0.5 * grid.w / grid.n_lon)
+    stack = _legendre(np.stack((F.real, -F.imag), axis=1), grid._table.transpose(0, 2, 1))
+    c = np.empty((L + 1, 2 * L + 1))
+    c[:, L:] = stack[:, 0].T
+    c[:, :L] = stack[:0:-1, 1].T
     return c
 
 
 def synthesize(coeffs, grid):
     """Evaluate a coefficient array on the grid."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    L = grid.L
-    if coeffs.shape != (L + 1, 2 * L + 1):
-        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
-    n = grid.n_lon
-    G = np.zeros((grid.n_lat, n // 2 + 1), dtype=complex)
-    G[:, 0] = (grid.legendre(0) @ coeffs[:, L]) * n
-    s2 = np.sqrt(2.0)
-    for m in range(1, L + 1):
-        lam = grid.legendre(m)
-        Am = s2 * (lam @ coeffs[m:, L + m])
-        Bm = s2 * (lam @ coeffs[m:, L - m])
-        G[:, m] = (Am - 1j * Bm) * (n / 2.0)
-    return np.fft.irfft(G, n=n, axis=1)
+    return _fourier_synthesis(_legendre(_order_stack(coeffs, grid.L), grid._table), grid)
 
 
 def synth_at(coeffs, points):
@@ -184,11 +196,6 @@ def synth_at(coeffs, points):
         Bm = lam @ coeffs[m:, L - m]
         out += s2 * (Am * np.cos(m * phi) + Bm * np.sin(m * phi))
     return out.reshape(pts.shape[:-1])
-
-
-def mean(values, grid):
-    """Spherical mean of a gridded field."""
-    return grid.integrate(values)
 
 
 def degree_multipliers(L):
@@ -217,29 +224,12 @@ def gradient_norm_sq(coeffs, grid):
     """Pointwise |grad u|^2 on the grid from spectral first derivatives.
 
     Derivatives in colatitude use the analytic d/dtheta of the Legendre
-    tables; the longitude derivative is taken in Fourier space.  Gauss
+    table; the longitude derivative is taken in Fourier space.  Gauss
     nodes exclude the poles, so dividing by sin(theta) is safe.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    L = grid.L
-    if coeffs.shape != (L + 1, 2 * L + 1):
-        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
-    n = grid.n_lon
-    Gt = np.zeros((grid.n_lat, n // 2 + 1), dtype=complex)
-    Gp = np.zeros_like(Gt)
-    Gt[:, 0] = (grid.dlegendre(0) @ coeffs[:, L]) * n
-    s2 = np.sqrt(2.0)
-    for m in range(1, L + 1):
-        dlam = grid.dlegendre(m)
-        lam = grid.legendre(m)
-        At = s2 * (dlam @ coeffs[m:, L + m])
-        Bt = s2 * (dlam @ coeffs[m:, L - m])
-        Gt[:, m] = (At - 1j * Bt) * (n / 2.0)
-        Am = s2 * (lam @ coeffs[m:, L + m])
-        Bm = s2 * (lam @ coeffs[m:, L - m])
-        Gp[:, m] = 1j * m * (Am - 1j * Bm) * (n / 2.0)
-    u_theta = np.fft.irfft(Gt, n=n, axis=1)
-    u_phi = np.fft.irfft(Gp, n=n, axis=1)
+    stack = _order_stack(coeffs, grid.L)
+    u_theta = _fourier_synthesis(_legendre(stack, grid._dtheta_table), grid)
+    u_phi = _fourier_synthesis(_legendre(stack, grid._table), grid, 1j * np.arange(grid.L + 1))
     return u_theta**2 + (u_phi / grid.sin_theta[:, None]) ** 2
 
 
@@ -283,8 +273,8 @@ class BoundaryField:
         return self.grid.integrate(self.values)
 
     def filtered(self):
-        """Projection onto the band limit (synthesize of analyze)."""
-        return BoundaryField(self.grid, values=synthesize(self.coeffs, self.grid))
+        """Projection onto the band limit (synthesize of analyze); keeps the coefficients."""
+        return BoundaryField(self.grid, values=synthesize(self.coeffs, self.grid), coeffs=self.coeffs)
 
     def __repr__(self):
         return f"BoundaryField(L={self.grid.L}, min={self.values.min():.3g}, max={self.values.max():.3g})"

@@ -11,6 +11,7 @@ Validates:
 - the selftest table and its negative-control hook
 """
 
+import dataclasses
 import importlib.metadata
 import json
 import shutil
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from bmcflow.cli import main
+from bmcflow.flow import FlowConfig
 
 
 def write_config(path, **overrides):
@@ -61,6 +63,7 @@ def test_flow_run_stationary(tmp_path, capsys):
     assert doc["experiment"]["f_spec"] == "1"
     assert doc["experiment"]["L"] == 10
     assert doc["experiment"]["flow"]["dt_max"] == 0.01
+    assert list(doc["experiment"]["flow"]) == [f.name for f in dataclasses.fields(FlowConfig)]
 
 
 def test_flow_run_horizon_writes_identities(tmp_path):
@@ -160,6 +163,29 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
         json.dump(doc, fh)
     assert main(["flow", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 64
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param({"flow": {"cap_radii": []}}, id="no-cap-radius"),
+    pytest.param({"flow": {"cap_radii": [4.0]}}, id="cap-radius-past-pi"),
+    pytest.param({"flow": {"cap_radii": [0.0, 0.2]}}, id="zero-cap-radius"),
+    pytest.param({"flow": {"tau": 1.5}}, id="tau-past-2^(1/n)"),
+    pytest.param({"flow": {"tau": 0.0}}, id="zero-tau"),
+    pytest.param({"sede": 3}, id="unknown-key"),
+    pytest.param({"u0_spec": {"type": "constant", "valu": 2}}, id="unknown-u0-field"),
+    pytest.param({"u0_spec": {"type": "bubble", "p": [0, 0, 1], "eps": 0.5, "value": 1}},
+                 id="field-of-another-u0-type"),
+    pytest.param({"checks": ["identites"]}, id="unknown-check"),
+])
+def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
+    """Out-of-range concentration settings and unknown names exit 64
+    with a one-line message, before the output directory exists."""
+    cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
 
 
 def test_flow_run_unreadable_config(tmp_path, capsys):
