@@ -78,6 +78,8 @@ def _reject_unknown(given, known, what):
 
 
 def _build_u0(spec, grid, rng):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"u0_spec must be a JSON object, got {spec!r}")
     kind = spec.get("type")
     if kind not in _U0_FIELDS:
         raise ConfigError(f"unknown u0_spec type {kind!r}")
@@ -120,8 +122,6 @@ def _load_experiment(path):
         raise ConfigError("config needs an f_spec string")
     flow_fields = doc.get("flow", {})
     _reject_unknown(flow_fields, FlowConfig.__dataclass_fields__, "flow config fields")
-    if "p_list" in flow_fields:
-        flow_fields["p_list"] = tuple(flow_fields["p_list"])
     if "cap_radii" in flow_fields:
         flow_fields["cap_radii"] = tuple(flow_fields["cap_radii"])
     config = FlowConfig(**flow_fields).validate()
@@ -136,7 +136,6 @@ def _load_experiment(path):
         "u0_spec": u0_spec,
         "flow": config,
         "checks": checks,
-        "raw": doc,
     }
 
 
@@ -174,7 +173,7 @@ def _run_experiment(config_path, out_dir):
         grid = make_grid(exp["L"])
         rng = np.random.default_rng(exp["seed"])
         u0 = _build_u0(exp["u0_spec"], grid, rng)
-    except (ConfigError, SpecParseError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, SpecParseError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"config error in {config_path}: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     out = Path(out_dir)
@@ -220,9 +219,9 @@ def cmd_flow_run(args):
     if len(configs) == 1:
         return _run_experiment(configs[0], args.out)
     jobs = [(path, str(Path(args.out) / Path(path).stem)) for path in configs]
-    codes = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = max(1, min(args.jobs, len(jobs)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_experiment_entry, jobs))
     else:
         codes = [_run_experiment(*job) for job in jobs]

@@ -4,16 +4,19 @@ The evolution is du/dt = -((n-1)/4)(H - lambda f) u with lambda chosen
 so the boundary volume mean(u^{2#}) is conserved.  The discrete scheme
 is explicit Euler with adaptive step control (max |dt (H - lambda f)|
 <= 0.1), a per-step band-limit filter, and exact volume projection by
-a multiplicative constant.  Runs terminate with one of three verdicts:
+a multiplicative constant.  The initial data and every accepted step
+pass the same tests, in this order, and the first that holds ends the
+run with its verdict:
 
   Converged       sqrt(F2) = ||lambda f - H||_{L2(dmu_g)} < conv_tol
-  Concentrating   max u exceeds blowup_maxu, or the cap-mass detector
-                  flags a cluster at a recorded step
-  HorizonReached  t reached t_end first
+  Concentrating   max u exceeds blowup_maxu
+  HorizonReached  t within dt_min of t_end; the last step is clipped to it
 
-Scheme failures (positivity loss that step halving cannot rescue, or a
-nonpositive f-weighted volume) raise FlowFailure with the partial
-trajectory attached.
+A recorded step that no test ends may still end as Concentrating when
+the cap-mass detector flags a cluster.  Scheme failures (positivity
+loss that step halving cannot rescue, or a nonpositive f-weighted
+volume) raise FlowFailure with the partial trajectory attached; its
+verdict is Failed.
 
 The default dt_max of 0.01 sits inside the explicit-scheme stability
 region for band limits up to L = 63 with order-one fields; larger caps
@@ -32,6 +35,9 @@ from .curvature import (DEFAULT_CONSTANTS, energy_functional, f2_norm, flow_boun
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField
 
+# Orders p of the recorded residuals mean(|lambda f - H|^p dmu_g).
+_LP_ORDERS = (2, 4)
+
 
 @dataclass
 class FlowConfig:
@@ -43,8 +49,6 @@ class FlowConfig:
     conv_tol: float = 1e-4
     blowup_maxu: float = 1e3
     record_every: int = 1
-    p_list: tuple = (2, 4)
-    Lambda0: float = 10.0
     tau: float = 0.8
     cap_radii: tuple = (0.1, 0.2, 0.5)
 
@@ -59,6 +63,8 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        if self.blowup_maxu <= 0.0:
+            raise ConfigError(f"blowup_maxu must be positive, got {self.blowup_maxu}")
         tau_max = 2.0 ** (1.0 / DEFAULT_CONSTANTS.n)
         if not 0.0 < self.tau < tau_max:
             raise ConfigError(f"tau must lie in (0, 2^(1/n)) = (0, {tau_max:.6g}), got {self.tau}")
@@ -82,7 +88,6 @@ class FlowState:
     dt: float
     steps: int = 0
     constants: object = DEFAULT_CONSTANTS
-    f_fn: object = None
 
 
 @dataclass
@@ -127,7 +132,7 @@ def _columns(config):
     cols = ["t", "dt", "lambda", "E", "E_f", "F2", "lambda_prime", "vol_err",
             "min_u", "max_u", "S_x", "S_y", "S_z", "S_norm"]
     cols += [f"capmass_r{r:g}" for r in config.cap_radii]
-    cols += [f"Lp_res_p{p:g}" for p in config.p_list]
+    cols += [f"Lp_res_p{p:g}" for p in _LP_ORDERS]
     cols.append("min_H_minus_lambda_f")
     return tuple(cols)
 
@@ -170,7 +175,7 @@ def init_state(u0, f, config, constants=DEFAULT_CONSTANTS):
     u, _ = _project_volume(u, constants)
     report = energy_functional(u, f_values, constants)
     H = mean_curvature(u, constants)
-    bounds = flow_bounds(u, f_values, H, constants, Lambda0=config.Lambda0, f_closed=f_fn)
+    bounds = flow_bounds(u, f_values, H, constants, f_closed=f_fn)
     return FlowState(
         t=0.0,
         u=u,
@@ -181,18 +186,18 @@ def init_state(u0, f, config, constants=DEFAULT_CONSTANTS):
         bounds=bounds,
         dt=config.dt0,
         constants=constants,
-        f_fn=f_fn,
     )
 
 
 def step(state, config):
     """One accepted explicit Euler step, in place.
 
-    dt starts from min(dt_max, 0.1/max|H - lambda f|, 2 * previous dt)
-    and is halved on any positivity rejection; dropping below dt_min is
-    a hard failure.  After the update the field is band-limit filtered
-    and (if configured) projected back to unit volume, and lambda and H
-    are recomputed from the new field.
+    dt starts from min(dt_max, 0.1/max|H - lambda f|, 2 * previous dt,
+    t_end - t), but not below dt_min, and is halved on any positivity
+    rejection; dropping below dt_min is a hard failure.  After the
+    update the field is band-limit filtered and (if configured)
+    projected back to unit volume, and lambda and H are recomputed from
+    the new field.
     """
     c = state.constants
     resid = state.H.values - state.lam * state.f_values
@@ -200,7 +205,7 @@ def step(state, config):
     dt = min(config.dt_max, 2.0 * state.dt)
     if resid_max > 0.0:
         dt = min(dt, 0.1 / resid_max)
-    dt = max(dt, config.dt_min)
+    dt = max(min(dt, config.t_end - state.t), config.dt_min)
     factor_rate = (c.n - 1.0) / 4.0 * resid
     while True:
         candidate = state.u.values * (1.0 - dt * factor_rate)
@@ -227,97 +232,72 @@ def step(state, config):
     return state
 
 
-def _record(traj, state, config):
+def _record(traj, state, config, F2):
+    """Append the row of the current state; returns the cap-mass check."""
     c = state.constants
-    u, H = state.u, state.H
-    rep = state.energy_report
-    w = u.values**c.two_sharp
-    denom = rep.denom
-    E_boundary = u.grid.integrate(H.values * w)
-    lam_row = E_boundary / denom
-    E_f_row = E_boundary / denom ** ((c.n - 1.0) / c.n)
-    resid = lam_row * state.f_values - H.values
-    F2 = u.grid.integrate(resid**2 * w)
-    lamp = lambda_prime(u, state.f_values, lam_row, c, H=H)
-    vol_err = volume(u, c) - 1.0
+    u, H, rep = state.u, state.H, state.energy_report
     S, _ = center_of_mass(u, c)
     conc = concentration_check(u, H, tau=config.tau, radii=config.cap_radii, constants=c)
-    row = [state.t, state.dt, lam_row, E_boundary, E_f_row, F2, lamp, vol_err,
+    row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2,
+           lambda_prime(u, state.f_values, rep.lam, c, H=H), volume(u, c) - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
     row += [conc.cap_max[r] / c.omega_n for r in config.cap_radii]
-    row += [lp_residual(u, state.f_values, lam_row, p, c, H=H) for p in config.p_list]
-    row.append(float((H.values - lam_row * state.f_values).min()))
+    row += [lp_residual(u, state.f_values, rep.lam, p, c, H=H) for p in _LP_ORDERS]
+    row.append(float((H.values - rep.lam * state.f_values).min()))
     traj.rows.append(row)
-    return conc, np.sqrt(F2)
+    return conc
 
 
 def run(state, config):
     """Advance until a verdict; returns the Trajectory.
 
-    Convergence (sqrt F2 < conv_tol) and amplitude blow-up are checked
-    every step; the cap-mass concentration detector runs at recorded
-    steps.  Hard failures from step() propagate with the partial
-    trajectory attached to the exception.
+    The initial data and every accepted step pass the tests listed in
+    the module docstring.  A step is recorded every record_every steps
+    and whenever a test ends the run; only then does the cap-mass
+    detector run.  Hard failures from step() propagate with the
+    partial trajectory attached to the exception.
     """
     config.validate()
     traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds,
                       constants=state.constants)
-    conc, res0 = _record(traj, state, config)
-    if res0 < config.conv_tol:
-        traj.verdict, traj.reason = "Converged", f"initial residual {res0:.3e} below conv_tol"
-        return traj
-    if conc.flags.any():
-        traj.verdict, traj.reason = "Concentrating", "cap-mass detector flagged the initial data"
-        traj.info["concentration"] = _concentration_info(conc, state)
-        return traj
-    while state.t < config.t_end - 1e-12:
+    while True:
+        F2 = f2_norm(state.u, state.f_values, state.lam, state.constants, H=state.H)
+        res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
+        if res < config.conv_tol:
+            verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
+                                    else f"residual {res:.3e} below conv_tol at {at}")
+        elif float(state.u.values.max()) > config.blowup_maxu:
+            verdict = "Concentrating", f"max u exceeded {config.blowup_maxu:g} at {at}"
+        elif config.t_end - state.t <= config.dt_min:
+            verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
+        if verdict is not None or state.steps % config.record_every == 0:
+            conc = _record(traj, state, config, F2)
+            if verdict is None and conc.flags.any():
+                verdict = "Concentrating", ("cap-mass detector flagged the initial data"
+                                            if state.steps == 0 else f"cap-mass detector fired at {at}")
+        if verdict is not None:
+            traj.verdict, traj.reason = verdict
+            if traj.verdict == "Concentrating":
+                traj.info["concentration"] = _concentration_info(conc, state)
+            return traj
         try:
             step(state, config)
         except FlowFailure as exc:
             exc.trajectory = traj
             traj.verdict, traj.reason = "Failed", str(exc)
             raise
-        recorded = state.steps % config.record_every == 0
-        if recorded:
-            conc, res = _record(traj, state, config)
-        else:
-            res = np.sqrt(f2_norm(state.u, state.f_values, state.lam, state.constants, H=state.H))
-            conc = None
-        if res < config.conv_tol:
-            if not recorded:
-                conc, res = _record(traj, state, config)
-            traj.verdict = "Converged"
-            traj.reason = f"residual {res:.3e} below conv_tol at t={state.t:.6g}"
-            return traj
-        if float(state.u.values.max()) > config.blowup_maxu:
-            if not recorded:
-                conc, _ = _record(traj, state, config)
-            traj.verdict = "Concentrating"
-            traj.reason = f"max u exceeded {config.blowup_maxu:g} at t={state.t:.6g}"
-            traj.info["concentration"] = _concentration_info(conc, state)
-            return traj
-        if conc is not None and conc.flags.any():
-            traj.verdict = "Concentrating"
-            traj.reason = f"cap-mass detector fired at t={state.t:.6g}"
-            traj.info["concentration"] = _concentration_info(conc, state)
-            return traj
-    if state.steps % config.record_every != 0:
-        _record(traj, state, config)
-    traj.verdict, traj.reason = "HorizonReached", f"t_end={config.t_end:g} reached"
-    return traj
 
 
 def _concentration_info(conc, state):
     S, Q = center_of_mass(state.u, state.constants)
-    info = {
-        "clusters": [[float(v) for v in pt] for pt in conc.clusters] if conc else [],
-        "uniqueness_warning": bool(conc.uniqueness_warning) if conc else False,
-        "total_mass": conc.total_mass if conc else None,
+    return {
+        "clusters": [[float(v) for v in pt] for pt in conc.clusters],
+        "uniqueness_warning": bool(conc.uniqueness_warning),
+        "total_mass": conc.total_mass,
         "S": [float(v) for v in S],
         "Q": None if Q is None else [float(v) for v in Q],
     }
-    return info
 
 
 def _fd_derivative(t, y):
@@ -342,7 +322,7 @@ def check_identities(traj):
     (b) the lambda_prime column against finite differences of lambda;
     (c) lambda inside [lambda1, lambda2] with 1e-8 slack;
     (d) min(H - lambda f) >= gamma - 1e-6, for gamma computed both with
-        the configured Lambda0 and with the observed sup|lambda'|;
+        the Lambda0 of the frozen bounds and with the observed sup|lambda'|;
     (e) sup F2 over the run (reported, no threshold).
     """
     if len(traj.rows) < 3:

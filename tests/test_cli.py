@@ -20,6 +20,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from bmcflow import cli
 from bmcflow.cli import main
 from bmcflow.flow import FlowConfig
 
@@ -103,7 +104,7 @@ def test_flow_run_morse_artifact(tmp_path):
 
 def test_flow_run_concentrating_exit(tmp_path):
     """An exact bubble under f = 1 is steady, so with a tight tolerance
-    the run proceeds and the low amplitude guard fires on step one."""
+    the low amplitude guard decides: its peak is already above it."""
     cfg = write_config(
         tmp_path / "exp.json",
         L=31,
@@ -176,9 +177,14 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
     pytest.param({"u0_spec": {"type": "bubble", "p": [0, 0, 1], "eps": 0.5, "value": 1}},
                  id="field-of-another-u0-type"),
     pytest.param({"checks": ["identites"]}, id="unknown-check"),
+    pytest.param({"flow": {"tau": "x"}}, id="string-tau"),
+    pytest.param({"u0_spec": "constant"}, id="u0_spec-not-an-object"),
+    pytest.param({"flow": {"blowup_maxu": 0.0}}, id="zero-blowup-maxu"),
+    pytest.param({"flow": {"p_list": [2, 4]}}, id="removed-p_list"),
+    pytest.param({"flow": {"Lambda0": 10.0}}, id="removed-Lambda0"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
-    """Out-of-range concentration settings and unknown names exit 64
+    """Out-of-range or wrongly typed settings and unknown names exit 64
     with a one-line message, before the output directory exists."""
     cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
     out = tmp_path / "out"
@@ -210,6 +216,33 @@ def test_flow_run_multiple_configs(tmp_path):
     assert main(["flow", "run", "--config", quiet, sharp, "--out", str(out)]) == 2
     assert (out / "quiet" / "verdict.json").exists()
     assert (out / "sharp" / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("jobs, workers", [(10000, 2), (2, 2), (0, None), (1, None)])
+def test_flow_run_jobs_clamped(tmp_path, monkeypatch, jobs, workers):
+    """--jobs is clamped to [1, number of configs]: no pool is asked for
+    more workers than there are configs, and below 2 none is started."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    configs = [write_config(tmp_path / f"{name}.json") for name in ("a", "b")]
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", *configs, "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert asked == ([] if workers is None else [workers])
+    assert (out / "a" / "verdict.json").exists() and (out / "b" / "verdict.json").exists()
 
 
 def test_flow_run_deterministic(tmp_path):

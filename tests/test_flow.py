@@ -178,6 +178,37 @@ def test_horizon_verdict():
     assert len(traj.rows) == 11
 
 
+def test_horizon_clips_last_step():
+    """A t_end that is not a multiple of dt ends the run at t_end: the
+    last step is shortened instead of stepping past the horizon."""
+    g = make_grid(10)
+    cfg = FlowConfig(t_end=0.105, conv_tol=1e-14)
+    state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
+    traj = run(state, cfg)
+    assert traj.verdict == "HorizonReached"
+    assert state.steps == 11
+    assert abs(traj.rows[-1][0] - 0.105) < 1e-12
+    assert abs(traj.rows[-1][1] - 0.005) < 1e-12
+
+
+def test_record_every_does_not_change_run():
+    """Thinning the rows changes which steps are written, not the run:
+    every row of the thinned run is the full run's row at that step."""
+    g = make_grid(15)
+    runs = []
+    for every in (1, 7):
+        cfg = FlowConfig(t_end=0.5, conv_tol=1e-14, record_every=every)
+        state = init_state(perturbed_constant(g), parse_f_spec("2 - z^2"), cfg)
+        runs.append((run(state, cfg), state))
+    (full, full_state), (thin, thin_state) = runs
+    assert thin.verdict == full.verdict == "HorizonReached"
+    assert thin_state.steps == full_state.steps == 50
+    assert thin_state.t == full_state.t
+    recorded = list(range(0, full_state.steps, 7)) + [full_state.steps]
+    assert len(full.rows) == full_state.steps + 1
+    assert thin.rows == [full.rows[k] for k in recorded]
+
+
 def test_record_every_thins_rows():
     g = make_grid(10)
     cfg = FlowConfig(t_end=0.1, conv_tol=1e-14, record_every=4)
