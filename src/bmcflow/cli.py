@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import (ConformalMap, _cap_integrals, boundary_map, bubble_cap_mass, bubble_field,
+from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
                         center_of_mass)
 from .curvature import DEFAULT_CONSTANTS, mean_curvature, total_energy, volume
 from .errors import AdmissibilityError, ConfigError, FlowFailure, NotMorseError, SpecParseError
@@ -122,8 +122,6 @@ def _load_experiment(path):
         raise ConfigError("config needs an f_spec string")
     flow_fields = doc.get("flow", {})
     _reject_unknown(flow_fields, FlowConfig.__dataclass_fields__, "flow config fields")
-    if "cap_radii" in flow_fields:
-        flow_fields["cap_radii"] = tuple(flow_fields["cap_radii"])
     config = FlowConfig(**flow_fields).validate()
     checks = list(doc.get("checks", ["identities"]))
     _reject_unknown(checks, _CHECKS, "checks")
@@ -305,7 +303,7 @@ def cmd_bubble_probe(args):
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
     radii = (0.1, 0.2, 0.5)
-    caps = _cap_integrals(u.values**c.two_sharp, grid, radii)
+    caps = cap_integrals(u.values**c.two_sharp, grid, radii)
     doc = {
         "p": [float(v) for v in p / np.linalg.norm(p)],
         "eps": args.eps,

@@ -293,7 +293,7 @@ def _cap_kernel(L, r):
     return mu
 
 
-def _cap_integrals(density, grid, radii):
+def cap_integrals(density, grid, radii):
     """Integral of a gridded density over the cap of each radius around every node.
 
     One grid field per radius: a spherical convolution with the cap
@@ -335,7 +335,7 @@ def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5), constants=DEFAULT_
     flags = np.ones(grid.shape, dtype=bool)
     cap_max = {}
     threshold = tau**constants.n * constants.omega_n
-    for r, cap in zip(radii, _cap_integrals(W, grid, radii)):
+    for r, cap in zip(radii, cap_integrals(W, grid, radii)):
         cap_max[r] = float(cap.max())
         flags &= cap >= threshold
     nodes = grid.nodes()

@@ -25,7 +25,8 @@ residual-based controller does not see them until they are large).
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +38,16 @@ from .spectral import BoundaryField
 
 # Orders p of the recorded residuals mean(|lambda f - H|^p dmu_g).
 _LP_ORDERS = (2, 4)
+
+
+# Types the FlowConfig annotations admit from JSON: bool is no number, a tuple is a list of numbers.
+_ADMITS = {float: numbers.Real, int: numbers.Integral, bool: bool}
+
+
+def _admits(kind, value):
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_admits(float, v) for v in value)
+    return isinstance(value, _ADMITS[kind]) and isinstance(value, bool) == (kind is bool)
 
 
 @dataclass
@@ -53,26 +64,24 @@ class FlowConfig:
     cap_radii: tuple = (0.1, 0.2, 0.5)
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _admits(f.type, value):
+                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if not (0.0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise ConfigError(
                 f"need 0 < dt_min <= dt0 <= dt_max, got {self.dt_min}, {self.dt0}, {self.dt_max}"
             )
-        if self.conv_tol <= 0.0:
-            raise ConfigError(f"conv_tol must be positive, got {self.conv_tol}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        for name in ("conv_tol", "t_end", "blowup_maxu"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.blowup_maxu <= 0.0:
-            raise ConfigError(f"blowup_maxu must be positive, got {self.blowup_maxu}")
         tau_max = 2.0 ** (1.0 / DEFAULT_CONSTANTS.n)
         if not 0.0 < self.tau < tau_max:
             raise ConfigError(f"tau must lie in (0, 2^(1/n)) = (0, {tau_max:.6g}), got {self.tau}")
-        if not self.cap_radii:
-            raise ConfigError("cap_radii must name at least one radius")
-        for r in self.cap_radii:
-            if not 0.0 < r < np.pi:
-                raise ConfigError(f"cap radii must lie in (0, pi), got {r}")
+        if not self.cap_radii or not all(0.0 < r < np.pi for r in self.cap_radii):
+            raise ConfigError(f"cap_radii must list radii in (0, pi), got {self.cap_radii}")
         return self
 
 

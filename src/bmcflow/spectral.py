@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lpmv, gammaln
 
 from .errors import ConfigError
 
@@ -58,17 +57,10 @@ class Grid:
 
     @cached_property
     def _table(self):
-        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j), zero where l < m.
-
-        s_0 = 1 and s_m = sqrt(2) fold the real-basis normalization in.
-        Filled one order at a time so lpmv never holds more than one
-        order's values on top of the (L+1)^3 table.
-        """
-        L = self.L
-        T = np.zeros((L + 1, self.n_lat, L + 1))
-        for m in range(L + 1):
-            T[m, :, m:] = _norm_legendre(m, L, self.x)
-        T[1:] *= np.sqrt(2.0)
+        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j) (see _legendre_rows), zero where l < m."""
+        T = np.zeros((self.L + 1, self.n_lat, self.L + 1))
+        for l, row in enumerate(_legendre_rows(self.L, self.x)):
+            T[: l + 1, :, l] = row
         return T
 
     @cached_property
@@ -97,25 +89,29 @@ class Grid:
         return 0.5 * self.w @ values.mean(axis=1)
 
 
-def _norm_factor(m, ls):
-    # sqrt((2l+1) (l-m)! / (l+m)!), via logs to stay finite for large l+m
-    ls = np.asarray(ls, dtype=float)
-    return np.exp(0.5 * (np.log(2 * ls + 1) + gammaln(ls - m + 1) - gammaln(ls + m + 1)))
+def _legendre_rows(L, x):
+    """Rows s_m N_{l,m} P_l^m(x) over m = 0..l, shape (l+1, len(x)), yielded for l = 0..L.
 
-
-def _norm_legendre(m, L, x):
-    ls = np.arange(m, L + 1)
-    P = lpmv(m, ls[None, :], x[:, None])
-    return P * _norm_factor(m, ls)[None, :]
+    s_0 = 1 and s_m = sqrt(2) fold the real-basis normalization in.  Holmes & Featherstone
+    (2002, J. Geodesy 76:279) with the Condon-Shortley phase: T_lm = a_lm x T_{l-1,m} - b_lm T_{l-2,m}
+    below T_ll = -sqrt((2l+1)/(2l)) sin(theta) T_{l-1,l-1}, and T_11 = -sqrt(3) sin(theta).
+    """
+    sin_theta = np.sqrt(1.0 - x**2)
+    older, row = np.zeros((0, len(x))), np.ones((1, len(x)))
+    yield row
+    for l in range(1, L + 1):
+        m2 = np.arange(l, dtype=float)[:, None] ** 2
+        new = np.empty((l + 1, len(x)))
+        new[:l] = np.sqrt((4 * l * l - 1) / (l * l - m2)) * x * row
+        b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - m2[:-1]) / ((2 * l - 3) * (l * l - m2[:-1])))
+        new[: l - 1] -= b * older
+        new[l] = -np.sqrt(3.0 if l == 1 else (2 * l + 1) / (2 * l)) * sin_theta * row[l - 1]
+        older, row = row, new
+        yield row
 
 
 def make_grid(L):
-    """Build the transform grid for maximum degree L (4 <= L <= 85).
-
-    The upper cap is where the unnormalized associated Legendre
-    recursion behind scipy.special.lpmv overflows double precision
-    (first NaN at degree 86); all operations here stay well below it.
-    """
+    """Build the transform grid for maximum degree L in the tested range 4 <= L <= 85."""
     if int(L) != L or L < 4:
         raise ConfigError(f"grid degree must be an integer >= 4, got {L}")
     if L > 85:
@@ -182,20 +178,15 @@ def synth_at(coeffs, points):
 
     points has shape (..., 3); the return matches points.shape[:-1].
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    L = coeffs.shape[0] - 1
-    pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 3)
-    x3 = np.clip(flat[:, 2], -1.0, 1.0)
-    phi = np.arctan2(flat[:, 1], flat[:, 0])
-    out = _norm_legendre(0, L, x3) @ coeffs[:, L]
-    s2 = np.sqrt(2.0)
-    for m in range(1, L + 1):
-        lam = _norm_legendre(m, L, x3)
-        Am = lam @ coeffs[m:, L + m]
-        Bm = lam @ coeffs[m:, L - m]
-        out += s2 * (Am * np.cos(m * phi) + Bm * np.sin(m * phi))
-    return out.reshape(pts.shape[:-1])
+    L = np.shape(coeffs)[0] - 1
+    stack = _order_stack(coeffs, L)
+    flat = np.asarray(points, dtype=float).reshape(-1, 3)
+    mphi = np.arange(L + 1)[:, None] * np.arctan2(flat[:, 1], flat[:, 0])
+    cos_sin = np.zeros((L + 1, 2, len(flat)))
+    for l, row in enumerate(_legendre_rows(L, np.clip(flat[:, 2], -1.0, 1.0))):
+        cos_sin[: l + 1] += stack[: l + 1, :, l, None] * row[:, None]
+    out = np.sum(cos_sin[:, 0] * np.cos(mphi) + cos_sin[:, 1] * np.sin(mphi), axis=0)
+    return out.reshape(np.shape(points)[:-1])
 
 
 def degree_multipliers(L):

@@ -182,16 +182,22 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
     pytest.param({"flow": {"blowup_maxu": 0.0}}, id="zero-blowup-maxu"),
     pytest.param({"flow": {"p_list": [2, 4]}}, id="removed-p_list"),
     pytest.param({"flow": {"Lambda0": 10.0}}, id="removed-Lambda0"),
+    pytest.param({"flow": {"vol_project": "no"}}, id="vol_project-string"),
+    pytest.param({"flow": {"record_every": 2.5}}, id="fractional-record_every"),
+    pytest.param({"flow": {"t_end": True}}, id="bool-t_end"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     """Out-of-range or wrongly typed settings and unknown names exit 64
-    with a one-line message, before the output directory exists."""
+    with a one-line message, before the output directory exists; a bad
+    flow setting is named in the message."""
     cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+    for name in mutate.get("flow", {}):
+        assert f"{name} must" in err or f"'{name}'" in err
 
 
 def test_flow_run_unreadable_config(tmp_path, capsys):

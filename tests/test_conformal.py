@@ -7,7 +7,7 @@ Validates:
   boundary volume, constant curvature
 - the closed-form cap mass against a hand antiderivative
 - center-of-mass values against a closed-form loop integral
-- volume invariance of the weighted pullback
+- volume and energy invariance of the weighted pullback
 - the recentering solve on bubbles and on the constant
 - cap-convolution concentration flags, clustering, and the uniqueness
   warning
@@ -29,7 +29,7 @@ from bmcflow.conformal import (
     normalize,
     pullback_normalized,
 )
-from bmcflow.curvature import mean_curvature, volume
+from bmcflow.curvature import mean_curvature, total_energy, volume
 from bmcflow.spectral import BoundaryField, make_grid, synth_at
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -59,6 +59,20 @@ def s_z_closed(eps):
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def smooth_positive_coeffs(L, rng):
+    """1 plus degrees 1..4, each a random coefficient vector of norm 0.1.
+
+    By the addition theorem |sum_m c_lm Y_lm| <= |c_l| sqrt(2l+1), so the
+    field stays above 1 - 0.1 (sqrt 3 + sqrt 5 + sqrt 7 + 3) > 0.03.
+    """
+    c = np.zeros((L + 1, 2 * L + 1))
+    c[0, L] = 1.0
+    for l in range(1, 5):
+        v = rng.standard_normal(2 * l + 1)
+        c[l, L - l:L + l + 1] = 0.1 * v / np.linalg.norm(v)
+    return c
 
 
 def test_conformal_factor_fixed_points():
@@ -241,14 +255,22 @@ def test_pullback_preserves_volume(seed):
     volume."""
     g = make_grid(15)
     rng = np.random.default_rng(seed)
-    c = np.zeros((16, 31))
-    c[0, 15] = 1.0
-    for l in range(1, 5):
-        c[l, 15 - l:15 + l + 1] = 0.05 * rng.standard_normal(2 * l + 1)
-    u = BoundaryField(g, coeffs=c)
+    u = BoundaryField(g, coeffs=smooth_positive_coeffs(15, rng))
     mp = ConformalMap(random_unit(rng), float(rng.uniform(0.7, 1.4)))
     v = pullback_normalized(u, mp)
     assert abs(volume(v) - volume(u)) < 1e-7
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.5, 1.5))
+def test_pullback_preserves_energy(seed, eps):
+    """The energy is Moebius invariant: the weighted pullback of a smooth
+    field has the same total energy."""
+    g = make_grid(48)
+    rng = np.random.default_rng(seed)
+    u = BoundaryField(g, coeffs=smooth_positive_coeffs(48, rng))
+    v = pullback_normalized(u, ConformalMap(random_unit(rng), eps))
+    assert abs(total_energy(v) - total_energy(u)) < 1e-12 * total_energy(u)
 
 
 def test_pullback_identity():

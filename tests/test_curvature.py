@@ -1,7 +1,8 @@
 """Tests for mean curvature, the normalized energy, and the frozen bounds.
 
 Validates:
-- the curvature operator on constants and band-limited factors
+- the curvature operator on constants and band-limited factors, and its
+  equivariance under rotations of the sphere
 - spectral and boundary forms of the energy agree to roundoff
 - E_f, lambda, the dissipation rate and the multiplier derivative against
   hand-integrated closed forms for u = 1, f = 2 - z^2
@@ -29,7 +30,7 @@ from bmcflow.curvature import (
 from bmcflow.errors import AdmissibilityError, PositivityError
 from bmcflow.morse import check_conditions
 from bmcflow.prescribed import parse_f_spec
-from bmcflow.spectral import BoundaryField, make_grid
+from bmcflow.spectral import BoundaryField, dtn_apply, make_grid, synth_at
 
 
 def constant_field(grid, c=1.0):
@@ -124,6 +125,24 @@ def test_stationary_point_has_zero_dissipation():
     assert abs(rep.lam - 1.0) < 1e-14
     assert f2_norm(u, f, rep.lam) < 1e-27
     assert abs(lambda_prime(u, f, rep.lam)) < 1e-14
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mean_curvature_rotation_equivariant(seed):
+    """H(u o R) = H(u) o R for a full-band u: the field u o R, sampled
+    off the grid at R x, goes through the grid transforms, while the
+    reference (2 DtN u + u) u^-3 (n = 2) is evaluated at R x directly."""
+    g = make_grid(31)
+    rng = np.random.default_rng(seed)
+    u = random_positive_field(g, rng, lmax=31)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    R = q * np.sign(np.diag(r))
+    moved = g.nodes() @ R.T
+    u_R = synth_at(u.coeffs, moved)
+    want = (2.0 * synth_at(dtn_apply(u.coeffs), moved) + u_R) * u_R**-3
+    got = mean_curvature(BoundaryField(g, values=u_R)).values
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
 @settings(max_examples=20, deadline=None)

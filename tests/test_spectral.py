@@ -6,12 +6,16 @@ Validates:
 - the degree multipliers of the normal-derivative and Laplacian operators
 - tangential gradient magnitudes against closed forms
 - point evaluation (synth_at) against zonal Legendre sums
+- grid synthesis and synth_at against a reference synthesis built on
+  scipy's lpmv, independent of the library's Legendre recurrence
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, lpmv
 
 from bmcflow.spectral import (
     BoundaryField,
@@ -207,9 +211,9 @@ def test_integration_by_parts(seed):
 def test_synth_at_matches_grid_synthesis(L):
     """Point evaluation agrees with the grid transform at grid nodes.
 
-    synth_at builds its Legendre values per order, independently of the
-    grid's packed table, so at L = 85 this checks the table at the top
-    supported degree.
+    Both take their Legendre values from the same recurrence, so this
+    checks the two longitude paths; test_synthesis_matches_lpmv_reference
+    checks the Legendre values themselves.
     """
     g = make_grid(L)
     rng = np.random.default_rng(11)
@@ -221,6 +225,43 @@ def test_synth_at_matches_grid_synthesis(L):
     got = synth_at(coeffs, pts)
     want = np.array([values[i % g.n_lat, j % g.n_lon] for i, j in picks])
     assert np.abs(got - want).max() < 1e-10
+
+
+def lpmv_synthesis(coeffs, z, phi):
+    """Reference real-harmonic synthesis at cos(colatitude) z and longitude phi.
+
+    Each (l, m) term is sqrt(2 - [m = 0]) sqrt((2l+1)(l-m)!/(l+m)!) times
+    scipy's lpmv (Condon-Shortley phase), one term at a time.
+    """
+    L = coeffs.shape[0] - 1
+    out = np.zeros(np.broadcast(z, phi).shape)
+    for l in range(L + 1):
+        for m in range(l + 1):
+            scale = (2.0 if m else 1.0) * (2 * l + 1) * math.factorial(l - m) / math.factorial(l + m)
+            P = np.sqrt(scale) * lpmv(m, l, z)
+            out += P * coeffs[l, L + m] * np.cos(m * phi)
+            if m:
+                out += P * coeffs[l, L - m] * np.sin(m * phi)
+    return out
+
+
+@pytest.mark.parametrize("L", [31, 85])
+def test_synthesis_matches_lpmv_reference(L):
+    """synthesize on the grid and synth_at at random points, the poles
+    included, agree with the lpmv reference for coefficients at every
+    (l, m)."""
+    g = make_grid(L)
+    rng = np.random.default_rng(L)
+    coeffs = random_band_limited(L, rng)
+    want = lpmv_synthesis(coeffs, g.x[:, None], g.phi[None, :])
+    got = synthesize(coeffs, g)
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+    pts = rng.standard_normal((40, 3))
+    pts[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    want = lpmv_synthesis(coeffs, pts[:, 2], np.arctan2(pts[:, 1], pts[:, 0]))
+    got = synth_at(coeffs, pts)
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("l", [0, 1, 4, 9])
