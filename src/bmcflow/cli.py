@@ -191,15 +191,11 @@ def _run_experiment(config_path, out_dir):
         traj = exc.trajectory
         if traj is not None:
             traj.to_csv(out / "trajectory.csv")
-            doc = traj.verdict_document()
-            doc["experiment"] = echo
-            _write_json(out / "verdict.json", doc)
+            _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
         print(f"scheme failure: {exc}", file=sys.stderr)
         return _EXIT_FAILURE
     traj.to_csv(out / "trajectory.csv")
-    doc = traj.verdict_document()
-    doc["experiment"] = echo
-    _write_json(out / "verdict.json", doc)
+    _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
     if "identities" in exp["checks"] and len(traj.rows) >= 3:
         _write_json(out / "identities.json", check_identities(traj))
     if "morse" in exp["checks"]:

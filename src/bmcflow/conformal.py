@@ -25,13 +25,13 @@ Its zonal Legendre coefficients decay like (1-eps)^l.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .curvature import DEFAULT_CONSTANTS
 from .errors import NormalizeError, PositivityError
-from .spectral import BoundaryField, analyze, synth_at, synthesize
+from .spectral import BoundaryField, _legendre_rows, analyze, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -146,8 +146,7 @@ def bubble_field(p, eps, grid, constants=DEFAULT_CONSTANTS):
     p = np.asarray(p, dtype=float)
     p = p / np.linalg.norm(p)
     _resolution_check(eps / (2.0 - eps), grid.L)
-    nodes = grid.nodes()
-    dist = np.linalg.norm(nodes - (1.0 - eps) * p, axis=-1)
+    dist = np.linalg.norm(grid.nodes() - (1.0 - eps) * p, axis=-1)
     k = (constants.n - 1.0) / 2.0
     values = (eps * (2.0 - eps)) ** k / dist ** (constants.n - 1.0)
     return BoundaryField(grid, values=values)
@@ -192,9 +191,7 @@ def pullback_normalized(u, mp, constants=DEFAULT_CONSTANTS):
 
 def center_of_mass(u, constants=DEFAULT_CONSTANTS):
     """S = mean(x u^{2#}) and its direction Q (None when |S| <= 1e-10)."""
-    nodes = u.grid.nodes()
-    w = u.values ** constants.two_sharp
-    S = np.array([u.grid.integrate(nodes[..., i] * w) for i in range(3)])
+    S = u.grid.integrate(u.grid.nodes().transpose(2, 0, 1) * u.values ** constants.two_sharp)
     norm = float(np.linalg.norm(S))
     Q = S / norm if norm > 1e-10 else None
     return S, Q
@@ -283,24 +280,27 @@ def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
     )
 
 
+@lru_cache(maxsize=64)
 def _cap_kernel(L, r):
-    """Funk-Hecke multipliers of the indicator of a cap of radius r."""
-    a = np.cos(r)
-    mu = np.empty(L + 1)
-    mu[0] = 2.0 * np.pi * (1.0 - a)
-    ls = np.arange(1, L + 1)
-    mu[1:] = 2.0 * np.pi * (eval_legendre(ls - 1, a) - eval_legendre(ls + 1, a)) / (2 * ls + 1)
+    """Funk-Hecke multipliers 2 pi (P_{l-1} - P_{l+1})(cos r) / (2l+1) of the cap of radius r, read-only.
+
+    P_{-1} = P_0 = 1, and P_l is the m = 0 entry of the normalized Legendre rows over sqrt(2l+1).
+    """
+    zonal = [row[0, 0] for row in _legendre_rows(L + 1, np.array([np.cos(r)]))]
+    P = np.concatenate(([1.0], np.array(zonal) / np.sqrt(2.0 * np.arange(L + 2) + 1.0)))
+    mu = 2.0 * np.pi * (P[:-2] - P[2:]) / (2.0 * np.arange(L + 1) + 1.0)
+    mu.flags.writeable = False
     return mu
 
 
 def cap_integrals(density, grid, radii):
     """Integral of a gridded density over the cap of each radius around every node.
 
-    One grid field per radius: a spherical convolution with the cap
-    indicator, evaluated by its Funk-Hecke multipliers.
+    Shape (len(radii), n_lat, n_lon): spherical convolutions with the cap
+    indicators, evaluated by their Funk-Hecke multipliers in one synthesis.
     """
-    cw = analyze(density, grid)
-    return [synthesize(cw * _cap_kernel(grid.L, r)[:, None], grid) for r in radii]
+    multipliers = np.stack([_cap_kernel(grid.L, r) for r in radii])[:, :, None]
+    return synthesize(analyze(density, grid) * multipliers, grid)
 
 
 @dataclass
@@ -332,14 +332,10 @@ def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5), constants=DEFAULT_
     grid = u.grid
     W = np.abs(H.values) ** constants.n * u.values ** constants.two_sharp
     total = constants.omega_n * grid.integrate(W)
-    flags = np.ones(grid.shape, dtype=bool)
-    cap_max = {}
-    threshold = tau**constants.n * constants.omega_n
-    for r, cap in zip(radii, cap_integrals(W, grid, radii)):
-        cap_max[r] = float(cap.max())
-        flags &= cap >= threshold
-    nodes = grid.nodes()
-    flagged_points = [nodes[idx] for idx in zip(*np.nonzero(flags))]
+    caps = cap_integrals(W, grid, radii)
+    cap_max = {r: float(cap.max()) for r, cap in zip(radii, caps)}
+    flags = np.all(caps >= tau**constants.n * constants.omega_n, axis=0)
+    flagged_points = list(grid.nodes()[flags])
     clusters = []
     for pt in flagged_points:
         for rep in clusters:

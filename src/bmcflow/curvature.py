@@ -6,10 +6,10 @@ computation is n = 2.  Spherical means are written mean(.) throughout;
 dmu_g denotes the evolving boundary measure u^{2#} dmu.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import AdmissibilityError, PositivityError
 from .spectral import BoundaryField, dtn_apply, synthesize
@@ -38,7 +38,7 @@ class Constants:
     @property
     def omega_n(self):
         n = self.n
-        return 2.0 * np.pi ** ((n + 1) / 2) / _gamma((n + 1) / 2)
+        return 2.0 * np.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
 DEFAULT_CONSTANTS = Constants(2)
@@ -87,8 +87,8 @@ def weighted_mean_sign(grid, f, weight=1.0):
     admissibility test on an f-weighted volume goes through here.
     """
     fv = _as_values(f)
-    m = grid.integrate(fv * weight)
-    if abs(m) <= _VANISHING_MEAN_REL * grid.integrate(np.abs(fv) * weight):
+    m, m_abs = grid.integrate(np.stack((fv * weight, np.abs(fv) * weight)))
+    if abs(m) <= _VANISHING_MEAN_REL * m_abs:
         return m, 0
     return m, 1 if m > 0.0 else -1
 
@@ -98,17 +98,15 @@ def volume(u, constants=DEFAULT_CONSTANTS):
     return u.grid.integrate(u.values ** constants.two_sharp)
 
 
-def mean_curvature(u, constants=DEFAULT_CONSTANTS):
-    """Boundary mean curvature of the metric with conformal factor u.
+def mean_curvature_values(u_values, dtn_values, constants=DEFAULT_CONSTANTS):
+    """H = u^{-(2#-1)} (a_n * DtN(u) + u) on the grid, from the values of u and of DtN(u)."""
+    return (constants.a_n * dtn_values + u_values) * u_values ** -(constants.two_sharp - 1.0)
 
-    H = u^{-(2#-1)} (a_n * DtN(u) + u); the DtN term is the normal
-    derivative of the harmonic extension, applied spectrally.
-    """
+
+def mean_curvature(u, constants=DEFAULT_CONSTANTS):
+    """Boundary mean curvature of the metric with conformal factor u; DtN(u) is applied spectrally."""
     _require_positive(u.values, "conformal factor")
-    dtn_values = synthesize(dtn_apply(u.coeffs), u.grid)
-    c = constants
-    power = -(c.two_sharp - 1.0)
-    H = (c.a_n * dtn_values + u.values) * u.values**power
+    H = mean_curvature_values(u.values, synthesize(dtn_apply(u.coeffs), u.grid), constants)
     return BoundaryField(u.grid, values=H)
 
 
@@ -138,22 +136,22 @@ def energy_functional(u, f, constants=DEFAULT_CONSTANTS):
     return EnergyReport(E=E, denom=denom, E_f=E_f, lam=E / denom)
 
 
-def f2_norm(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
-    """Dissipation rate F2 = mean((lam f - H)^2 u^{2#})."""
+def _residual(u, f, lam, constants, H):
+    """(lam f - H, u^{2#}): the flow's residual and the density of dmu_g."""
     if H is None:
         H = mean_curvature(u, constants)
-    fv = _as_values(f)
-    r = lam * fv - H.values
-    return u.grid.integrate(r**2 * u.values ** constants.two_sharp)
+    return lam * _as_values(f) - H.values, u.values ** constants.two_sharp
+
+
+def f2_norm(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
+    """Dissipation rate F2 = mean((lam f - H)^2 u^{2#}), the p = 2 residual."""
+    return lp_residual(u, f, lam, 2, constants, H)
 
 
 def lp_residual(u, f, lam, p, constants=DEFAULT_CONSTANTS, H=None):
     """mean(|lam f - H|^p u^{2#}) for the residual-trend diagnostics."""
-    if H is None:
-        H = mean_curvature(u, constants)
-    fv = _as_values(f)
-    r = np.abs(lam * fv - H.values)
-    return u.grid.integrate(r**p * u.values ** constants.two_sharp)
+    r, w = _residual(u, f, lam, constants, H)
+    return u.grid.integrate(np.abs(r) ** p * w)
 
 
 def lambda_prime(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
@@ -162,18 +160,14 @@ def lambda_prime(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
     lambda' = -(mean(f dmu_g))^{-1} [ (n-1)/2 * mean((lam f - H)^2 dmu_g)
               + 1/2 * mean(lam f (lam f - H) dmu_g) ].
     """
-    if H is None:
-        H = mean_curvature(u, constants)
+    r, w = _residual(u, f, lam, constants, H)
     fv = _as_values(f)
-    w = u.values ** constants.two_sharp
     denomf, sign = weighted_mean_sign(u.grid, fv, w)
     if sign == 0:
         raise AdmissibilityError("f-weighted volume vanishes; multiplier derivative undefined",
                                  condition="positive f-weighted volume")
-    r = lam * fv - H.values
-    term1 = (constants.n - 1.0) / 2.0 * u.grid.integrate(r**2 * w)
-    term2 = 0.5 * u.grid.integrate(lam * fv * r * w)
-    return -(term1 + term2) / denomf
+    term1, term2 = u.grid.integrate(np.stack((r**2 * w, lam * fv * r * w)))
+    return -((constants.n - 1.0) / 2.0 * term1 + 0.5 * term2) / denomf
 
 
 def flow_bounds(u0, f, H0, constants=DEFAULT_CONSTANTS, Lambda0=10.0, f_closed=None):
@@ -237,16 +231,9 @@ def membership(u, f, beta, constants=DEFAULT_CONSTANTS):
     in_Xstar: u positive with positive f-weighted volume; in_Xf adds
     unit volume (within 1e-8) and E_f <= beta.
     """
-    fv = _as_values(f)
-    positive = float(u.values.min()) > 0.0
-    if not positive:
+    try:
+        report = energy_functional(u, f, constants)
+    except (PositivityError, AdmissibilityError):
         return {"in_Xstar": False, "in_Xf": False}
-    w = u.values ** constants.two_sharp
-    denom, sign = weighted_mean_sign(u.grid, fv, w)
-    if sign <= 0:
-        return {"in_Xstar": False, "in_Xf": False}
-    vol = u.grid.integrate(w)
-    E = total_energy(u, constants)
-    E_f = E / denom ** ((constants.n - 1.0) / constants.n)
-    in_xf = abs(vol - 1.0) <= _TWO_SHARP_VOL_TOL and E_f <= beta
+    in_xf = abs(volume(u, constants) - 1.0) <= _TWO_SHARP_VOL_TOL and report.E_f <= beta
     return {"in_Xstar": True, "in_Xf": bool(in_xf)}

@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .conformal import center_of_mass, concentration_check
-from .curvature import (DEFAULT_CONSTANTS, energy_functional, f2_norm, flow_bounds,
-                        lambda_prime, lp_residual, mean_curvature, volume)
+from .curvature import (DEFAULT_CONSTANTS, energy_functional, f2_norm, flow_bounds, mean_curvature,
+                        mean_curvature_values, volume)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
-from .spectral import BoundaryField
+from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
 # Orders p of the recorded residuals mean(|lambda f - H|^p dmu_g).
 _LP_ORDERS = (2, 4)
@@ -111,7 +111,8 @@ class Trajectory:
     info: dict = field(default_factory=dict)
 
     def column(self, name):
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+        j = self.columns.index(name)
+        return np.array([row[j] for row in self.rows])
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -159,9 +160,9 @@ def _f_on_grid(f, grid):
 
 
 def _project_volume(u, constants):
-    vol = volume(u, constants)
-    c = vol ** (-1.0 / constants.two_sharp)
-    return BoundaryField(u.grid, values=c * u.values, coeffs=c * u.coeffs), vol
+    """(c u, c) for the constant c that gives c u unit volume."""
+    c = volume(u, constants) ** (-1.0 / constants.two_sharp)
+    return BoundaryField(u.grid, values=c * u.values, coeffs=c * u.coeffs), c
 
 
 def init_state(u0, f, config, constants=DEFAULT_CONSTANTS):
@@ -206,9 +207,9 @@ def step(state, config):
     rejection; dropping below dt_min is a hard failure.  After the
     update the field is band-limit filtered and (if configured)
     projected back to unit volume, and lambda and H are recomputed from
-    the new field.
+    the new field.  One synthesis gives the filtered field and its DtN image.
     """
-    c = state.constants
+    c, grid = state.constants, state.u.grid
     resid = state.H.values - state.lam * state.f_values
     resid_max = float(np.abs(resid).max())
     dt = min(config.dt_max, 2.0 * state.dt)
@@ -219,14 +220,16 @@ def step(state, config):
     while True:
         candidate = state.u.values * (1.0 - dt * factor_rate)
         if candidate.min() > 0.0:
-            u_new = BoundaryField(state.u.grid, values=candidate).filtered()
-            if u_new.values.min() > 0.0:
+            coeffs = analyze(candidate, grid)
+            values, dtn_values = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
+            if values.min() > 0.0:
                 break
         dt *= 0.5
         if dt < config.dt_min:
             raise FlowFailure("positivity lost: step size fell below dt_min")
+    u_new, scale = BoundaryField(grid, values=values, coeffs=coeffs), 1.0
     if config.vol_project:
-        u_new, _ = _project_volume(u_new, c)
+        u_new, scale = _project_volume(u_new, c)
     try:
         report = energy_functional(u_new, state.f_values, c)
     except AdmissibilityError as exc:
@@ -237,23 +240,28 @@ def step(state, config):
     state.steps += 1
     state.lam = report.lam
     state.energy_report = report
-    state.H = mean_curvature(u_new, c)
+    state.H = BoundaryField(grid, values=mean_curvature_values(u_new.values, scale * dtn_values, c))
     return state
 
 
 def _record(traj, state, config, F2):
-    """Append the row of the current state; returns the cap-mass check."""
+    """Append the row of the current state, its moments in one reduction; returns the cap-mass check."""
     c = state.constants
     u, H, rep = state.u, state.H, state.energy_report
-    S, _ = center_of_mass(u, c)
+    w = u.values ** c.two_sharp
+    lam_f = rep.lam * state.f_values
+    r = lam_f - H.values
+    moments = u.grid.integrate(np.stack([w, lam_f * r * w, *(np.abs(r) ** p * w for p in _LP_ORDERS),
+                                         *(u.grid.nodes().transpose(2, 0, 1) * w)]))
+    vol, lr, lp, S = moments[0], moments[1], moments[2:-3], moments[-3:]
+    lambda_prime = -((c.n - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
     conc = concentration_check(u, H, tau=config.tau, radii=config.cap_radii, constants=c)
-    row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2,
-           lambda_prime(u, state.f_values, rep.lam, c, H=H), volume(u, c) - 1.0,
+    row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
     row += [conc.cap_max[r] / c.omega_n for r in config.cap_radii]
-    row += [lp_residual(u, state.f_values, rep.lam, p, c, H=H) for p in _LP_ORDERS]
-    row.append(float((H.values - rep.lam * state.f_values).min()))
+    row += list(lp)
+    row.append(-float(r.max()))
     traj.rows.append(row)
     return conc
 
@@ -337,13 +345,8 @@ def check_identities(traj):
     if len(traj.rows) < 3:
         raise ValueError(f"need at least 3 recorded samples, got {len(traj.rows)}")
     c = traj.constants
-    t = traj.column("t")
-    lam = traj.column("lambda")
-    E = traj.column("E")
-    E_f = traj.column("E_f")
-    F2 = traj.column("F2")
-    lamp = traj.column("lambda_prime")
-    min_barrier = traj.column("min_H_minus_lambda_f")
+    t, lam, E, E_f, F2, lamp, min_barrier = (traj.column(name) for name in (
+        "t", "lambda", "E", "E_f", "F2", "lambda_prime", "min_H_minus_lambda_f"))
     denom = E / lam
     dEf = _fd_derivative(t, E_f)
     decay_ref = -((c.n - 1.0) / 2.0) * denom[1:-1] ** (-(c.n - 1.0) / c.n) * F2[1:-1]
@@ -391,6 +394,4 @@ def interpolation_path(uT, f, s, zeta=None, constants=DEFAULT_CONSTANTS):
         raise ValueError(f"zeta must be positive, got {zeta}")
     c = constants
     w = ((2.0 - 2.0 * s) * (zeta * uT.values) ** c.two_sharp + (2.0 * s - 1.0)) ** (1.0 / c.two_sharp)
-    u_s = BoundaryField(uT.grid, values=w)
-    u_s, _ = _project_volume(u_s, c)
-    return u_s
+    return _project_volume(BoundaryField(uT.grid, values=w), c)[0]

@@ -46,14 +46,23 @@ class Grid:
         return np.sqrt(1.0 - self.x**2)
 
     def nodes(self):
-        """Unit vectors of all grid nodes, shape (n_lat, n_lon, 3)."""
-        st = self.sin_theta[:, None]
-        phi = self.phi[None, :]
-        out = np.empty(self.shape + (3,))
-        out[..., 0] = st * np.cos(phi)
-        out[..., 1] = st * np.sin(phi)
-        out[..., 2] = self.x[:, None] * np.ones_like(phi)
-        return out
+        """Unit vectors of all grid nodes, shape (n_lat, n_lon, 3): one cached read-only array."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self):
+        """Stored component-first, so that each coordinate nodes()[..., i] is contiguous."""
+        st, phi = self.sin_theta[:, None], self.phi[None, :]
+        xyz = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), self.x[:, None]))
+        xyz.flags.writeable = False
+        return xyz.transpose(1, 2, 0)
+
+    @cached_property
+    def _weights(self):
+        """Read-only weights of the spherical mean at every node, contiguous (a broadcast is slower)."""
+        weights = np.repeat((0.5 * self.w / self.n_lon)[:, None], self.n_lon, axis=1)
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def _table(self):
@@ -82,11 +91,14 @@ class Grid:
         return dT / self.sin_theta[:, None]
 
     def integrate(self, values):
-        """Spherical mean (1/4pi) * integral of a gridded field."""
+        """Spherical mean (1/4pi) * integral of a gridded field, or of each field of a stack.
+
+        One pairwise sum per field, so a field rounds alike alone or stacked (a BLAS gemv does not).
+        """
         values = np.asarray(values)
-        if values.shape != self.shape:
+        if values.shape[-2:] != self.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {self.shape}")
-        return 0.5 * self.w @ values.mean(axis=1)
+        return (values * self._weights).sum(axis=(-2, -1))
 
 
 def _legendre_rows(L, x):
@@ -122,36 +134,40 @@ def make_grid(L):
 
 
 def _order_stack(coeffs, L):
-    """(m, 2, l) stack of the cosine c[l, L+m] and sine c[l, L-m] coefficients."""
+    """(m, ..., 2, l) stack of the cosine c[..., l, L+m] and sine c[..., l, L-m] coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (L + 1, 2 * L + 1):
+    if coeffs.shape[-2:] != (L + 1, 2 * L + 1):
         raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
-    stack = np.zeros((L + 1, 2, L + 1))
-    stack[:, 0] = coeffs[:, L:].T
-    stack[1:, 1] = coeffs[:, L - 1::-1].T
+    by_order = coeffs.transpose(-1, *range(coeffs.ndim - 1))
+    stack = np.zeros((L + 1,) + coeffs.shape[:-2] + (2, L + 1))
+    stack[..., 0, :] = by_order[L:]
+    stack[1:, ..., 1, :] = by_order[L - 1::-1]
     return stack
 
 
 def _legendre(stack, table):
-    """Legendre stage: contract an (m, 2, k) cosine/sine stack with an (m, j, k) table over k.
+    """Legendre stage: contract an (m, ..., 2, k) cosine/sine stack with an (m, j, k) table over k.
 
     With the packed table this maps coefficients (k = l) to longitude
     coefficients on the latitudes (j); with its transpose, the reverse.
+    Batch axes sit after m, so one matmul per order serves the batch.
     """
-    return np.matmul(stack, table.transpose(0, 2, 1))
+    rows = stack.reshape(stack.shape[0], -1, stack.shape[-1])
+    return np.matmul(rows, table.transpose(0, 2, 1)).reshape(stack.shape[:-1] + table.shape[1:2])
 
 
 def _fourier_synthesis(cos_sin, grid, weight=1.0):
-    """Grid values from (m, 2, n_lat) cosine/sine longitude coefficients.
+    """Grid values (..., n_lat, n_lon) from (m, ..., 2, n_lat) cosine/sine longitude coefficients.
 
     weight scales order m in Fourier space (1j*m differentiates in phi).
     """
     n = grid.n_lon
     scale = np.full(grid.L + 1, n / 2.0)
     scale[0] = n
-    G = np.zeros((grid.n_lat, n // 2 + 1), dtype=complex)
-    G[:, : grid.L + 1] = ((cos_sin[:, 0] - 1j * cos_sin[:, 1]) * (weight * scale)[:, None]).T
-    return np.fft.irfft(G, n=n, axis=1)
+    by_lat = cos_sin.transpose(*range(1, cos_sin.ndim), 0)
+    G = np.zeros(by_lat.shape[:-3] + (grid.n_lat, n // 2 + 1), dtype=complex)
+    G[..., : grid.L + 1] = (by_lat[..., 0, :, :] - 1j * by_lat[..., 1, :, :]) * (weight * scale)
+    return np.fft.irfft(G, n=n, axis=-1)
 
 
 def analyze(values, grid):
@@ -160,8 +176,9 @@ def analyze(values, grid):
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
     L = grid.L
-    F = np.fft.rfft(values, axis=1)[:, : L + 1].T * (0.5 * grid.w / grid.n_lon)
-    stack = _legendre(np.stack((F.real, -F.imag), axis=1), grid._table.transpose(0, 2, 1))
+    F = np.fft.rfft(values, axis=1)[:, : L + 1].T
+    cos_sin = np.stack((F.real, -F.imag), axis=1) * (0.5 * grid.w / grid.n_lon)
+    stack = _legendre(cos_sin, grid._table.transpose(0, 2, 1))
     c = np.empty((L + 1, 2 * L + 1))
     c[:, L:] = stack[:, 0].T
     c[:, :L] = stack[:0:-1, 1].T
@@ -169,7 +186,7 @@ def analyze(values, grid):
 
 
 def synthesize(coeffs, grid):
-    """Evaluate a coefficient array on the grid."""
+    """Evaluate a coefficient array, or each of a stack (..., L+1, 2L+1), on the grid."""
     return _fourier_synthesis(_legendre(_order_stack(coeffs, grid.L), grid._table), grid)
 
 

@@ -11,18 +11,23 @@ Validates:
 - the recentering solve on bubbles and on the constant
 - cap-convolution concentration flags, clustering, and the uniqueness
   warning
+- the cap multipliers against scipy's eval_legendre, and the batched
+  cap integrals against one synthesis per radius
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_legendre
 
 from bmcflow.conformal import (
     ConformalMap,
+    _cap_kernel,
     boundary_map,
     bubble,
     bubble_cap_mass,
     bubble_field,
+    cap_integrals,
     center_of_mass,
     concentration_check,
     conformal_factor,
@@ -30,7 +35,7 @@ from bmcflow.conformal import (
     pullback_normalized,
 )
 from bmcflow.curvature import mean_curvature, total_energy, volume
-from bmcflow.spectral import BoundaryField, make_grid, synth_at
+from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
 S_POLE = np.array([0.0, 0.0, -1.0])
@@ -353,3 +358,33 @@ def test_concentration_tau_validation():
     u = BoundaryField(g, values=np.ones(g.shape))
     with pytest.raises(ValueError):
         concentration_check(u, u, tau=1.5)
+
+
+@pytest.mark.parametrize("L", [8, 31, 63, 85])
+def test_cap_kernel_matches_eval_legendre(L):
+    """Funk-Hecke multipliers of a cap, 2 pi (P_{l-1} - P_{l+1})(cos r) / (2l+1)
+    with 2 pi (1 - cos r) at l = 0, against scipy's Legendre polynomials."""
+    ls = np.arange(1, L + 1)
+    for r in (0.05, 0.1, 0.2, 0.5, 1.0, 3.0):
+        a = np.cos(r)
+        want = np.empty(L + 1)
+        want[0] = 2.0 * np.pi * (1.0 - a)
+        want[1:] = 2.0 * np.pi * (eval_legendre(ls - 1, a) - eval_legendre(ls + 1, a)) / (2 * ls + 1)
+        mu = _cap_kernel(L, r)
+        assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
+        assert _cap_kernel(L, r) is mu
+        with pytest.raises(ValueError):
+            mu[0] = 0.0
+
+
+def test_cap_integrals_batched_radii():
+    """Three radii in one synthesis equal one synthesis per radius."""
+    g = make_grid(31)
+    rng = np.random.default_rng(5)
+    density = BoundaryField(g, coeffs=smooth_positive_coeffs(31, rng)).values ** 4
+    radii = (0.1, 0.2, 0.5)
+    caps = cap_integrals(density, g, radii)
+    assert caps.shape == (3,) + g.shape
+    for r, cap in zip(radii, caps):
+        want = synthesize(analyze(density, g) * _cap_kernel(g.L, r)[:, None], g)
+        assert np.abs(cap - want).max() <= 1e-14 * np.abs(want).max()

@@ -11,6 +11,8 @@ Validates:
   cap-mass detector at t = 0
 - CSV round-trip and the verdict document
 - the interpolation path between a flowed state and the constant
+- a recorded row against the curvature layer's one-quantity functions,
+  and the number of Legendre stages a recorded step costs
 """
 
 import json
@@ -27,7 +29,9 @@ from bmcflow.flow import (
     interpolation_path,
     run,
 )
-from bmcflow.curvature import volume
+from bmcflow import spectral
+from bmcflow.conformal import center_of_mass
+from bmcflow.curvature import lambda_prime, lp_residual, volume
 from bmcflow.prescribed import parse_f_spec
 from bmcflow.spectral import BoundaryField, make_grid
 
@@ -317,3 +321,45 @@ def test_interpolation_path_validation():
     neg = BoundaryField(g, values=np.full(g.shape, -1.0))
     with pytest.raises(AdmissibilityError):
         interpolation_path(neg, f, 0.8)
+
+
+def test_row_matches_reference_functions():
+    """The one-pass row reduction agrees with volume, lambda_prime,
+    lp_residual and center_of_mass evaluated one at a time."""
+    g = make_grid(15)
+    cfg = FlowConfig(t_end=0.3, conv_tol=1e-14)
+    f = parse_f_spec("2 - z^2")
+    state = init_state(perturbed_constant(g), f, cfg)
+    traj = run(state, cfg)
+    row = dict(zip(traj.columns, traj.rows[-1]))
+    u, fv, lam, H = state.u, state.f_values, state.lam, state.H
+    S, _ = center_of_mass(u)
+    want = {
+        "vol_err": volume(u) - 1.0,
+        "lambda_prime": lambda_prime(u, fv, lam, H=H),
+        "Lp_res_p2": lp_residual(u, fv, lam, 2, H=H),
+        "Lp_res_p4": lp_residual(u, fv, lam, 4, H=H),
+        "S_x": S[0], "S_y": S[1], "S_z": S[2],
+        "min_H_minus_lambda_f": float((H.values - lam * fv).min()),
+    }
+    for name, value in want.items():
+        assert abs(row[name] - value) <= 1e-14 * max(1.0, abs(value)), name
+
+
+def test_legendre_stages_per_recorded_step(monkeypatch):
+    """Every analyze and synthesize runs the Legendre stage once.  A step
+    costs two (analyze, then one synthesis of u and DtN u) and a row two
+    (analyze, then one synthesis of all cap radii): 4 per recorded step."""
+    g = make_grid(10)
+    cfg = FlowConfig(t_end=0.2, conv_tol=1e-14)
+    state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
+    calls, legendre = [], spectral._legendre
+
+    def counted(*args):
+        calls.append(args)
+        return legendre(*args)
+
+    monkeypatch.setattr(spectral, "_legendre", counted)
+    traj = run(state, cfg)
+    assert state.steps == 20 and len(traj.rows) == 21
+    assert len(calls) == 2 * state.steps + 2 * len(traj.rows)

@@ -8,6 +8,8 @@ Validates:
 - point evaluation (synth_at) against zonal Legendre sums
 - grid synthesis and synth_at against a reference synthesis built on
   scipy's lpmv, independent of the library's Legendre recurrence
+- leading batch axes of synthesize and integrate against single calls,
+  and the cached read-only grid nodes
 """
 
 import math
@@ -303,3 +305,46 @@ def test_field_shape_mismatch_rejected():
     g = make_grid(8)
     with pytest.raises(ValueError):
         BoundaryField.from_values(np.ones((3, 3)), g)
+
+
+@pytest.mark.parametrize("L", [12, 63])
+def test_synthesize_batch_axes(L):
+    """A stack of k coefficient arrays synthesizes to the k single syntheses."""
+    g = make_grid(L)
+    rng = np.random.default_rng(L)
+    stack = np.stack([random_band_limited(L, rng) for _ in range(6)])
+    single = np.stack([synthesize(c, g) for c in stack])
+    scale = np.abs(single).max()
+    assert np.abs(synthesize(stack, g) - single).max() <= 1e-15 * scale
+    pairs = synthesize(stack.reshape(2, 3, L + 1, 2 * L + 1), g)
+    assert np.abs(pairs - single.reshape(2, 3, *g.shape)).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("L", [12, 63])
+def test_integrate_batch_axes(L):
+    """Each field of a stack integrates exactly as it does alone, bit for bit:
+    a recorded volume must round like the volume the projection used."""
+    g = make_grid(L)
+    rng = np.random.default_rng(L)
+    fields = rng.uniform(0.5, 2.0, size=(2, 3) + g.shape) ** 4
+    means = g.integrate(fields)
+    assert means.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert means[idx] == g.integrate(fields[idx])
+
+
+def test_batch_trailing_shape_checked():
+    g = make_grid(8)
+    with pytest.raises(ValueError):
+        synthesize(np.zeros((2, 9, 18)), g)
+    with pytest.raises(ValueError):
+        g.integrate(np.zeros((2, 9, 17)))
+
+
+def test_nodes_cached_read_only():
+    g = make_grid(8)
+    nodes = g.nodes()
+    assert g.nodes() is nodes
+    assert np.allclose(np.linalg.norm(nodes, axis=-1), 1.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        nodes[0, 0, 0] = 2.0
