@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import DEFAULT_CONSTANTS
+from .curvature import DEFAULT_CONSTANTS, volume
 from .errors import NormalizeError, PositivityError
 from .spectral import BoundaryField, _legendre_rows, analyze, synth_at, synthesize
 
@@ -208,24 +208,39 @@ def _map_from_ball_point(b):
     return ConformalMap(p, delta)
 
 
+def _pulled_back_center(w, grid, mp):
+    """S(pullback_normalized(u, mp)) as mean(phi^{-1}(y) u(y)^{2#}), from w = u^{2#} on the nodes.
+
+    The change of variables y = phi(x) takes v^{2#} dmu(x) to u^{2#} dmu(y),
+    so this needs no synth_at; on the grid it holds to quadrature accuracy.
+    """
+    return grid.integrate(boundary_map(mp.inverse(), grid.nodes()).transpose(2, 0, 1) * w)
+
+
 def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
     """Find the Moebius dilation whose volume-preserving pullback of u
     has zero center of mass.
 
-    Damped Newton over the open-ball point b = (1-eps)p with a
-    finite-difference Jacobian, starting from b0 = S(u)/2.  Near the
+    Damped Newton over the open-ball point b = (1-eps)p on the
+    scale-invariant residual R(b) = S(v_b) / vol(v_b) of the pullback
+    v_b, starting from b0 = R(u)/2, so a map that squeezes u's volume
+    between the grid nodes cannot pass for centered.  The Jacobian is the
+    central difference of the change-of-variables form S(v_b) / vol(u)
+    (see _pulled_back_center), which costs no pullback; the residual, the
+    line search and the returned state use the true pullback.  Near the
     constant field the map is not unique; if the solve stalls there the
     identity map is returned.
     """
-    S0, _ = center_of_mass(u, constants)
+    w = u.values ** constants.two_sharp
+    vol = u.grid.integrate(w)
+    R0 = center_of_mass(u, constants)[0] / vol
 
     def residual(b):
         mp = _map_from_ball_point(b)
         v = pullback_normalized(u, mp, constants)
-        S, _ = center_of_mass(v, constants)
-        return S, mp, v
+        return center_of_mass(v, constants)[0] / volume(v, constants), mp, v
 
-    b = S0 / 2.0
+    b = R0 / 2.0
     if np.linalg.norm(b) >= 0.999:
         b = 0.999 * b / np.linalg.norm(b)
     R, mp, v = residual(b)
@@ -245,9 +260,8 @@ def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
                 hi = b
             if np.linalg.norm(lo) >= 1.0:
                 lo = b
-            Rhi, _, _ = residual(hi)
-            Rlo, _, _ = residual(lo)
-            J[:, j] = (Rhi - Rlo) / np.linalg.norm(hi - lo)
+            S_hi, S_lo = (_pulled_back_center(w, u.grid, _map_from_ball_point(c)) for c in (hi, lo))
+            J[:, j] = (S_hi - S_lo) / (vol * np.linalg.norm(hi - lo))
         try:
             d = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:
@@ -270,9 +284,8 @@ def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
     rnorm = float(np.linalg.norm(R))
     if rnorm <= tol:
         return NormalizedState(map=mp, v=v, residual=rnorm)
-    if float(np.linalg.norm(S0)) <= 1e-8:
-        ident = ConformalMap(_NORTH, 1.0)
-        return NormalizedState(map=ident, v=u, residual=float(np.linalg.norm(S0)))
+    if float(np.linalg.norm(R0)) <= 1e-8:
+        return NormalizedState(map=ConformalMap(_NORTH, 1.0), v=u, residual=float(np.linalg.norm(R0)))
     raise NormalizeError(
         f"center-of-mass solve stalled at residual {best[0]:.3e}",
         best_map=best[1],

@@ -79,35 +79,45 @@ def _probe_points(L):
     return pts
 
 
-def _newton_refine(f, x0, iters=80):
-    """Newton iteration for grad_S f = 0 from a seed; returns (x, ok)."""
-    x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
+def _newton_refine(f, seeds, iters=80):
+    """Newton iteration for grad_S f = 0 from every seed of a (k, 3) stack at once.
+
+    Returns (x, ok).  A seed freezes once |g| <= 1e-13 (ok), or when its
+    tangent Hessian is singular (not ok); steps are clipped to length
+    0.7, and a seed still moving after iters is ok if |grad f| <= _GRAD_TOL.
+    """
+    x = seeds / np.linalg.norm(seeds, axis=-1, keepdims=True)
+    ok = np.ones(len(x), dtype=bool)
+    live = np.arange(len(x))
     for _ in range(iters):
-        H, basis = f.tangent_hessian(x)
-        g = basis @ f.grad_sphere(x)
-        gn = np.linalg.norm(g)
-        if gn <= 1e-13:
-            return x, True
-        try:
-            xi = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            return x, False
-        step = np.linalg.norm(xi)
-        if step > 0.7:
-            xi *= 0.7 / step
-        x = x + xi @ basis
-        x = x / np.linalg.norm(x)
-    return x, np.linalg.norm(f.grad_sphere(x)) <= _GRAD_TOL
+        H, basis = f.tangent_hessian(x[live])
+        g = (basis @ f.grad_sphere(x[live])[:, :, None])[:, :, 0]
+        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+        done = np.linalg.norm(g, axis=-1) <= 1e-13
+        ok[live[~done & (det == 0.0)]] = False
+        move = ~done & (det != 0.0)
+        live, H, g, basis, det = live[move], H[move], g[move], basis[move], det[move]
+        if not live.size:
+            break
+        xi = np.stack([H[:, 0, 1] * g[:, 1] - H[:, 1, 1] * g[:, 0],
+                       H[:, 1, 0] * g[:, 0] - H[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+        xi *= 0.7 / np.maximum(np.linalg.norm(xi, axis=-1), 0.7)[:, None]
+        step = x[live] + (xi[:, None, :] @ basis)[:, 0]
+        x[live] = step / np.linalg.norm(step, axis=-1, keepdims=True)
+    ok[live] = np.linalg.norm(f.grad_sphere(x[live]), axis=-1) <= _GRAD_TOL
+    return x, ok
 
 
 def find_critical_points(f, grid=None, collect_warnings=None):
     """Locate all critical points of f by probe-lattice seeding + Newton.
 
     Seeds are local minima of |grad f|^2 on a 4L x 8L lattice (poles
-    added explicitly); refined points closer than 1e-6 geodesic are
-    merged.  Raises NotMorseError for constant f or a degenerate
-    tangent Hessian at any located point.
+    added explicitly), all refined by one batched Newton iteration; in
+    seed order, a refined point closer than 1e-6 geodesic to one already
+    located merges into it, the one with the smaller gradient kept.
+    Hessians, values and Laplacians of the located points are evaluated
+    in one batch.  Raises NotMorseError for constant f or a degenerate
+    tangent Hessian at a located point (the first, in seed order).
     """
     if grid is None:
         grid = make_grid(31)
@@ -129,45 +139,35 @@ def find_critical_points(f, grid=None, collect_warnings=None):
         else:
             cmp = shifted
         neighborhood_min &= g2 <= cmp
-    seeds = [pts[idx] for idx in zip(*np.nonzero(neighborhood_min))]
-    seeds.append(np.array([0.0, 0.0, 1.0]))
-    seeds.append(np.array([0.0, 0.0, -1.0]))
+    seeds = np.concatenate([pts[neighborhood_min], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
 
-    located = []
-    for seed in seeds:
-        x, ok = _newton_refine(f, seed)
-        gn = float(np.linalg.norm(f.grad_sphere(x)))
-        if not ok or gn > _GRAD_TOL:
-            if collect_warnings is not None and not ok:
-                collect_warnings.append(f"Newton did not converge from seed {np.round(seed, 3)}")
-            continue
-        for prev in located:
-            if np.arccos(np.clip(x @ prev[0], -1.0, 1.0)) < _MERGE_TOL:
-                if gn < prev[1]:
-                    prev[0][:] = x
-                    prev[1] = gn
-                break
-        else:
-            located.append([x, gn])
+    xs, ok = _newton_refine(f, seeds)
+    gns = np.linalg.norm(f.grad_sphere(xs), axis=-1)
+    if collect_warnings is not None:
+        collect_warnings.extend(f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok])
+    found = ok & (gns <= _GRAD_TOL)
+    loc, loc_gn = np.empty((0, 3)), []
+    for x, gn in zip(xs[found], gns[found]):
+        near = np.flatnonzero(np.arccos(np.clip(loc @ x, -1.0, 1.0)) < _MERGE_TOL)
+        if not near.size:
+            loc = np.vstack([loc, x])
+            loc_gn.append(gn)
+        elif gn < loc_gn[near[0]]:
+            loc[near[0]], loc_gn[near[0]] = x, gn
 
-    points = []
-    for x, gn in located:
-        H, _ = f.tangent_hessian(x)
-        eigs = np.linalg.eigvalsh(H)
-        if np.any(np.abs(eigs) < _DEGENERATE_TOL):
-            raise NotMorseError(
-                f"degenerate critical point at {np.round(x, 6)} (tangent eigenvalues {eigs}): not Morse"
-            )
-        points.append(
-            CriticalPoint(
-                location=x,
-                value=float(f(x)),
-                grad_norm=gn,
-                laplacian=float(f.lap_sphere(x)),
-                index=int(np.sum(eigs < 0)),
-                hessian_eigs=tuple(np.sort(eigs)),
-            )
+    H, _ = f.tangent_hessian(loc)
+    eigs = np.linalg.eigvalsh(H)
+    degenerate = np.flatnonzero(np.any(np.abs(eigs) < _DEGENERATE_TOL, axis=-1))
+    if degenerate.size:
+        i = degenerate[0]
+        raise NotMorseError(
+            f"degenerate critical point at {np.round(loc[i], 6)} (tangent eigenvalues {eigs[i]}): not Morse"
         )
+    points = [
+        CriticalPoint(location=x, value=float(v), grad_norm=float(gn), laplacian=float(lap),
+                      index=int(np.sum(e < 0)), hessian_eigs=tuple(e))
+        for x, v, gn, lap, e in zip(loc, f(loc), loc_gn, f.lap_sphere(loc), eigs)
+    ]
     points.sort(key=lambda cp: tuple(np.round(cp.location, 9)))
     return points
 

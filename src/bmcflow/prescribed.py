@@ -90,16 +90,18 @@ class _Bump:
             raise SpecParseError("bump direction must be a nonzero vector")
         self.p = p / norm
 
+    def _decay(self, pts):
+        # an elementwise dot, so a point rounds alike alone or stacked (a matmul does not)
+        return np.exp(-self.k * (1.0 - np.sum(pts * self.p, axis=-1)))
+
     def value(self, pts):
-        return self.coef * np.exp(-self.k * (1.0 - pts @ self.p))
+        return self.coef * self._decay(pts)
 
     def grad(self, pts):
-        e = np.exp(-self.k * (1.0 - pts @ self.p))
-        return (self.coef * self.k * e)[..., None] * self.p
+        return (self.coef * self.k * self._decay(pts))[..., None] * self.p
 
     def hess(self, pts):
-        e = np.exp(-self.k * (1.0 - pts @ self.p))
-        return (self.coef * self.k**2 * e)[..., None, None] * np.outer(self.p, self.p)
+        return (self.coef * self.k**2 * self._decay(pts))[..., None, None] * np.outer(self.p, self.p)
 
     def __repr__(self):
         return f"{self.coef}*bump({self.k}; {self.p})"
@@ -267,15 +269,15 @@ class PrescribedFunction:
         return tr - rad2 - n * rad1
 
     def tangent_hessian(self, x):
-        """2x2 Hessian in an orthonormal tangent basis at a single point.
+        """2x2 Hessians in orthonormal tangent bases at unit vectors x (..., 3).
 
-        Returns (H, basis) with basis rows the tangent vectors.
+        Returns (H, basis), shapes (..., 2, 2) and (..., 2, 3), with the
+        tangent vectors as the rows of basis.
         """
         x = np.asarray(x, dtype=float)
         basis = _tangent_basis(x)
-        h = self.ambient_hess(x)
-        radial = float(x @ self.ambient_grad(x))
-        H = basis @ h @ basis.T - radial * np.eye(2)
+        radial = np.sum(x * self.ambient_grad(x), axis=-1)[..., None, None]
+        H = basis @ self.ambient_hess(x) @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
         return H, basis
 
     def gridded(self, grid):
@@ -324,10 +326,15 @@ class PrescribedFunction:
 
 
 def _tangent_basis(x):
-    """Two orthonormal tangent vectors at a unit vector x (rows)."""
+    """Two orthonormal tangent vectors at unit vectors x (..., 3), as rows (..., 2, 3).
+
+    Closed form of v1 = x x a / |x x a| and v2 = x x v1 with a = e_z, which
+    is (y, -x, 0) / r and (xz, yz, -r^2) / r for r^2 = x^2 + y^2.  Where
+    |z| >= 0.9, a = e_x, the same form in the cycled coordinates (y, z, x).
+    """
     x = np.asarray(x, dtype=float)
-    a = np.array([0.0, 0.0, 1.0]) if abs(x[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    v1 = np.cross(x, a)
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(x, v1)
-    return np.vstack([v1, v2])
+    polar = np.abs(x[..., 2:]) >= 0.9
+    a, b, c = np.moveaxis(np.where(polar, x[..., [1, 2, 0]], x), -1, 0)
+    r = np.sqrt(a * a + b * b)
+    basis = np.stack([b, -a, np.zeros_like(r), a * c, b * c, -r * r], axis=-1) / r[..., None]
+    return np.where(polar, basis[..., [2, 0, 1, 5, 3, 4]], basis).reshape(x.shape[:-1] + (2, 3))

@@ -8,7 +8,11 @@ Validates:
 - the closed-form cap mass against a hand antiderivative
 - center-of-mass values against a closed-form loop integral
 - volume and energy invariance of the weighted pullback
-- the recentering solve on bubbles and on the constant
+- the recentering solve on bubbles and on the constant, and on a sum of
+  two bubbles whose volume a degenerate map squeezes off the grid
+- the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
+  Jacobian against the true pullback, and a bound on the pullbacks a
+  solve makes
 - cap-convolution concentration flags, clustering, and the uniqueness
   warning
 - the cap multipliers against scipy's eval_legendre, and the batched
@@ -20,9 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre
 
+from bmcflow import conformal
 from bmcflow.conformal import (
     ConformalMap,
     _cap_kernel,
+    _map_from_ball_point,
+    _pulled_back_center,
     boundary_map,
     bubble,
     bubble_cap_mass,
@@ -34,7 +41,7 @@ from bmcflow.conformal import (
     normalize,
     pullback_normalized,
 )
-from bmcflow.curvature import mean_curvature, total_energy, volume
+from bmcflow.curvature import DEFAULT_CONSTANTS, mean_curvature, total_energy, volume
 from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -308,6 +315,76 @@ def test_normalize_constant_returns_identity():
     assert out.residual <= 1e-8
     assert abs(out.map.eps - 1.0) < 1e-12
     assert np.abs(out.v.values - 1.0).max() < 1e-12
+
+
+def two_bubbles(g):
+    """bubble(N, 0.4) + 0.5 bubble(e_x, 0.5): boundary volume 3.5768, not 1."""
+    return BoundaryField(g, values=bubble_field(N_POLE, 0.4, g).values
+                         + 0.5 * bubble_field([1.0, 0.0, 0.0], 0.5, g).values)
+
+
+def test_normalize_keeps_volume_of_two_bubbles():
+    """At L = 15 and 63 the solve lands on eps = 0.392465, p = (0.2036514,
+    0, 0.9790435); at L = 31 a residual |S| that is not divided by vol(v)
+    once accepted eps = 2.2e-7, where the pullback has lost its volume
+    between the nodes."""
+    g = make_grid(31)
+    u = two_bubbles(g)
+    out = normalize(u)
+    assert out.residual <= 1e-8
+    assert abs(out.map.eps - 0.392465) < 1e-6
+    assert np.abs(out.map.p - [0.2036514, 0.0, 0.9790435]).max() < 1e-6
+    assert abs(volume(out.v) / volume(u) - 1.0) < 1e-6
+
+
+def test_degenerate_map_is_not_centered():
+    """At this map, found by a solve on the unscaled residual |S|, |S(v)| is
+    below 1e-8 only because vol(v) is 5e-9: |S(v)| / vol(v) is 0.997."""
+    g = make_grid(31)
+    v = pullback_normalized(two_bubbles(g), ConformalMap([0.2982681915517544, 0.0, 0.9544821035034895],
+                                                         2.246623204273591e-07))
+    S, _ = center_of_mass(v)
+    assert np.linalg.norm(S) <= 1e-8
+    assert np.linalg.norm(S) / volume(v) > 1e-2
+
+
+@pytest.mark.parametrize("p", [N_POLE, np.array([0.48, -0.6, 0.64])])
+def test_change_of_variables_center(p):
+    """S(pullback_normalized(u, mp)) = mean(phi^{-1}(y) u(y)^{2#}) for the
+    eps = 0.3 bubble at L = 31 and maps at its peak with eps in [0.3, 1],
+    and so do their central differences in b with normalize's step h.
+    Measured: 3e-8 for S, 3.2e-6 for the Jacobian at eps = 0.3; that gap
+    is the truncation of the bubble at L = 31 (0.7^32 ~ 1e-5) which the
+    pullback's synth_at sees and the closed form does not (at L = 47 the
+    Jacobians agree to 1.4e-8)."""
+    g = make_grid(31)
+    u = bubble_field(p, 0.3, g)
+    w = u.values ** DEFAULT_CONSTANTS.two_sharp
+    h = 1e-6
+    for eps in (0.3, 0.5, 0.7, 1.0):
+        mp = ConformalMap(p, eps)
+        assert np.abs(center_of_mass(pullback_normalized(u, mp))[0] - _pulled_back_center(w, g, mp)).max() < 1e-6
+        b = (1.0 - eps) / (1.0 + eps) * p
+        for db in h * np.eye(3):
+            hi, lo = _map_from_ball_point(b + db), _map_from_ball_point(b - db)
+            true = center_of_mass(pullback_normalized(u, hi))[0] - center_of_mass(pullback_normalized(u, lo))[0]
+            closed = _pulled_back_center(w, g, hi) - _pulled_back_center(w, g, lo)
+            assert np.abs(true - closed).max() / (2.0 * h) < 1e-5
+
+
+def test_normalize_makes_few_pullbacks(monkeypatch):
+    """The Jacobian comes from the change of variables, so a solve pays
+    pullbacks only for its residuals: at most 8 for the 0.4-bubble at L = 31."""
+    calls = []
+
+    def counted(u, mp, constants=DEFAULT_CONSTANTS):
+        calls.append(mp)
+        return pullback_normalized(u, mp, constants)
+
+    monkeypatch.setattr(conformal, "pullback_normalized", counted)
+    g = make_grid(31)
+    assert normalize(bubble_field(N_POLE, 0.4, g)).residual <= 1e-8
+    assert 1 <= len(calls) <= 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

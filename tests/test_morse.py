@@ -6,6 +6,9 @@ Validates:
 - the co-index counting vector, the k-recursion verdict, and the signed
   index count against hand-derived values
 - rejection of non-Morse inputs
+- Poincare-Hopf: the signed count of all critical points is chi(S^2) = 2
+- the batched Newton refinement: bit for bit the same as one seed at a
+  time, and batched (a bound on Hessian calls)
 - axis-symmetry parsing, invariance detection, and the two symmetric
   existence criteria
 """
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from bmcflow.errors import NotMorseError, SpecParseError
 from bmcflow.morse import (
     check_conditions,
+    _newton_refine,
     check_symmetry,
     counts_mi,
     find_critical_points,
@@ -24,7 +28,8 @@ from bmcflow.morse import (
     parse_sym_spec,
     solve_k_system,
 )
-from bmcflow.prescribed import parse_f_spec
+from bmcflow.prescribed import PrescribedFunction, parse_f_spec
+from bmcflow.spectral import make_grid
 
 ELLIPSOID = "4 + 0.3x^2 + 0.6y^2 + 1.05z^2"
 
@@ -150,6 +155,54 @@ def test_critical_points_shift_invariant():
         assert a.index == b.index
         assert abs(a.laplacian - b.laplacian) < 1e-7
         assert abs((b.value - a.value) - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("L", [16, 31])
+@pytest.mark.parametrize("spec", [ELLIPSOID, "2 + 0.5z", "1.34 - 1.36bump(8; 0,0,-1)", "3 + x y z + 0.2x^3",
+                                  "1 + 0.3legendre(3) + 0.1x^2 y", "1 + bump(5; 1,1,0) + bump(5; -1,0,1)"])
+def test_poincare_hopf(spec, L):
+    """Sum of (-1)^index over all critical points of a Morse function on
+    S^2 is its Euler characteristic 2, so no point is lost or doubled."""
+    points = find_critical_points(parse_f_spec(spec), make_grid(L))
+    assert sum((-1) ** cp.index for cp in points) == 2
+
+
+@pytest.mark.parametrize("spec", [ELLIPSOID, "2 + 0.5z", "3 + x y z + 0.2x^3", "1 + 0.3legendre(3) + 0.1x^2 y",
+                                  "1 + bump(5; 1,1,0) + bump(5; -1,0,1)"])
+def test_batched_newton_matches_one_seed_at_a_time(spec):
+    """Every seed of a stack follows the path it follows alone; on the
+    equator of 2 + 0.5z the tangent Hessian is exactly 0, so that seed
+    stops where it is, not ok."""
+    f = parse_f_spec(spec)
+    rng = np.random.default_rng(1)
+    poles_and_equator = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
+    seeds = np.concatenate([rng.standard_normal((40, 3)) * [1.0, 1.0, 3.0], poles_and_equator])
+    xs, ok = _newton_refine(f, seeds)
+    for seed, x, k in zip(seeds, xs, ok):
+        x1, ok1 = _newton_refine(f, seed[None])
+        assert np.array_equal(x1[0], x) and ok1[0] == k
+    if spec == "2 + 0.5z":
+        assert not ok[-1] and np.array_equal(xs[-1], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", ["2 - z^2", ELLIPSOID])
+def test_newton_refinement_is_batched(spec, monkeypatch):
+    """All seeds share each Newton iteration: at L = 31 the ~500 seeds on
+    the critical equator of 2 - z^2 cost a few tangent_hessian calls, not
+    one or more per seed."""
+    calls = []
+    tangent_hessian = PrescribedFunction.tangent_hessian
+
+    def counted(self, x):
+        calls.append(x)
+        return tangent_hessian(self, x)
+
+    monkeypatch.setattr(PrescribedFunction, "tangent_hessian", counted)
+    try:
+        find_critical_points(parse_f_spec(spec), make_grid(31))
+    except NotMorseError:
+        assert spec == "2 - z^2"
+    assert 1 <= len(calls) <= 10
 
 
 def test_constant_rejected():

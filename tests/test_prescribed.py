@@ -6,6 +6,8 @@ Validates:
 - values, tangential gradients, surface Laplacians against closed forms
   and central finite differences
 - extremum refinement beyond grid resolution
+- the tangent basis and Hessian of a stack of points, bit for bit
+  against one point at a time
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre
 
 from bmcflow.errors import SpecParseError
-from bmcflow.prescribed import parse_f_spec
+from bmcflow.prescribed import _tangent_basis, parse_f_spec
 from bmcflow.spectral import make_grid
 
 
@@ -170,6 +172,26 @@ def test_tangent_hessian_ellipsoid_eigenvalues():
         H, _ = f.tangent_hessian(x)
         got = np.sort(np.linalg.eigvalsh(H))
         assert np.abs(got - np.sort(eigs)).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["4 + 0.3x^2 + 0.6y^2 + 1.05z^2", "3 + x y z + 0.2x^3",
+                                  "1 + 0.3legendre(3) + 0.1x^2 y", "1 + bump(5; 1,1,0) + bump(5; -1,0,1)"])
+def test_tangent_stack_matches_points(spec):
+    """A stack rounds exactly as its points one at a time, on both sides of
+    the |z| = 0.9 switch of the basis and at both poles; the basis is
+    orthonormal and tangent."""
+    pts = np.concatenate([sphere_points(200, seed=3), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    polar = np.abs(pts[:, 2]) >= 0.9
+    assert 0 < polar.sum() < len(pts) - 2
+    f = parse_f_spec(spec)
+    basis = _tangent_basis(pts)
+    H, H_basis = f.tangent_hessian(pts.reshape(2, -1, 3))
+    assert np.array_equal(H_basis.reshape(basis.shape), basis)
+    for x, b, h in zip(pts, basis, H.reshape(-1, 2, 2)):
+        assert np.array_equal(_tangent_basis(x), b)
+        assert np.array_equal(f.tangent_hessian(x)[0], h)
+    assert np.abs(basis @ basis.transpose(0, 2, 1) - np.eye(2)).max() < 1e-15
+    assert np.abs(np.einsum("kij,kj->ki", basis, pts)).max() < 1e-15
 
 
 def test_extrema_refinement():
