@@ -19,7 +19,6 @@ from .spectral import (
     gradient_norm_sq,
 )
 from .curvature import (
-    Constants,
     EnergyReport,
     FlowBounds,
     volume,

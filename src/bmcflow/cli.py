@@ -21,8 +21,7 @@ Subcommands:
   selftest [--quick]
       Build sanity suites (DtN exactness, Parseval, trace inequality,
       conformal group law, pullback volume invariance) with a pass/fail
-      table; exit 0 iff all pass.  Setting BMCFLOW_SELFTEST_BREAK_DTN
-      corrupts the measured DtN factor as a negative control.
+      table; exit 0 iff all pass.
 
 Experiment config schema (JSON):
 
@@ -44,7 +43,6 @@ digits and runs with the same config are byte-identical.
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -54,7 +52,7 @@ import numpy as np
 
 from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
                         center_of_mass)
-from .curvature import DEFAULT_CONSTANTS, mean_curvature, total_energy, volume
+from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume
 from .errors import AdmissibilityError, ConfigError, FlowFailure, NotMorseError, SpecParseError
 from .flow import FlowConfig, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
@@ -294,12 +292,11 @@ def cmd_bubble_probe(args):
     except (ValueError, ConfigError) as exc:
         print(f"bad probe arguments: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    c = DEFAULT_CONSTANTS
     u = bubble_field(p, args.eps, grid)
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
     radii = (0.1, 0.2, 0.5)
-    caps = cap_integrals(u.values**c.two_sharp, grid, radii)
+    caps = cap_integrals(u.values**TWO_SHARP, grid, radii)
     doc = {
         "p": [float(v) for v in p / np.linalg.norm(p)],
         "eps": args.eps,
@@ -308,8 +305,8 @@ def cmd_bubble_probe(args):
         "energy": total_energy(u),
         "max_H_deviation": float(np.abs(H.values - 1.0).max()),
         "peak": float(u.values.max()),
-        "peak_closed_form": ((2.0 - args.eps) / args.eps) ** ((c.n - 1.0) / 2.0),
-        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / c.omega_n for r, cap in zip(radii, caps)},
+        "peak_closed_form": ((2.0 - args.eps) / args.eps) ** ((N - 1.0) / 2.0),
+        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / OMEGA_N for r, cap in zip(radii, caps)},
         "cap_mass_closed_form": {f"{r:g}": bubble_cap_mass(args.eps, r) for r in radii},
         "center_of_mass_S": [float(v) for v in S],
         "Q": None if Q is None else [float(v) for v in Q],
@@ -318,27 +315,14 @@ def cmd_bubble_probe(args):
     return _EXIT_OK
 
 
-def _break_dtn_amount():
-    """Negative-control hook: scales the measured DtN factor in selftest."""
-    raw = os.environ.get("BMCFLOW_SELFTEST_BREAK_DTN", "")
-    if not raw:
-        return 0.0
-    try:
-        return float(raw)
-    except ValueError:
-        return 0.01
-
-
 def _suite_dtn(L):
     mult = np.arange(L + 1, dtype=float)
-    corrupt = _break_dtn_amount()
     worst = 0.0
     for l in range(L + 1):
         coeffs = np.zeros((L + 1, 2 * L + 1))
         m = min(l, 1)
         coeffs[l, m + L] = 1.0
         got = dtn_apply(coeffs)[l, m + L]
-        got *= 1.0 + corrupt
         err = abs(got - mult[l]) / max(mult[l], 1.0)
         worst = max(worst, err)
     return worst < 1e-10, f"max rel err {worst:.3e}"
@@ -359,7 +343,6 @@ def _suite_parseval(L, rng):
 
 def _suite_trace(L, rng, n_fields):
     grid = make_grid(L)
-    c = DEFAULT_CONSTANTS
     worst = np.inf
     for _ in range(n_fields):
         coeffs = np.zeros((L + 1, 2 * L + 1))
@@ -370,7 +353,7 @@ def _suite_trace(L, rng, n_fields):
         u = BoundaryField.from_coeffs(coeffs, grid)
         if u.values.min() <= 0:
             continue
-        margin = total_energy(u) - volume(u) ** (2.0 / c.two_sharp)
+        margin = total_energy(u) - volume(u) ** (2.0 / TWO_SHARP)
         worst = min(worst, margin)
     return worst >= -1e-10, f"min margin {worst:.3e}"
 

@@ -29,31 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import DEFAULT_CONSTANTS, volume
+from .curvature import N, OMEGA_N, TWO_SHARP, volume
 from .errors import NormalizeError, PositivityError
 from .spectral import BoundaryField, _legendre_rows, analyze, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
-
-
-def _rotation_to_north(p):
-    """Orthogonal matrix R with R @ p = north pole."""
-    p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
-    c = p[2]
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(p, _NORTH)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
 @dataclass
@@ -62,7 +42,6 @@ class ConformalMap:
 
     p: np.ndarray
     eps: float
-    rotation: np.ndarray = None
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
@@ -72,11 +51,9 @@ class ConformalMap:
         self.p = self.p / norm
         if self.eps <= 0:
             raise ValueError(f"dilation parameter must be positive, got {self.eps}")
-        if self.rotation is None:
-            self.rotation = _rotation_to_north(self.p)
 
     def inverse(self):
-        return ConformalMap(self.p, 1.0 / self.eps, rotation=self.rotation)
+        return ConformalMap(self.p, 1.0 / self.eps)
 
     @property
     def width(self):
@@ -123,7 +100,7 @@ def _resolution_check(eps_dilation, L):
         )
 
 
-def bubble(mp, grid, constants=DEFAULT_CONSTANTS):
+def bubble(mp, grid):
     """Bubble profile generated by the inverse of mp, as a gridded field.
 
     The field is the conformal factor of mp.inverse() raised to
@@ -132,10 +109,10 @@ def bubble(mp, grid, constants=DEFAULT_CONSTANTS):
     """
     _resolution_check(mp.eps, grid.L)
     lam = conformal_factor(mp.inverse(), grid.nodes())
-    return BoundaryField(grid, values=lam ** ((constants.n - 1.0) / 2.0))
+    return BoundaryField(grid, values=lam ** ((N - 1.0) / 2.0))
 
 
-def bubble_field(p, eps, grid, constants=DEFAULT_CONSTANTS):
+def bubble_field(p, eps, grid):
     """Bubble with concentration parameter eps in (0, 1], peaked at p.
 
     Closed form [eps(2-eps)]^{(n-1)/2} / |x - (1-eps)p|^{n-1}; the
@@ -147,15 +124,15 @@ def bubble_field(p, eps, grid, constants=DEFAULT_CONSTANTS):
     p = p / np.linalg.norm(p)
     _resolution_check(eps / (2.0 - eps), grid.L)
     dist = np.linalg.norm(grid.nodes() - (1.0 - eps) * p, axis=-1)
-    k = (constants.n - 1.0) / 2.0
-    values = (eps * (2.0 - eps)) ** k / dist ** (constants.n - 1.0)
+    k = (N - 1.0) / 2.0
+    values = (eps * (2.0 - eps)) ** k / dist ** (N - 1.0)
     return BoundaryField(grid, values=values)
 
 
-def bubble_cap_mass(eps, r, constants=DEFAULT_CONSTANTS):
+def bubble_cap_mass(eps, r):
     """Fraction of a bubble's boundary volume inside the cap of radius r at its peak.
 
-    For n = 2, the only dimension supported, this is the closed form
+    For n = 2 this is the closed form
 
         (2-eps)^2 s / (2 (eps^2 + 2(1-eps) s)),   s = 1 - cos r = 2 sin^2(r/2),
 
@@ -164,15 +141,13 @@ def bubble_cap_mass(eps, r, constants=DEFAULT_CONSTANTS):
     roundoff for every eps, eps = 1 (the area fraction s/2) included.
     The bubble has unit total volume.
     """
-    if constants.n != 2:
-        raise ValueError(f"only n = 2 is supported, got n = {constants.n}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"concentration parameter must be in (0, 1], got {eps}")
     s = 2.0 * np.sin(0.5 * r) ** 2
     return float((2.0 - eps) ** 2 * s / (2.0 * (eps * eps + 2.0 * (1.0 - eps) * s)))
 
 
-def pullback_normalized(u, mp, constants=DEFAULT_CONSTANTS):
+def pullback_normalized(u, mp):
     """Pullback of u under the map, weighted to preserve boundary volume.
 
     v = (u o phi) * lambda_phi^{(n-1)/2}; the boundary volume of v
@@ -186,12 +161,12 @@ def pullback_normalized(u, mp, constants=DEFAULT_CONSTANTS):
     mapped = boundary_map(mp, nodes)
     comp = synth_at(u.coeffs, mapped)
     lam = conformal_factor(mp, nodes)
-    return BoundaryField(u.grid, values=comp * lam ** ((constants.n - 1.0) / 2.0))
+    return BoundaryField(u.grid, values=comp * lam ** ((N - 1.0) / 2.0))
 
 
-def center_of_mass(u, constants=DEFAULT_CONSTANTS):
+def center_of_mass(u):
     """S = mean(x u^{2#}) and its direction Q (None when |S| <= 1e-10)."""
-    S = u.grid.integrate(u.grid.nodes().transpose(2, 0, 1) * u.values ** constants.two_sharp)
+    S = u.grid.integrate(u.grid.nodes().transpose(2, 0, 1) * u.values ** TWO_SHARP)
     norm = float(np.linalg.norm(S))
     Q = S / norm if norm > 1e-10 else None
     return S, Q
@@ -217,7 +192,7 @@ def _pulled_back_center(w, grid, mp):
     return grid.integrate(boundary_map(mp.inverse(), grid.nodes()).transpose(2, 0, 1) * w)
 
 
-def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
+def normalize(u, tol=1e-8, max_iter=100):
     """Find the Moebius dilation whose volume-preserving pullback of u
     has zero center of mass.
 
@@ -231,14 +206,14 @@ def normalize(u, constants=DEFAULT_CONSTANTS, tol=1e-8, max_iter=100):
     constant field the map is not unique; if the solve stalls there the
     identity map is returned.
     """
-    w = u.values ** constants.two_sharp
+    w = u.values ** TWO_SHARP
     vol = u.grid.integrate(w)
-    R0 = center_of_mass(u, constants)[0] / vol
+    R0 = center_of_mass(u)[0] / vol
 
     def residual(b):
         mp = _map_from_ball_point(b)
-        v = pullback_normalized(u, mp, constants)
-        return center_of_mass(v, constants)[0] / volume(v, constants), mp, v
+        v = pullback_normalized(u, mp)
+        return center_of_mass(v)[0] / volume(v), mp, v
 
     b = R0 / 2.0
     if np.linalg.norm(b) >= 0.999:
@@ -328,7 +303,7 @@ class ConcentrationReport:
     uniqueness_warning: bool
 
 
-def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5), constants=DEFAULT_CONSTANTS):
+def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5)):
     """Flag grid nodes whose caps carry a bubble's worth of curvature mass.
 
     The monitored density is |H|^n u^{2#}; a node is flagged when its
@@ -338,16 +313,16 @@ def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5), constants=DEFAULT_
     of the band-limited density; tau should not be chosen closer to the
     theoretical threshold than that error (tau < 2^{1/n} always).
     """
-    if not tau < 2.0 ** (1.0 / constants.n):
+    if not tau < 2.0 ** (1.0 / N):
         raise ValueError(f"tau must be below 2^(1/n), got {tau}")
     if not radii:
         raise ValueError("need at least one cap radius")
     grid = u.grid
-    W = np.abs(H.values) ** constants.n * u.values ** constants.two_sharp
-    total = constants.omega_n * grid.integrate(W)
+    W = np.abs(H.values) ** N * u.values ** TWO_SHARP
+    total = OMEGA_N * grid.integrate(W)
     caps = cap_integrals(W, grid, radii)
     cap_max = {r: float(cap.max()) for r, cap in zip(radii, caps)}
-    flags = np.all(caps >= tau**constants.n * constants.omega_n, axis=0)
+    flags = np.all(caps >= tau**N * OMEGA_N, axis=0)
     flagged_points = list(grid.nodes()[flags])
     clusters = []
     for pt in flagged_points:

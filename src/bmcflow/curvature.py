@@ -1,12 +1,17 @@
 """Scalar functionals of the flow: mean curvature, energies, multiplier bounds.
 
-Everything is phrased with the boundary dimension n as a parameter
-(a_n = 2/(n-1), critical trace exponent 2# = 2n/(n-1)); gridded
-computation is n = 2.  Spherical means are written mean(.) throughout;
-dmu_g denotes the evolving boundary measure u^{2#} dmu.
+The boundary dimension is fixed at n = 2: the boundary is S^2 and the
+ball is B^3.  The paper states every formula for general n, with
+
+    a_n = 2/(n-1),   2# = 2n/(n-1),   omega_n = 2 pi^{(n+1)/2} / Gamma((n+1)/2)
+
+(a_n the DtN weight in the curvature, 2# the critical trace exponent,
+omega_n the area of S^n); the module constants below are their n = 2
+values, and the docstrings keep the paper's general-n exponents.
+Spherical means are written mean(.) throughout; dmu_g denotes the
+evolving boundary measure u^{2#} dmu.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,34 +19,17 @@ import numpy as np
 from .errors import AdmissibilityError, PositivityError
 from .spectral import BoundaryField, dtn_apply, synthesize
 
+# The n = 2 values of the formulas above.
+N = 2
+A_N = 2.0
+TWO_SHARP = 4.0
+OMEGA_N = 4.0 * np.pi
+
 _TWO_SHARP_VOL_TOL = 1e-8
 # |mean(f w)| at or below this multiple of mean(|f| w) counts as zero:
 # quadrature roundoff of a mean that vanishes in the continuum is about
 # 1e-16 of mean(|f| w), while any mean that matters is far above 1e-12.
 _VANISHING_MEAN_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Dimension-dependent exponents for the boundary sphere S^n."""
-
-    n: int = 2
-
-    @property
-    def a_n(self):
-        return 2.0 / (self.n - 1)
-
-    @property
-    def two_sharp(self):
-        return 2.0 * self.n / (self.n - 1)
-
-    @property
-    def omega_n(self):
-        n = self.n
-        return 2.0 * np.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
-
-
-DEFAULT_CONSTANTS = Constants(2)
 
 
 @dataclass
@@ -93,31 +81,31 @@ def weighted_mean_sign(grid, f, weight=1.0):
     return m, 1 if m > 0.0 else -1
 
 
-def volume(u, constants=DEFAULT_CONSTANTS):
+def volume(u):
     """mean(u^{2#}), the conserved boundary volume of the conformal metric."""
-    return u.grid.integrate(u.values ** constants.two_sharp)
+    return u.grid.integrate(u.values ** TWO_SHARP)
 
 
-def mean_curvature_values(u_values, dtn_values, constants=DEFAULT_CONSTANTS):
+def mean_curvature_values(u_values, dtn_values):
     """H = u^{-(2#-1)} (a_n * DtN(u) + u) on the grid, from the values of u and of DtN(u)."""
-    return (constants.a_n * dtn_values + u_values) * u_values ** -(constants.two_sharp - 1.0)
+    return (A_N * dtn_values + u_values) * u_values ** -(TWO_SHARP - 1.0)
 
 
-def mean_curvature(u, constants=DEFAULT_CONSTANTS):
+def mean_curvature(u):
     """Boundary mean curvature of the metric with conformal factor u; DtN(u) is applied spectrally."""
     _require_positive(u.values, "conformal factor")
-    H = mean_curvature_values(u.values, synthesize(dtn_apply(u.coeffs), u.grid), constants)
+    H = mean_curvature_values(u.values, synthesize(dtn_apply(u.coeffs), u.grid))
     return BoundaryField(u.grid, values=H)
 
 
-def total_energy(u, constants=DEFAULT_CONSTANTS):
+def total_energy(u):
     """Spectral form of the boundary energy: sum (a_n l + 1) c_{l,m}^2."""
     c = u.coeffs
     ls = np.arange(c.shape[0], dtype=float)[:, None]
-    return float(np.sum((constants.a_n * ls + 1.0) * c**2))
+    return float(np.sum((A_N * ls + 1.0) * c**2))
 
 
-def energy_functional(u, f, constants=DEFAULT_CONSTANTS):
+def energy_functional(u, f):
     """EnergyReport for (u, f): E, the f-weighted volume, E_f, lambda.
 
     E_f = E / denom^{(n-1)/n} and lambda = E / denom, defined only on
@@ -125,52 +113,52 @@ def energy_functional(u, f, constants=DEFAULT_CONSTANTS):
     """
     _require_positive(u.values, "conformal factor")
     fv = _as_values(f)
-    E = total_energy(u, constants)
-    denom, sign = weighted_mean_sign(u.grid, fv, u.values ** constants.two_sharp)
+    E = total_energy(u)
+    denom, sign = weighted_mean_sign(u.grid, fv, u.values ** TWO_SHARP)
     if sign <= 0:
         raise AdmissibilityError(
             f"f-weighted volume is {denom:.3e}; u lies outside the admissible set for this f",
             condition="positive f-weighted volume",
         )
-    E_f = E / denom ** ((constants.n - 1.0) / constants.n)
+    E_f = E / denom ** ((N - 1.0) / N)
     return EnergyReport(E=E, denom=denom, E_f=E_f, lam=E / denom)
 
 
-def _residual(u, f, lam, constants, H):
+def _residual(u, f, lam, H):
     """(lam f - H, u^{2#}): the flow's residual and the density of dmu_g."""
     if H is None:
-        H = mean_curvature(u, constants)
-    return lam * _as_values(f) - H.values, u.values ** constants.two_sharp
+        H = mean_curvature(u)
+    return lam * _as_values(f) - H.values, u.values ** TWO_SHARP
 
 
-def f2_norm(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
+def f2_norm(u, f, lam, H=None):
     """Dissipation rate F2 = mean((lam f - H)^2 u^{2#}), the p = 2 residual."""
-    return lp_residual(u, f, lam, 2, constants, H)
+    return lp_residual(u, f, lam, 2, H)
 
 
-def lp_residual(u, f, lam, p, constants=DEFAULT_CONSTANTS, H=None):
+def lp_residual(u, f, lam, p, H=None):
     """mean(|lam f - H|^p u^{2#}) for the residual-trend diagnostics."""
-    r, w = _residual(u, f, lam, constants, H)
+    r, w = _residual(u, f, lam, H)
     return u.grid.integrate(np.abs(r) ** p * w)
 
 
-def lambda_prime(u, f, lam, constants=DEFAULT_CONSTANTS, H=None):
+def lambda_prime(u, f, lam, H=None):
     """Time derivative of the volume-preserving multiplier.
 
     lambda' = -(mean(f dmu_g))^{-1} [ (n-1)/2 * mean((lam f - H)^2 dmu_g)
               + 1/2 * mean(lam f (lam f - H) dmu_g) ].
     """
-    r, w = _residual(u, f, lam, constants, H)
+    r, w = _residual(u, f, lam, H)
     fv = _as_values(f)
     denomf, sign = weighted_mean_sign(u.grid, fv, w)
     if sign == 0:
         raise AdmissibilityError("f-weighted volume vanishes; multiplier derivative undefined",
                                  condition="positive f-weighted volume")
     term1, term2 = u.grid.integrate(np.stack((r**2 * w, lam * fv * r * w)))
-    return -((constants.n - 1.0) / 2.0 * term1 + 0.5 * term2) / denomf
+    return -((N - 1.0) / 2.0 * term1 + 0.5 * term2) / denomf
 
 
-def flow_bounds(u0, f, H0, constants=DEFAULT_CONSTANTS, Lambda0=10.0, f_closed=None):
+def flow_bounds(u0, f, H0, Lambda0=10.0, f_closed=None):
     """Frozen t=0 bounds: multiplier window, barrier, and energy threshold.
 
     lambda1 = (max f)^{-1} vol^{-1/n},
@@ -198,17 +186,16 @@ def flow_bounds(u0, f, H0, constants=DEFAULT_CONSTANTS, Lambda0=10.0, f_closed=N
     f_absmax = max(abs(fmin), abs(fmax))
     if fmax <= 0.0:
         raise AdmissibilityError("max f must be positive", condition="positive maximum")
-    n = constants.n
-    vol = volume(u0, constants)
-    report = energy_functional(u0, f, constants)
-    lambda1 = vol ** (-1.0 / n) / fmax
-    lambda2 = report.E_f ** (n / (n - 1.0)) * vol ** (-1.0 / n)
+    vol = volume(u0)
+    report = energy_functional(u0, f)
+    lambda1 = vol ** (-1.0 / N) / fmax
+    lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
     min_H0 = float(H0.values.min())
     l2m = lambda2 * f_absmax
     gamma = min(min_H0 - l2m, -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * f_absmax))
     c_star = -l2m + gamma
-    sigma = 0.5 * (2.0 ** (1.0 / n) * f_mean / f_absmax - 1.0)
-    beta = (1.0 + sigma) ** ((n - 1.0) / n) * f_mean ** ((1.0 - n) / n) if sigma > -1.0 else np.nan
+    sigma = 0.5 * (2.0 ** (1.0 / N) * f_mean / f_absmax - 1.0)
+    beta = (1.0 + sigma) ** ((N - 1.0) / N) * f_mean ** ((1.0 - N) / N) if sigma > -1.0 else np.nan
     return FlowBounds(
         lambda1=lambda1,
         lambda2=lambda2,
@@ -225,15 +212,15 @@ def flow_bounds(u0, f, H0, constants=DEFAULT_CONSTANTS, Lambda0=10.0, f_closed=N
     )
 
 
-def membership(u, f, beta, constants=DEFAULT_CONSTANTS):
+def membership(u, f, beta):
     """Admissible-set membership: {in_Xstar, in_Xf}.
 
     in_Xstar: u positive with positive f-weighted volume; in_Xf adds
     unit volume (within 1e-8) and E_f <= beta.
     """
     try:
-        report = energy_functional(u, f, constants)
+        report = energy_functional(u, f)
     except (PositivityError, AdmissibilityError):
         return {"in_Xstar": False, "in_Xf": False}
-    in_xf = abs(volume(u, constants) - 1.0) <= _TWO_SHARP_VOL_TOL and report.E_f <= beta
+    in_xf = abs(volume(u) - 1.0) <= _TWO_SHARP_VOL_TOL and report.E_f <= beta
     return {"in_Xstar": True, "in_Xf": bool(in_xf)}

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .conformal import center_of_mass, concentration_check
-from .curvature import (DEFAULT_CONSTANTS, energy_functional, f2_norm, flow_bounds, mean_curvature,
+from .curvature import (N, OMEGA_N, TWO_SHARP, energy_functional, f2_norm, flow_bounds, mean_curvature,
                         mean_curvature_values, volume)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
@@ -77,7 +77,7 @@ class FlowConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        tau_max = 2.0 ** (1.0 / DEFAULT_CONSTANTS.n)
+        tau_max = 2.0 ** (1.0 / N)
         if not 0.0 < self.tau < tau_max:
             raise ConfigError(f"tau must lie in (0, 2^(1/n)) = (0, {tau_max:.6g}), got {self.tau}")
         if not self.cap_radii or not all(0.0 < r < np.pi for r in self.cap_radii):
@@ -90,13 +90,11 @@ class FlowState:
     t: float
     u: BoundaryField
     f_values: np.ndarray
-    lam: float
     H: BoundaryField
     energy_report: object
     bounds: object
     dt: float
     steps: int = 0
-    constants: object = DEFAULT_CONSTANTS
 
 
 @dataclass
@@ -107,7 +105,6 @@ class Trajectory:
     reason: str = ""
     config: FlowConfig = None
     bounds: object = None
-    constants: object = DEFAULT_CONSTANTS
     info: dict = field(default_factory=dict)
 
     def column(self, name):
@@ -159,13 +156,13 @@ def _f_on_grid(f, grid):
     return fv, None
 
 
-def _project_volume(u, constants):
+def _project_volume(u):
     """(c u, c) for the constant c that gives c u unit volume."""
-    c = volume(u, constants) ** (-1.0 / constants.two_sharp)
+    c = volume(u) ** (-1.0 / TWO_SHARP)
     return BoundaryField(u.grid, values=c * u.values, coeffs=c * u.coeffs), c
 
 
-def init_state(u0, f, config, constants=DEFAULT_CONSTANTS):
+def init_state(u0, f, config):
     """Admissible state at t=0: filtered, positive, unit boundary volume.
 
     The initial data is band-limited by one analysis/synthesis pass and
@@ -182,20 +179,18 @@ def init_state(u0, f, config, constants=DEFAULT_CONSTANTS):
     if float(u.values.min()) <= 0.0:
         raise AdmissibilityError("initial data loses positivity under band-limit filtering",
                                  condition="positivity")
-    u, _ = _project_volume(u, constants)
-    report = energy_functional(u, f_values, constants)
-    H = mean_curvature(u, constants)
-    bounds = flow_bounds(u, f_values, H, constants, f_closed=f_fn)
+    u, _ = _project_volume(u)
+    report = energy_functional(u, f_values)
+    H = mean_curvature(u)
+    bounds = flow_bounds(u, f_values, H, f_closed=f_fn)
     return FlowState(
         t=0.0,
         u=u,
         f_values=f_values,
-        lam=report.lam,
         H=H,
         energy_report=report,
         bounds=bounds,
         dt=config.dt0,
-        constants=constants,
     )
 
 
@@ -209,14 +204,14 @@ def step(state, config):
     projected back to unit volume, and lambda and H are recomputed from
     the new field.  One synthesis gives the filtered field and its DtN image.
     """
-    c, grid = state.constants, state.u.grid
-    resid = state.H.values - state.lam * state.f_values
+    grid = state.u.grid
+    resid = state.H.values - state.energy_report.lam * state.f_values
     resid_max = float(np.abs(resid).max())
     dt = min(config.dt_max, 2.0 * state.dt)
     if resid_max > 0.0:
         dt = min(dt, 0.1 / resid_max)
     dt = max(min(dt, config.t_end - state.t), config.dt_min)
-    factor_rate = (c.n - 1.0) / 4.0 * resid
+    factor_rate = (N - 1.0) / 4.0 * resid
     while True:
         candidate = state.u.values * (1.0 - dt * factor_rate)
         if candidate.min() > 0.0:
@@ -229,37 +224,35 @@ def step(state, config):
             raise FlowFailure("positivity lost: step size fell below dt_min")
     u_new, scale = BoundaryField(grid, values=values, coeffs=coeffs), 1.0
     if config.vol_project:
-        u_new, scale = _project_volume(u_new, c)
+        u_new, scale = _project_volume(u_new)
     try:
-        report = energy_functional(u_new, state.f_values, c)
+        report = energy_functional(u_new, state.f_values)
     except AdmissibilityError as exc:
         raise FlowFailure(f"left admissible set: {exc}") from exc
     state.u = u_new
     state.t += dt
     state.dt = dt
     state.steps += 1
-    state.lam = report.lam
     state.energy_report = report
-    state.H = BoundaryField(grid, values=mean_curvature_values(u_new.values, scale * dtn_values, c))
+    state.H = BoundaryField(grid, values=mean_curvature_values(u_new.values, scale * dtn_values))
     return state
 
 
 def _record(traj, state, config, F2):
     """Append the row of the current state, its moments in one reduction; returns the cap-mass check."""
-    c = state.constants
     u, H, rep = state.u, state.H, state.energy_report
-    w = u.values ** c.two_sharp
+    w = u.values ** TWO_SHARP
     lam_f = rep.lam * state.f_values
     r = lam_f - H.values
     moments = u.grid.integrate(np.stack([w, lam_f * r * w, *(np.abs(r) ** p * w for p in _LP_ORDERS),
                                          *(u.grid.nodes().transpose(2, 0, 1) * w)]))
     vol, lr, lp, S = moments[0], moments[1], moments[2:-3], moments[-3:]
-    lambda_prime = -((c.n - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
-    conc = concentration_check(u, H, tau=config.tau, radii=config.cap_radii, constants=c)
+    lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
+    conc = concentration_check(u, H, tau=config.tau, radii=config.cap_radii)
     row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
-    row += [conc.cap_max[r] / c.omega_n for r in config.cap_radii]
+    row += [conc.cap_max[r] / OMEGA_N for r in config.cap_radii]
     row += list(lp)
     row.append(-float(r.max()))
     traj.rows.append(row)
@@ -276,10 +269,9 @@ def run(state, config):
     partial trajectory attached to the exception.
     """
     config.validate()
-    traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds,
-                      constants=state.constants)
+    traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds)
     while True:
-        F2 = f2_norm(state.u, state.f_values, state.lam, state.constants, H=state.H)
+        F2 = f2_norm(state.u, state.f_values, state.energy_report.lam, H=state.H)
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
         if res < config.conv_tol:
             verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
@@ -307,7 +299,7 @@ def run(state, config):
 
 
 def _concentration_info(conc, state):
-    S, Q = center_of_mass(state.u, state.constants)
+    S, Q = center_of_mass(state.u)
     return {
         "clusters": [[float(v) for v in pt] for pt in conc.clusters],
         "uniqueness_warning": bool(conc.uniqueness_warning),
@@ -344,12 +336,11 @@ def check_identities(traj):
     """
     if len(traj.rows) < 3:
         raise ValueError(f"need at least 3 recorded samples, got {len(traj.rows)}")
-    c = traj.constants
     t, lam, E, E_f, F2, lamp, min_barrier = (traj.column(name) for name in (
         "t", "lambda", "E", "E_f", "F2", "lambda_prime", "min_H_minus_lambda_f"))
     denom = E / lam
     dEf = _fd_derivative(t, E_f)
-    decay_ref = -((c.n - 1.0) / 2.0) * denom[1:-1] ** (-(c.n - 1.0) / c.n) * F2[1:-1]
+    decay_ref = -((N - 1.0) / 2.0) * denom[1:-1] ** (-(N - 1.0) / N) * F2[1:-1]
     a_err = _masked_rel_err(dEf, decay_ref)
     dlam = _fd_derivative(t, lam)
     b_err = _masked_rel_err(dlam, lamp[1:-1])
@@ -376,7 +367,7 @@ def check_identities(traj):
     return report
 
 
-def interpolation_path(uT, f, s, zeta=None, constants=DEFAULT_CONSTANTS):
+def interpolation_path(uT, f, s, zeta=None):
     """Deformation of a flowed state toward the constant, volume-normalized.
 
     w_s = [(2 - 2s)(zeta uT)^{2#} + (2s - 1)]^{1/2#} for s in [1/2, 1];
@@ -392,6 +383,5 @@ def interpolation_path(uT, f, s, zeta=None, constants=DEFAULT_CONSTANTS):
         zeta = float(uT.values.max())
     if zeta <= 0.0:
         raise ValueError(f"zeta must be positive, got {zeta}")
-    c = constants
-    w = ((2.0 - 2.0 * s) * (zeta * uT.values) ** c.two_sharp + (2.0 * s - 1.0)) ** (1.0 / c.two_sharp)
-    return _project_volume(BoundaryField(uT.grid, values=w), c)[0]
+    w = ((2.0 - 2.0 * s) * (zeta * uT.values) ** TWO_SHARP + (2.0 * s - 1.0)) ** (1.0 / TWO_SHARP)
+    return _project_volume(BoundaryField(uT.grid, values=w))[0]

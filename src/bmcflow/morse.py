@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import weighted_mean_sign
+from .curvature import N, weighted_mean_sign
 from .errors import NotMorseError, SpecParseError
 from .spectral import make_grid
 
@@ -172,14 +172,14 @@ def find_critical_points(f, grid=None, collect_warnings=None):
     return points
 
 
-def counts_mi(f, grid=None, n=2, points=None):
+def counts_mi(f, grid=None, points=None):
     """Vector m_0..m_n: counted critical points grouped by co-index."""
     if points is None:
         points = find_critical_points(f, grid)
-    m = np.zeros(n + 1, dtype=int)
+    m = np.zeros(N + 1, dtype=int)
     for cp in points:
         if cp.counted:
-            m[n - cp.index] += 1
+            m[N - cp.index] += 1
     return tuple(int(v) for v in m)
 
 
@@ -204,12 +204,12 @@ def solve_k_system(m, n):
     return KVerdict(True, tuple(k))
 
 
-def index_count(f, n=2, grid=None, points=None):
+def index_count(f, grid=None, points=None):
     """Signed count over counted points; holds when it differs from (-1)^n."""
     if points is None:
         points = find_critical_points(f, grid)
     total = sum((-1) ** cp.index for cp in points if cp.counted)
-    return {"sum": int(total), "holds": total != (-1) ** n}
+    return {"sum": int(total), "holds": total != (-1) ** N}
 
 
 def _mean_and_ratio(f, grid):
@@ -220,7 +220,7 @@ def _mean_and_ratio(f, grid):
     return f_mean, f_absmax, sign > 0
 
 
-def check_conditions(f, n=2, grid=None):
+def check_conditions(f, grid=None):
     """Full solvability report for the Morse-theoretic criteria.
 
     Conditions: positive_mean (mean f > 0, roundoff of a vanishing mean
@@ -247,12 +247,12 @@ def check_conditions(f, n=2, grid=None):
             ratio=ratio,
             warnings=warnings_list,
         )
-    m = counts_mi(f, grid, n, points=points)
-    kv = solve_k_system(m, n)
-    isum = index_count(f, n, points=points)
+    m = counts_mi(f, grid, points=points)
+    kv = solve_k_system(m, N)
+    isum = index_count(f, points=points)
     conditions = {
         "positive_mean": bool(positive_mean),
-        "simple_bubble_ratio": bool(positive_mean and ratio < 2.0 ** (1.0 / n)),
+        "simple_bubble_ratio": bool(positive_mean and ratio < 2.0 ** (1.0 / N)),
         "clean_critical_laplacian": bool(all(abs(cp.laplacian) > _DEGENERATE_TOL for cp in points)),
         "k_system_unsolvable": bool(not kv.solvable),
         "index_count": bool(isum["holds"]),
@@ -347,7 +347,7 @@ def _circle_max(f, axis_vec, n_samples=8192):
     return best_val, maximizers
 
 
-def check_symmetry(f, sym_spec, n=2, grid=None):
+def check_symmetry(f, sym_spec, grid=None):
     """Invariance test and the symmetric-case solvability flags.
 
     Reports the fixed-point set Sigma of the generator (a great circle
@@ -366,7 +366,7 @@ def check_symmetry(f, sym_spec, n=2, grid=None):
     invariant = deviation <= 1e-8
     f_mean, f_absmax, positive_mean = _mean_and_ratio(f, grid)
     ratio = f_absmax / f_mean if positive_mean else np.inf
-    ratio_ok = positive_mean and ratio < 2.0 ** (1.0 / n)
+    ratio_ok = positive_mean and ratio < 2.0 ** (1.0 / N)
 
     a = _AXES[axis]
     if kind == "mirror":

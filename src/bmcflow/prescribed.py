@@ -27,8 +27,12 @@ import re
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .curvature import N
 from .errors import SpecParseError
 from .spectral import BoundaryField
+
+# extrema scans a lattice of this many colatitudes by twice as many longitudes.
+_EXTREMA_PROBE = 64
 
 
 class _Mono:
@@ -258,7 +262,7 @@ class PrescribedFunction:
         radial = np.sum(pts * g, axis=-1, keepdims=True)
         return g - radial * pts
 
-    def lap_sphere(self, pts, n=2):
+    def lap_sphere(self, pts):
         """Surface Laplacian at unit vectors."""
         pts = np.asarray(pts, dtype=float)
         g = self.ambient_grad(pts)
@@ -266,7 +270,7 @@ class PrescribedFunction:
         tr = np.trace(h, axis1=-2, axis2=-1)
         rad2 = np.einsum("...i,...ij,...j->...", pts, h, pts)
         rad1 = np.sum(pts * g, axis=-1)
-        return tr - rad2 - n * rad1
+        return tr - rad2 - N * rad1
 
     def tangent_hessian(self, x):
         """2x2 Hessians in orthonormal tangent bases at unit vectors x (..., 3).
@@ -308,10 +312,10 @@ class PrescribedFunction:
             x = x_new
         return best_x, best_v
 
-    def extrema(self, grid=None, n_probe=64):
+    def extrema(self):
         """(min, max) over the sphere: dense scan plus Newton polish."""
-        th = np.linspace(0, np.pi, n_probe)
-        ph = np.linspace(0, 2 * np.pi, 2 * n_probe, endpoint=False)
+        th = np.linspace(0, np.pi, _EXTREMA_PROBE)
+        ph = np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)
         T, P = np.meshgrid(th, ph, indexing="ij")
         pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
         vals = self(pts)

@@ -179,7 +179,7 @@ def test_c08_symmetric_target_convergence(run_quadric_target):
     sym = check_symmetry(f, "rotation(z, 5)")
     hyp = sym["ratio_ok"] and sym["positive_mean"]
     pole_lap = float(f.lap_sphere(N_POLE[None, :])[0])
-    res = float(np.sqrt(f2_norm(state.u, state.f_values, state.lam)))
+    res = float(np.sqrt(f2_norm(state.u, state.f_values, state.energy_report.lam)))
     elapsed = run_quadric_target["seconds"]
     ok = (traj.verdict == "Converged" and hyp and pole_lap > 0.0
           and res < 1e-4 and res < 1e-3 and elapsed < 60.0)

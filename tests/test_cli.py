@@ -8,7 +8,7 @@ Validates:
 - byte-identical reruns of a seeded experiment
 - morse check with and without symmetry specs
 - bubble probe diagnostics against closed forms
-- the selftest table and its negative-control hook
+- the selftest table, and its failure when the DtN is broken
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from bmcflow import cli
+from bmcflow import cli, spectral
 from bmcflow.cli import main
 from bmcflow.flow import FlowConfig
 
@@ -46,7 +46,7 @@ def test_selftest_quick(capsys):
 
 
 def test_selftest_negative_control(capsys, monkeypatch):
-    monkeypatch.setenv("BMCFLOW_SELFTEST_BREAK_DTN", "0.01")
+    monkeypatch.setattr(cli, "dtn_apply", lambda c: 1.01 * spectral.dtn_apply(c))
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
     assert "FAIL dtn_exactness" in out

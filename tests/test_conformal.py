@@ -41,7 +41,7 @@ from bmcflow.conformal import (
     normalize,
     pullback_normalized,
 )
-from bmcflow.curvature import DEFAULT_CONSTANTS, mean_curvature, total_energy, volume
+from bmcflow.curvature import TWO_SHARP, mean_curvature, total_energy, volume
 from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -359,7 +359,7 @@ def test_change_of_variables_center(p):
     Jacobians agree to 1.4e-8)."""
     g = make_grid(31)
     u = bubble_field(p, 0.3, g)
-    w = u.values ** DEFAULT_CONSTANTS.two_sharp
+    w = u.values ** TWO_SHARP
     h = 1e-6
     for eps in (0.3, 0.5, 0.7, 1.0):
         mp = ConformalMap(p, eps)
@@ -377,9 +377,9 @@ def test_normalize_makes_few_pullbacks(monkeypatch):
     pullbacks only for its residuals: at most 8 for the 0.4-bubble at L = 31."""
     calls = []
 
-    def counted(u, mp, constants=DEFAULT_CONSTANTS):
+    def counted(u, mp):
         calls.append(mp)
-        return pullback_normalized(u, mp, constants)
+        return pullback_normalized(u, mp)
 
     monkeypatch.setattr(conformal, "pullback_normalized", counted)
     g = make_grid(31)

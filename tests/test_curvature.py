@@ -11,12 +11,17 @@ Validates:
 - the frozen t = 0 window/barrier constants
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmcflow.curvature import (
-    DEFAULT_CONSTANTS,
+    A_N,
+    N,
+    OMEGA_N,
+    TWO_SHARP,
     energy_functional,
     f2_norm,
     flow_bounds,
@@ -249,9 +254,13 @@ def test_membership():
 
 
 def test_volume_of_constant():
-    """vol(c) = c^4 for the double-criticality exponent at n = 2."""
+    """vol(c) = c^4 for the double-criticality exponent at n = 2; the
+    module constants equal the paper's general-n formulas at n = N exactly."""
     g = make_grid(8)
     assert abs(volume(constant_field(g, 2.0)) - 16.0) < 1e-12
-    assert DEFAULT_CONSTANTS.two_sharp == 4.0
-    assert DEFAULT_CONSTANTS.a_n == 2.0
-    assert abs(DEFAULT_CONSTANTS.omega_n - 4.0 * np.pi) < 1e-12
+    assert TWO_SHARP == 4.0
+    assert A_N == 2.0
+    assert abs(OMEGA_N - 4.0 * np.pi) < 1e-12
+    assert TWO_SHARP == 2.0 * N / (N - 1)
+    assert A_N == 2.0 / (N - 1)
+    assert OMEGA_N == 2.0 * np.pi ** ((N + 1) / 2) / math.gamma((N + 1) / 2)

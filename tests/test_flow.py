@@ -332,7 +332,7 @@ def test_row_matches_reference_functions():
     state = init_state(perturbed_constant(g), f, cfg)
     traj = run(state, cfg)
     row = dict(zip(traj.columns, traj.rows[-1]))
-    u, fv, lam, H = state.u, state.f_values, state.lam, state.H
+    u, fv, lam, H = state.u, state.f_values, state.energy_report.lam, state.H
     S, _ = center_of_mass(u)
     want = {
         "vol_err": volume(u) - 1.0,
