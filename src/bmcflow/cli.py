@@ -53,7 +53,7 @@ import numpy as np
 from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
                         center_of_mass)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume
-from .errors import AdmissibilityError, ConfigError, FlowFailure, NotMorseError, SpecParseError
+from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
 from .flow import FlowConfig, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
@@ -187,13 +187,11 @@ def _run_experiment(config_path, out_dir):
         traj = run(state, cfg)
     except FlowFailure as exc:
         traj = exc.trajectory
-        if traj is not None:
-            traj.to_csv(out / "trajectory.csv")
-            _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
-        print(f"scheme failure: {exc}", file=sys.stderr)
-        return _EXIT_FAILURE
     traj.to_csv(out / "trajectory.csv")
     _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
+    if traj.verdict == "Failed":
+        print(f"scheme failure: {traj.reason}", file=sys.stderr)
+        return _EXIT_FAILURE
     if "identities" in exp["checks"] and len(traj.rows) >= 3:
         _write_json(out / "identities.json", check_identities(traj))
     if "morse" in exp["checks"]:
@@ -260,15 +258,9 @@ def cmd_morse_check(args):
         print(f"bad f spec: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     grid = make_grid(args.L)
-    try:
-        rep = check_conditions(f, grid=grid)
-    except NotMorseError as exc:
-        # check_conditions reports rather than raises; keep the net anyway
-        rep = None
-        doc = {"morse_ok": False, "failure": str(exc)}
-    if rep is not None:
-        doc = _morse_report_doc(rep)
-    ok = bool(doc.get("criteria_hold")) and doc.get("morse_ok", False)
+    rep = check_conditions(f, grid=grid)
+    doc = _morse_report_doc(rep)
+    ok = rep.criteria_hold
     if args.sym is not None:
         try:
             sym = check_symmetry(f, args.sym, grid=grid)

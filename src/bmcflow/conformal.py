@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import N, OMEGA_N, TWO_SHARP, volume
 from .errors import NormalizeError, PositivityError
-from .spectral import BoundaryField, _legendre_rows, analyze, synth_at, synthesize
+from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 
@@ -219,7 +219,6 @@ def normalize(u, tol=1e-8, max_iter=100):
     if np.linalg.norm(b) >= 0.999:
         b = 0.999 * b / np.linalg.norm(b)
     R, mp, v = residual(b)
-    best = (float(np.linalg.norm(R)), mp, v)
     h = 1e-6
     for _ in range(max_iter):
         rnorm = float(np.linalg.norm(R))
@@ -254,18 +253,12 @@ def normalize(u, tol=1e-8, max_iter=100):
             t *= 0.5
         if not stepped:
             break
-        if np.linalg.norm(R) < best[0]:
-            best = (float(np.linalg.norm(R)), mp, v)
     rnorm = float(np.linalg.norm(R))
     if rnorm <= tol:
         return NormalizedState(map=mp, v=v, residual=rnorm)
     if float(np.linalg.norm(R0)) <= 1e-8:
         return NormalizedState(map=ConformalMap(_NORTH, 1.0), v=u, residual=float(np.linalg.norm(R0)))
-    raise NormalizeError(
-        f"center-of-mass solve stalled at residual {best[0]:.3e}",
-        best_map=best[1],
-        best_residual=best[0],
-    )
+    raise NormalizeError(f"center-of-mass solve stalled at residual {rnorm:.3e}", best_map=mp, best_residual=rnorm)
 
 
 @lru_cache(maxsize=64)
@@ -274,7 +267,7 @@ def _cap_kernel(L, r):
 
     P_{-1} = P_0 = 1, and P_l is the m = 0 entry of the normalized Legendre rows over sqrt(2l+1).
     """
-    zonal = [row[0, 0] for row in _legendre_rows(L + 1, np.array([np.cos(r)]))]
+    zonal = [row[0, 0] for row in legendre_rows(L + 1, np.array([np.cos(r)]))]
     P = np.concatenate(([1.0], np.array(zonal) / np.sqrt(2.0 * np.arange(L + 2) + 1.0)))
     mu = 2.0 * np.pi * (P[:-2] - P[2:]) / (2.0 * np.arange(L + 1) + 1.0)
     mu.flags.writeable = False

@@ -158,42 +158,42 @@ def lambda_prime(u, f, lam, H=None):
     return -((N - 1.0) / 2.0 * term1 + 0.5 * term2) / denomf
 
 
-def flow_bounds(u0, f, H0, Lambda0=10.0, f_closed=None):
-    """Frozen t=0 bounds: multiplier window, barrier, and energy threshold.
+def barrier_gamma(min_H0, lambda2, f_absmax, Lambda0):
+    """gamma = min(min H0 - lambda2 max|f|, -sqrt((4/3)(lambda2 max|f|)^2 + (8/3) Lambda0 max|f|))."""
+    l2m = lambda2 * f_absmax
+    return min(min_H0 - l2m, -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * f_absmax))
+
+
+def flow_bounds(u0, f, H0, Lambda0=10.0):
+    """Frozen t=0 bounds for u0, its mean curvature H0 and the closed-form target f.
 
     lambda1 = (max f)^{-1} vol^{-1/n},
     lambda2 = E_f[u0]^{n/(n-1)} vol^{-1/n},
-    gamma   = min(min H0 - lambda2 max|f|,
-                  -sqrt((4/3)(lambda2 max|f|)^2 + (8/3) Lambda0 max|f|)),
+    gamma   = barrier_gamma(min H0, lambda2, max|f|, Lambda0),
     c_star  = -lambda2 max|f| + gamma,
     sigma   = (2^{1/n} mean(f)/max|f| - 1)/2,
     beta    = (1+sigma)^{(n-1)/n} mean(f)^{(1-n)/n}.
 
-    When f_closed (a PrescribedFunction) is given, the extrema of f are
-    polished by Newton refinement instead of trusting grid nodes.
+    mean(f) and E_f are grid quadratures of f at the nodes; max f and
+    max|f| are f.extrema(), widened to cover the node values.
     """
-    fv = _as_values(f)
+    fv = f(u0.grid.nodes())
     f_mean, sign = weighted_mean_sign(u0.grid, fv)
     if sign <= 0:
         raise AdmissibilityError(f"mean of f is {f_mean:.3e}, must be positive",
                                  condition="positive mean")
-    if f_closed is not None:
-        fmin, fmax = f_closed.extrema()
-        fmin = min(fmin, float(fv.min()))
-        fmax = max(fmax, float(fv.max()))
-    else:
-        fmin, fmax = float(fv.min()), float(fv.max())
+    fmin, fmax = f.extrema()
+    fmin, fmax = min(fmin, float(fv.min())), max(fmax, float(fv.max()))
     f_absmax = max(abs(fmin), abs(fmax))
     if fmax <= 0.0:
         raise AdmissibilityError("max f must be positive", condition="positive maximum")
     vol = volume(u0)
-    report = energy_functional(u0, f)
+    report = energy_functional(u0, fv)
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
     min_H0 = float(H0.values.min())
-    l2m = lambda2 * f_absmax
-    gamma = min(min_H0 - l2m, -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * f_absmax))
-    c_star = -l2m + gamma
+    gamma = barrier_gamma(min_H0, lambda2, f_absmax, Lambda0)
+    c_star = -lambda2 * f_absmax + gamma
     sigma = 0.5 * (2.0 ** (1.0 / N) * f_mean / f_absmax - 1.0)
     beta = (1.0 + sigma) ** ((N - 1.0) / N) * f_mean ** ((1.0 - N) / N) if sigma > -1.0 else np.nan
     return FlowBounds(

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .conformal import center_of_mass, concentration_check
-from .curvature import (N, OMEGA_N, TWO_SHARP, energy_functional, f2_norm, flow_bounds, mean_curvature,
-                        mean_curvature_values, volume)
+from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, f2_norm, flow_bounds,
+                        mean_curvature, mean_curvature_values, volume)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -144,18 +144,6 @@ def _columns(config):
     return tuple(cols)
 
 
-def _f_on_grid(f, grid):
-    """Accept a closed-form function, a BoundaryField, or raw node values."""
-    if isinstance(f, BoundaryField):
-        return f.values, None
-    if callable(f):
-        return np.asarray(f(grid.nodes()), dtype=float), f
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != grid.shape:
-        raise ConfigError(f"f values shape {fv.shape} does not match grid {grid.shape}")
-    return fv, None
-
-
 def _project_volume(u):
     """(c u, c) for the constant c that gives c u unit volume."""
     c = volume(u) ** (-1.0 / TWO_SHARP)
@@ -163,7 +151,7 @@ def _project_volume(u):
 
 
 def init_state(u0, f, config):
-    """Admissible state at t=0: filtered, positive, unit boundary volume.
+    """Admissible state at t=0 for the closed-form target f: filtered, positive, unit boundary volume.
 
     The initial data is band-limited by one analysis/synthesis pass and
     rescaled by a constant to unit volume (the normalized energy is
@@ -171,8 +159,7 @@ def init_state(u0, f, config):
     bounds (multiplier window, barrier, energy threshold) are attached.
     """
     config.validate()
-    grid = u0.grid
-    f_values, f_fn = _f_on_grid(f, grid)
+    f_values = f(u0.grid.nodes())
     if float(u0.values.min()) <= 0.0:
         raise AdmissibilityError("initial data is not positive", condition="positivity")
     u = u0.filtered()
@@ -182,7 +169,7 @@ def init_state(u0, f, config):
     u, _ = _project_volume(u)
     report = energy_functional(u, f_values)
     H = mean_curvature(u)
-    bounds = flow_bounds(u, f_values, H, f_closed=f_fn)
+    bounds = flow_bounds(u, f, H)
     return FlowState(
         t=0.0,
         u=u,
@@ -355,10 +342,8 @@ def check_identities(traj):
         "F2_sup": float(F2.max()),
         "lambda_prime_sup": lambda0_obs,
     }
-    l2m = b.lambda2 * b.f_absmax
     for tag, Lambda0 in (("config", b.Lambda0), ("observed", lambda0_obs)):
-        gamma = min(b.min_H0 - l2m,
-                    -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * b.f_absmax))
+        gamma = barrier_gamma(b.min_H0, b.lambda2, b.f_absmax, Lambda0)
         worst = float(min_barrier.min())
         report[f"barrier_gamma_{tag}"] = float(gamma)
         report[f"barrier_margin_{tag}"] = worst - float(gamma)

@@ -25,7 +25,6 @@ from .curvature import N, weighted_mean_sign
 from .errors import NotMorseError, SpecParseError
 from .spectral import make_grid
 
-_GRAD_TOL = 1e-8
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
 
@@ -79,40 +78,11 @@ def _probe_points(L):
     return pts
 
 
-def _newton_refine(f, seeds, iters=80):
-    """Newton iteration for grad_S f = 0 from every seed of a (k, 3) stack at once.
-
-    Returns (x, ok).  A seed freezes once |g| <= 1e-13 (ok), or when its
-    tangent Hessian is singular (not ok); steps are clipped to length
-    0.7, and a seed still moving after iters is ok if |grad f| <= _GRAD_TOL.
-    """
-    x = seeds / np.linalg.norm(seeds, axis=-1, keepdims=True)
-    ok = np.ones(len(x), dtype=bool)
-    live = np.arange(len(x))
-    for _ in range(iters):
-        H, basis = f.tangent_hessian(x[live])
-        g = (basis @ f.grad_sphere(x[live])[:, :, None])[:, :, 0]
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-        done = np.linalg.norm(g, axis=-1) <= 1e-13
-        ok[live[~done & (det == 0.0)]] = False
-        move = ~done & (det != 0.0)
-        live, H, g, basis, det = live[move], H[move], g[move], basis[move], det[move]
-        if not live.size:
-            break
-        xi = np.stack([H[:, 0, 1] * g[:, 1] - H[:, 1, 1] * g[:, 0],
-                       H[:, 1, 0] * g[:, 0] - H[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
-        xi *= 0.7 / np.maximum(np.linalg.norm(xi, axis=-1), 0.7)[:, None]
-        step = x[live] + (xi[:, None, :] @ basis)[:, 0]
-        x[live] = step / np.linalg.norm(step, axis=-1, keepdims=True)
-    ok[live] = np.linalg.norm(f.grad_sphere(x[live]), axis=-1) <= _GRAD_TOL
-    return x, ok
-
-
 def find_critical_points(f, grid=None, collect_warnings=None):
     """Locate all critical points of f by probe-lattice seeding + Newton.
 
     Seeds are local minima of |grad f|^2 on a 4L x 8L lattice (poles
-    added explicitly), all refined by one batched Newton iteration; in
+    added explicitly), all refined by one f.newton_critical call; in
     seed order, a refined point closer than 1e-6 geodesic to one already
     located merges into it, the one with the smaller gradient kept.
     Hessians, values and Laplacians of the located points are evaluated
@@ -141,13 +111,12 @@ def find_critical_points(f, grid=None, collect_warnings=None):
         neighborhood_min &= g2 <= cmp
     seeds = np.concatenate([pts[neighborhood_min], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
 
-    xs, ok = _newton_refine(f, seeds)
+    xs, ok = f.newton_critical(seeds)
     gns = np.linalg.norm(f.grad_sphere(xs), axis=-1)
     if collect_warnings is not None:
         collect_warnings.extend(f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok])
-    found = ok & (gns <= _GRAD_TOL)
     loc, loc_gn = np.empty((0, 3)), []
-    for x, gn in zip(xs[found], gns[found]):
+    for x, gn in zip(xs[ok], gns[ok]):
         near = np.flatnonzero(np.arccos(np.clip(loc @ x, -1.0, 1.0)) < _MERGE_TOL)
         if not near.size:
             loc = np.vstack([loc, x])
@@ -213,11 +182,17 @@ def index_count(f, grid=None, points=None):
 
 
 def _mean_and_ratio(f, grid):
-    """(mean f, max|f|, whether mean f is positive beyond roundoff)."""
+    """(mean f, max|f|, positive_mean, ratio, ratio_ok) for the simple-bubble condition.
+
+    positive_mean: mean f > 0 beyond roundoff; ratio = max|f| / mean f
+    (inf unless positive_mean); ratio_ok: positive_mean and ratio < 2^{1/n}.
+    """
     f_mean, sign = weighted_mean_sign(grid, f(grid.nodes()))
     fmin, fmax = f.extrema()
     f_absmax = max(abs(fmin), abs(fmax))
-    return f_mean, f_absmax, sign > 0
+    positive_mean = sign > 0
+    ratio = f_absmax / f_mean if positive_mean else np.inf
+    return f_mean, f_absmax, positive_mean, ratio, positive_mean and ratio < 2.0 ** (1.0 / N)
 
 
 def check_conditions(f, grid=None):
@@ -232,8 +207,7 @@ def check_conditions(f, grid=None):
     """
     if grid is None:
         grid = make_grid(31)
-    f_mean, f_absmax, positive_mean = _mean_and_ratio(f, grid)
-    ratio = f_absmax / f_mean if positive_mean else np.inf
+    f_mean, f_absmax, positive_mean, ratio, ratio_ok = _mean_and_ratio(f, grid)
     warnings_list = []
     try:
         points = find_critical_points(f, grid, collect_warnings=warnings_list)
@@ -252,7 +226,7 @@ def check_conditions(f, grid=None):
     isum = index_count(f, points=points)
     conditions = {
         "positive_mean": bool(positive_mean),
-        "simple_bubble_ratio": bool(positive_mean and ratio < 2.0 ** (1.0 / N)),
+        "simple_bubble_ratio": bool(ratio_ok),
         "clean_critical_laplacian": bool(all(abs(cp.laplacian) > _DEGENERATE_TOL for cp in points)),
         "k_system_unsolvable": bool(not kv.solvable),
         "index_count": bool(isum["holds"]),
@@ -364,9 +338,7 @@ def check_symmetry(f, sym_spec, grid=None):
     nodes = grid.nodes().reshape(-1, 3)
     deviation = float(np.max(np.abs(f(nodes @ theta.T) - f(nodes))))
     invariant = deviation <= 1e-8
-    f_mean, f_absmax, positive_mean = _mean_and_ratio(f, grid)
-    ratio = f_absmax / f_mean if positive_mean else np.inf
-    ratio_ok = positive_mean and ratio < 2.0 ** (1.0 / N)
+    f_mean, f_absmax, positive_mean, _, ratio_ok = _mean_and_ratio(f, grid)
 
     a = _AXES[axis]
     if kind == "mirror":

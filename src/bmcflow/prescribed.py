@@ -33,6 +33,8 @@ from .spectral import BoundaryField
 
 # extrema scans a lattice of this many colatitudes by twice as many longitudes.
 _EXTREMA_PROBE = 64
+# newton_critical accepts a seed still moving after its last step at this |grad_S f|.
+_GRAD_TOL = 1e-8
 
 
 class _Mono:
@@ -287,43 +289,44 @@ class PrescribedFunction:
     def gridded(self, grid):
         return BoundaryField(grid, values=self(grid.nodes()))
 
-    def refine_extremum(self, x0, maximize=True, iters=60):
-        """Polish an extremum location by Newton on the surface gradient."""
-        x = np.asarray(x0, dtype=float)
-        x = x / np.linalg.norm(x)
-        best_x, best_v = x, float(self(x))
-        sign = 1.0 if maximize else -1.0
-        for _ in range(iters):
-            H, basis = self.tangent_hessian(x)
-            g = basis @ self.grad_sphere(x)
-            try:
-                xi = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
+    def newton_critical(self, seeds):
+        """Newton iteration for grad_S f = 0 from every seed of a (k, 3) stack at once.
+
+        Returns (x, ok).  A seed freezes once |g| <= 1e-13 (ok), or when its
+        tangent Hessian is singular (not ok); steps are clipped to length
+        0.7, and a seed still moving after 80 steps is ok if |grad f| <= _GRAD_TOL.
+        """
+        x = seeds / np.linalg.norm(seeds, axis=-1, keepdims=True)
+        ok = np.ones(len(x), dtype=bool)
+        live = np.arange(len(x))
+        for _ in range(80):
+            H, basis = self.tangent_hessian(x[live])
+            g = (basis @ self.grad_sphere(x[live])[:, :, None])[:, :, 0]
+            det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+            done = np.linalg.norm(g, axis=-1) <= 1e-13
+            ok[live[~done & (det == 0.0)]] = False
+            move = ~done & (det != 0.0)
+            live, H, g, basis, det = live[move], H[move], g[move], basis[move], det[move]
+            if not live.size:
                 break
-            if not np.all(np.isfinite(xi)) or np.linalg.norm(xi) > 0.5:
-                break
-            x_new = x + xi @ basis
-            x_new = x_new / np.linalg.norm(x_new)
-            v_new = float(self(x_new))
-            if sign * (v_new - best_v) >= 0:
-                best_x, best_v = x_new, v_new
-            if np.linalg.norm(xi) < 1e-13:
-                break
-            x = x_new
-        return best_x, best_v
+            xi = np.stack([H[:, 0, 1] * g[:, 1] - H[:, 1, 1] * g[:, 0],
+                           H[:, 1, 0] * g[:, 0] - H[:, 0, 0] * g[:, 1]], axis=-1) / det[:, None]
+            xi *= 0.7 / np.maximum(np.linalg.norm(xi, axis=-1), 0.7)[:, None]
+            step = x[live] + (xi[:, None, :] @ basis)[:, 0]
+            x[live] = step / np.linalg.norm(step, axis=-1, keepdims=True)
+        ok[live] = np.linalg.norm(self.grad_sphere(x[live]), axis=-1) <= _GRAD_TOL
+        return x, ok
 
     def extrema(self):
-        """(min, max) over the sphere: dense scan plus Newton polish."""
+        """(min, max) over the sphere: the lattice argmin and argmax polished by newton_critical."""
         th = np.linspace(0, np.pi, _EXTREMA_PROBE)
         ph = np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)
         T, P = np.meshgrid(th, ph, indexing="ij")
-        pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
+        pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1).reshape(-1, 3)
         vals = self(pts)
-        i_max = np.unravel_index(np.argmax(vals), vals.shape)
-        i_min = np.unravel_index(np.argmin(vals), vals.shape)
-        _, vmax = self.refine_extremum(pts[i_max], maximize=True)
-        _, vmin = self.refine_extremum(pts[i_min], maximize=False)
-        return min(vmin, float(vals.min())), max(vmax, float(vals.max()))
+        x, _ = self.newton_critical(pts[[np.argmin(vals), np.argmax(vals)]])
+        vmin, vmax = self(x)
+        return min(float(vmin), float(vals.min())), max(float(vmax), float(vals.max()))
 
     def __repr__(self):
         return f"PrescribedFunction({self.source!r})"

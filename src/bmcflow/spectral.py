@@ -66,9 +66,9 @@ class Grid:
 
     @cached_property
     def _table(self):
-        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j) (see _legendre_rows), zero where l < m."""
+        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j) (see legendre_rows), zero where l < m."""
         T = np.zeros((self.L + 1, self.n_lat, self.L + 1))
-        for l, row in enumerate(_legendre_rows(self.L, self.x)):
+        for l, row in enumerate(legendre_rows(self.L, self.x)):
             T[: l + 1, :, l] = row
         return T
 
@@ -101,7 +101,7 @@ class Grid:
         return (values * self._weights).sum(axis=(-2, -1))
 
 
-def _legendre_rows(L, x):
+def legendre_rows(L, x):
     """Rows s_m N_{l,m} P_l^m(x) over m = 0..l, shape (l+1, len(x)), yielded for l = 0..L.
 
     s_0 = 1 and s_m = sqrt(2) fold the real-basis normalization in.  Holmes & Featherstone
@@ -200,7 +200,7 @@ def synth_at(coeffs, points):
     flat = np.asarray(points, dtype=float).reshape(-1, 3)
     mphi = np.arange(L + 1)[:, None] * np.arctan2(flat[:, 1], flat[:, 0])
     cos_sin = np.zeros((L + 1, 2, len(flat)))
-    for l, row in enumerate(_legendre_rows(L, np.clip(flat[:, 2], -1.0, 1.0))):
+    for l, row in enumerate(legendre_rows(L, np.clip(flat[:, 2], -1.0, 1.0))):
         cos_sin[: l + 1] += stack[: l + 1, :, l, None] * row[:, None]
     out = np.sum(cos_sin[:, 0] * np.cos(mphi) + cos_sin[:, 1] * np.sin(mphi), axis=0)
     return out.reshape(np.shape(points)[:-1])

@@ -135,6 +135,27 @@ def test_flow_run_admissibility_exit(tmp_path, capsys):
     assert "admissibility" in doc["reason"]
 
 
+def test_flow_run_scheme_failure_writes_run_files(tmp_path, capsys):
+    """dt pinned at 3.0 loses positivity on the third step: exit 3, and
+    trajectory.csv and verdict.json are written as for a finished run."""
+    cfg = write_config(
+        tmp_path / "exp.json",
+        L=15,
+        f_spec="2 - z^2",
+        u0_spec={"type": "perturbation", "modes": [{"l": 1, "m": 0, "amp": 0.3}]},
+        flow={"dt_min": 3.0, "dt0": 3.0, "dt_max": 3.0},
+    )
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 3
+    assert "positivity lost" in capsys.readouterr().err
+    assert run_dir_files(out) == ["trajectory.csv", "verdict.json"]
+    with open(out / "verdict.json") as fh:
+        doc = json.load(fh)
+    assert doc["verdict"] == "Failed"
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert doc["steps_recorded"] == len(rows) > 0
+
+
 @pytest.mark.parametrize("L", [12, 14, 31])
 def test_flow_run_zero_mean_target_exit(tmp_path, L):
     """mean(z u0^4) vanishes for constant u0: an admissibility failure

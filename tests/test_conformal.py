@@ -10,6 +10,8 @@ Validates:
 - volume and energy invariance of the weighted pullback
 - the recentering solve on bubbles and on the constant, and on a sum of
   two bubbles whose volume a degenerate map squeezes off the grid
+- the NormalizeError of a solve cut short names the map it stopped at
+  and that map's residual
 - the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
   Jacobian against the true pullback, and a bound on the pullbacks a
   solve makes
@@ -42,6 +44,7 @@ from bmcflow.conformal import (
     pullback_normalized,
 )
 from bmcflow.curvature import TWO_SHARP, mean_curvature, total_energy, volume
+from bmcflow.errors import NormalizeError
 from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -335,6 +338,20 @@ def test_normalize_keeps_volume_of_two_bubbles():
     assert abs(out.map.eps - 0.392465) < 1e-6
     assert np.abs(out.map.p - [0.2036514, 0.0, 0.9790435]).max() < 1e-6
     assert abs(volume(out.v) / volume(u) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_normalize_error_reports_its_map(max_iter):
+    """A solve cut short after max_iter Newton steps raises NormalizeError;
+    best_residual is |S(v)| / vol(v) of the pullback by best_map (about
+    0.388 after 0 steps and 0.133 after 1)."""
+    g = make_grid(31)
+    u = bubble_field([0.0, 0.6, 0.8], 0.4, g)
+    with pytest.raises(NormalizeError) as info:
+        normalize(u, max_iter=max_iter)
+    v = pullback_normalized(u, info.value.best_map)
+    S, _ = center_of_mass(v)
+    assert abs(info.value.best_residual - np.linalg.norm(S) / volume(v)) <= 1e-12
 
 
 def test_degenerate_map_is_not_centered():

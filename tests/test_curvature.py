@@ -181,7 +181,7 @@ def test_flow_bounds_closed_forms():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")
-    b = flow_bounds(u, f.gridded(g), mean_curvature(u), Lambda0=10.0, f_closed=f)
+    b = flow_bounds(u, f, mean_curvature(u), Lambda0=10.0)
     assert abs(b.lambda1 - 0.5) < 1e-12
     assert abs(b.lambda2 - 0.6) < 1e-12
     assert abs(b.gamma - (-7.433258594542055)) < 1e-12
@@ -201,9 +201,9 @@ def test_flow_bounds_barrier_uses_min_branch():
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")
     H = mean_curvature(u)
-    tiny = flow_bounds(u, f.gridded(g), H, Lambda0=0.01, f_closed=f)
+    tiny = flow_bounds(u, f, H, Lambda0=0.01)
     assert abs(tiny.gamma - min(1.0 - 1.2, -np.sqrt((4 / 3) * 1.44 + (8 / 3) * 0.02))) < 1e-12
-    big = flow_bounds(u, f.gridded(g), H, Lambda0=1e4, f_closed=f)
+    big = flow_bounds(u, f, H, Lambda0=1e4)
     assert big.gamma < -100.0
 
 
@@ -212,7 +212,7 @@ def test_flow_bounds_negative_sigma_flagged():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("1 + 0.9z")
-    b = flow_bounds(u, f.gridded(g), mean_curvature(u), f_closed=f)
+    b = flow_bounds(u, f, mean_curvature(u))
     assert b.sigma < 0.0
     assert not b.condition_ii_ok
 
@@ -228,7 +228,7 @@ def test_inadmissible_rejections():
         with pytest.raises(AdmissibilityError):
             energy_functional(u, z)
         with pytest.raises(AdmissibilityError):
-            flow_bounds(u, z, mean_curvature(u))
+            flow_bounds(u, f, mean_curvature(u))
         with pytest.raises(AdmissibilityError):
             lambda_prime(u, z, 1.0)
         assert check_conditions(f, grid=g).conditions["positive_mean"] is False

@@ -164,6 +164,12 @@ def test_identities_report(converged_run):
     assert rep["lambda_prime_sup"] > 0.0
 
 
+def test_identities_barrier_is_the_frozen_one(converged_run):
+    """check_identities and flow_bounds share barrier_gamma: with the
+    frozen Lambda0 the identity check tests the run's own gamma."""
+    assert check_identities(converged_run)["barrier_gamma_config"] == converged_run.bounds.gamma
+
+
 def test_identities_need_three_rows():
     g = make_grid(10)
     cfg = FlowConfig()

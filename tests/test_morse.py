@@ -9,6 +9,7 @@ Validates:
 - Poincare-Hopf: the signed count of all critical points is chi(S^2) = 2
 - the batched Newton refinement: bit for bit the same as one seed at a
   time, and batched (a bound on Hessian calls)
+- the extrema of non-axial targets against their extreme critical values
 - axis-symmetry parsing, invariance detection, and the two symmetric
   existence criteria
 """
@@ -20,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from bmcflow.errors import NotMorseError, SpecParseError
 from bmcflow.morse import (
     check_conditions,
-    _newton_refine,
     check_symmetry,
     counts_mi,
     find_critical_points,
@@ -177,12 +177,25 @@ def test_batched_newton_matches_one_seed_at_a_time(spec):
     rng = np.random.default_rng(1)
     poles_and_equator = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
     seeds = np.concatenate([rng.standard_normal((40, 3)) * [1.0, 1.0, 3.0], poles_and_equator])
-    xs, ok = _newton_refine(f, seeds)
+    xs, ok = f.newton_critical(seeds)
     for seed, x, k in zip(seeds, xs, ok):
-        x1, ok1 = _newton_refine(f, seed[None])
+        x1, ok1 = f.newton_critical(seed[None])
         assert np.array_equal(x1[0], x) and ok1[0] == k
     if spec == "2 + 0.5z":
         assert not ok[-1] and np.array_equal(xs[-1], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", [ELLIPSOID, "3 + x y z + 0.2x^3", "1 + bump(5; 1,1,0) + bump(5; -1,0,1)",
+                                  "1 + 0.3legendre(3) + 0.1x^2 y"])
+def test_extrema_are_the_extreme_critical_values(spec):
+    """extrema() and find_critical_points polish with the same
+    newton_critical, so the smallest and largest critical values located
+    at L = 31 are the extrema."""
+    f = parse_f_spec(spec)
+    values = [cp.value for cp in find_critical_points(f, make_grid(31))]
+    fmin, fmax = f.extrema()
+    assert abs(min(values) - fmin) <= 1e-12
+    assert abs(max(values) - fmax) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ["2 - z^2", ELLIPSOID])
