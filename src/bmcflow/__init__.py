@@ -45,7 +45,6 @@ from .conformal import (
 )
 from .morse import (
     CriticalPoint,
-    MorseReport,
     find_critical_points,
     counts_mi,
     solve_k_system,

@@ -195,7 +195,7 @@ def _run_experiment(config_path, out_dir):
     if "identities" in exp["checks"] and len(traj.rows) >= 3:
         _write_json(out / "identities.json", check_identities(traj))
     if "morse" in exp["checks"]:
-        _write_json(out / "morse.json", _morse_report_doc(check_conditions(f, grid=grid)))
+        _write_json(out / "morse.json", check_conditions(f, grid))
     print(f"{traj.verdict}: {traj.reason} ({len(traj.rows)} rows) -> {out}")
     return _EXIT_CONCENTRATING if traj.verdict == "Concentrating" else _EXIT_OK
 
@@ -218,39 +218,6 @@ def cmd_flow_run(args):
     return max(codes)
 
 
-def _morse_report_doc(rep):
-    doc = {
-        "morse_ok": rep.morse_ok,
-        "failure": rep.failure,
-        "f_mean": rep.f_mean,
-        "f_absmax": rep.f_absmax,
-        "ratio": rep.ratio,
-        "m": list(rep.m),
-        "index_sum": rep.index_sum,
-        "conditions": rep.conditions,
-        "criteria_hold": rep.criteria_hold,
-        "warnings": rep.warnings,
-        "points": [
-            {
-                "location": [float(v) for v in cp.location],
-                "value": cp.value,
-                "laplacian": cp.laplacian,
-                "index": cp.index,
-                "hessian_eigs": list(cp.hessian_eigs),
-                "counted": cp.counted,
-            }
-            for cp in rep.points
-        ],
-    }
-    if rep.k_verdict is not None:
-        doc["k_system"] = {
-            "solvable": rep.k_verdict.solvable,
-            "k": list(rep.k_verdict.k),
-            "reason": rep.k_verdict.reason,
-        }
-    return doc
-
-
 def cmd_morse_check(args):
     try:
         f = parse_f_spec(args.f)
@@ -258,12 +225,11 @@ def cmd_morse_check(args):
         print(f"bad f spec: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     grid = make_grid(args.L)
-    rep = check_conditions(f, grid=grid)
-    doc = _morse_report_doc(rep)
-    ok = rep.criteria_hold
+    doc = check_conditions(f, grid)
+    ok = doc["criteria_hold"]
     if args.sym is not None:
         try:
-            sym = check_symmetry(f, args.sym, grid=grid)
+            sym = check_symmetry(f, args.sym, grid)
         except SpecParseError as exc:
             print(f"bad symmetry spec: {exc}", file=sys.stderr)
             return _EXIT_USAGE

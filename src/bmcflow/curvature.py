@@ -26,6 +26,8 @@ TWO_SHARP = 4.0
 OMEGA_N = 4.0 * np.pi
 
 _TWO_SHARP_VOL_TOL = 1e-8
+# The a priori bound on |lambda'| that the frozen barrier gamma assumes.
+LAMBDA0 = 10.0
 # |mean(f w)| at or below this multiple of mean(|f| w) counts as zero:
 # quadrature roundoff of a mean that vanishes in the continuum is about
 # 1e-16 of mean(|f| w), while any mean that matters is far above 1e-12.
@@ -62,19 +64,14 @@ def _require_positive(values, what="field"):
         raise PositivityError(f"{what} is not positive at node {node}", node=node)
 
 
-def _as_values(f):
-    return f.values if isinstance(f, BoundaryField) else np.asarray(f, dtype=float)
-
-
-def weighted_mean_sign(grid, f, weight=1.0):
-    """(mean(f w), its sign in {-1, 0, 1}) with roundoff deciding no sign.
+def weighted_mean_sign(grid, fv, weight=1.0):
+    """(mean(f w), its sign in {-1, 0, 1}) with roundoff deciding no sign; fv holds f at the nodes.
 
     The sign is 0 when |mean(f w)| <= 1e-12 mean(|f| w); f may change
     sign, so its weighted mean can vanish exactly (f = z, w = 1), and
     quadrature then returns a few 1e-17 of either sign.  Every
     admissibility test on an f-weighted volume goes through here.
     """
-    fv = _as_values(f)
     m, m_abs = grid.integrate(np.stack((fv * weight, np.abs(fv) * weight)))
     if abs(m) <= _VANISHING_MEAN_REL * m_abs:
         return m, 0
@@ -105,14 +102,13 @@ def total_energy(u):
     return float(np.sum((A_N * ls + 1.0) * c**2))
 
 
-def energy_functional(u, f):
-    """EnergyReport for (u, f): E, the f-weighted volume, E_f, lambda.
+def energy_functional(u, fv):
+    """EnergyReport for (u, f), f given by its node values fv: E, the f-weighted volume, E_f, lambda.
 
     E_f = E / denom^{(n-1)/n} and lambda = E / denom, defined only on
     the admissible set where denom = mean(f u^{2#}) is positive.
     """
     _require_positive(u.values, "conformal factor")
-    fv = _as_values(f)
     E = total_energy(u)
     denom, sign = weighted_mean_sign(u.grid, fv, u.values ** TWO_SHARP)
     if sign <= 0:
@@ -124,32 +120,31 @@ def energy_functional(u, f):
     return EnergyReport(E=E, denom=denom, E_f=E_f, lam=E / denom)
 
 
-def _residual(u, f, lam, H):
+def _residual(u, fv, lam, H):
     """(lam f - H, u^{2#}): the flow's residual and the density of dmu_g."""
     if H is None:
         H = mean_curvature(u)
-    return lam * _as_values(f) - H.values, u.values ** TWO_SHARP
+    return lam * fv - H.values, u.values ** TWO_SHARP
 
 
-def f2_norm(u, f, lam, H=None):
-    """Dissipation rate F2 = mean((lam f - H)^2 u^{2#}), the p = 2 residual."""
-    return lp_residual(u, f, lam, 2, H)
+def f2_norm(u, fv, lam, H=None):
+    """Dissipation rate F2 = mean((lam f - H)^2 u^{2#}), the p = 2 residual; fv holds f at the nodes."""
+    return lp_residual(u, fv, lam, 2, H)
 
 
-def lp_residual(u, f, lam, p, H=None):
-    """mean(|lam f - H|^p u^{2#}) for the residual-trend diagnostics."""
-    r, w = _residual(u, f, lam, H)
+def lp_residual(u, fv, lam, p, H=None):
+    """mean(|lam f - H|^p u^{2#}) for the residual-trend diagnostics; fv holds f at the nodes."""
+    r, w = _residual(u, fv, lam, H)
     return u.grid.integrate(np.abs(r) ** p * w)
 
 
-def lambda_prime(u, f, lam, H=None):
-    """Time derivative of the volume-preserving multiplier.
+def lambda_prime(u, fv, lam, H=None):
+    """Time derivative of the volume-preserving multiplier; fv holds f at the nodes.
 
     lambda' = -(mean(f dmu_g))^{-1} [ (n-1)/2 * mean((lam f - H)^2 dmu_g)
               + 1/2 * mean(lam f (lam f - H) dmu_g) ].
     """
-    r, w = _residual(u, f, lam, H)
-    fv = _as_values(f)
+    r, w = _residual(u, fv, lam, H)
     denomf, sign = weighted_mean_sign(u.grid, fv, w)
     if sign == 0:
         raise AdmissibilityError("f-weighted volume vanishes; multiplier derivative undefined",
@@ -164,12 +159,12 @@ def barrier_gamma(min_H0, lambda2, f_absmax, Lambda0):
     return min(min_H0 - l2m, -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * f_absmax))
 
 
-def flow_bounds(u0, f, H0, Lambda0=10.0):
+def flow_bounds(u0, f, H0):
     """Frozen t=0 bounds for u0, its mean curvature H0 and the closed-form target f.
 
     lambda1 = (max f)^{-1} vol^{-1/n},
     lambda2 = E_f[u0]^{n/(n-1)} vol^{-1/n},
-    gamma   = barrier_gamma(min H0, lambda2, max|f|, Lambda0),
+    gamma   = barrier_gamma(min H0, lambda2, max|f|, LAMBDA0),
     c_star  = -lambda2 max|f| + gamma,
     sigma   = (2^{1/n} mean(f)/max|f| - 1)/2,
     beta    = (1+sigma)^{(n-1)/n} mean(f)^{(1-n)/n}.
@@ -192,14 +187,14 @@ def flow_bounds(u0, f, H0, Lambda0=10.0):
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
     min_H0 = float(H0.values.min())
-    gamma = barrier_gamma(min_H0, lambda2, f_absmax, Lambda0)
+    gamma = barrier_gamma(min_H0, lambda2, f_absmax, LAMBDA0)
     c_star = -lambda2 * f_absmax + gamma
     sigma = 0.5 * (2.0 ** (1.0 / N) * f_mean / f_absmax - 1.0)
     beta = (1.0 + sigma) ** ((N - 1.0) / N) * f_mean ** ((1.0 - N) / N) if sigma > -1.0 else np.nan
     return FlowBounds(
         lambda1=lambda1,
         lambda2=lambda2,
-        Lambda0=Lambda0,
+        Lambda0=LAMBDA0,
         gamma=gamma,
         c_star=c_star,
         sigma=sigma,
@@ -212,14 +207,14 @@ def flow_bounds(u0, f, H0, Lambda0=10.0):
     )
 
 
-def membership(u, f, beta):
-    """Admissible-set membership: {in_Xstar, in_Xf}.
+def membership(u, fv, beta):
+    """Admissible-set membership of u for f given by its node values fv: {in_Xstar, in_Xf}.
 
     in_Xstar: u positive with positive f-weighted volume; in_Xf adds
     unit volume (within 1e-8) and E_f <= beta.
     """
     try:
-        report = energy_functional(u, f)
+        report = energy_functional(u, fv)
     except (PositivityError, AdmissibilityError):
         return {"in_Xstar": False, "in_Xf": False}
     in_xf = abs(volume(u) - 1.0) <= _TWO_SHARP_VOL_TOL and report.E_f <= beta

@@ -17,13 +17,12 @@ axis (the two poles).
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import N, weighted_mean_sign
 from .errors import NotMorseError, SpecParseError
-from .spectral import make_grid
 
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
@@ -33,7 +32,6 @@ _MERGE_TOL = 1e-6
 class CriticalPoint:
     location: np.ndarray
     value: float
-    grad_norm: float
     laplacian: float
     index: int
     hessian_eigs: tuple
@@ -51,23 +49,6 @@ class KVerdict:
     reason: str = ""
 
 
-@dataclass
-class MorseReport:
-    f_source: str
-    morse_ok: bool
-    failure: str = ""
-    points: list = field(default_factory=list)
-    m: tuple = ()
-    k_verdict: KVerdict = None
-    index_sum: int = 0
-    f_mean: float = np.nan
-    f_absmax: float = np.nan
-    ratio: float = np.nan
-    conditions: dict = None
-    criteria_hold: bool = False
-    warnings: list = field(default_factory=list)
-
-
 def _probe_points(L):
     """Rectangular probe lattice (denser than the spectral grid) plus poles."""
     n_th, n_ph = 4 * L, 8 * L
@@ -78,7 +59,7 @@ def _probe_points(L):
     return pts
 
 
-def find_critical_points(f, grid=None, collect_warnings=None):
+def find_critical_points(f, grid, collect_warnings=None):
     """Locate all critical points of f by probe-lattice seeding + Newton.
 
     Seeds are local minima of |grad f|^2 on a 4L x 8L lattice (poles
@@ -89,8 +70,6 @@ def find_critical_points(f, grid=None, collect_warnings=None):
     in one batch.  Raises NotMorseError for constant f or a degenerate
     tangent Hessian at a located point (the first, in seed order).
     """
-    if grid is None:
-        grid = make_grid(31)
     pts = _probe_points(grid.L)
     g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
     fvals = f(pts)
@@ -133,18 +112,16 @@ def find_critical_points(f, grid=None, collect_warnings=None):
             f"degenerate critical point at {np.round(loc[i], 6)} (tangent eigenvalues {eigs[i]}): not Morse"
         )
     points = [
-        CriticalPoint(location=x, value=float(v), grad_norm=float(gn), laplacian=float(lap),
-                      index=int(np.sum(e < 0)), hessian_eigs=tuple(e))
-        for x, v, gn, lap, e in zip(loc, f(loc), loc_gn, f.lap_sphere(loc), eigs)
+        CriticalPoint(location=x, value=float(v), laplacian=float(lap), index=int(np.sum(e < 0)),
+                      hessian_eigs=tuple(e))
+        for x, v, lap, e in zip(loc, f(loc), f.lap_sphere(loc), eigs)
     ]
     points.sort(key=lambda cp: tuple(np.round(cp.location, 9)))
     return points
 
 
-def counts_mi(f, grid=None, points=None):
+def counts_mi(points):
     """Vector m_0..m_n: counted critical points grouped by co-index."""
-    if points is None:
-        points = find_critical_points(f, grid)
     m = np.zeros(N + 1, dtype=int)
     for cp in points:
         if cp.counted:
@@ -173,10 +150,8 @@ def solve_k_system(m, n):
     return KVerdict(True, tuple(k))
 
 
-def index_count(f, grid=None, points=None):
+def index_count(points):
     """Signed count over counted points; holds when it differs from (-1)^n."""
-    if points is None:
-        points = find_critical_points(f, grid)
     total = sum((-1) ** cp.index for cp in points if cp.counted)
     return {"sum": int(total), "holds": total != (-1) ** N}
 
@@ -195,35 +170,29 @@ def _mean_and_ratio(f, grid):
     return f_mean, f_absmax, positive_mean, ratio, positive_mean and ratio < 2.0 ** (1.0 / N)
 
 
-def check_conditions(f, grid=None):
-    """Full solvability report for the Morse-theoretic criteria.
+def check_conditions(f, grid):
+    """Full solvability report for the Morse-theoretic criteria, as the `morse check` document.
 
     Conditions: positive_mean (mean f > 0, roundoff of a vanishing mean
     counting as 0, see curvature.weighted_mean_sign); simple_bubble_ratio
     (max|f| / mean f < 2^{1/n}); clean_critical_laplacian (surface
     Laplacian bounded away from 0 at every critical point, tolerance
     1e-8); k_system_unsolvable.  criteria_hold is their conjunction.
-    The signed-count variant is reported alongside as index_count.
+    The signed-count variant is reported alongside as index_count.  A
+    target that is not Morse gets its failure, m = [], conditions None
+    and no k_system entry.
     """
-    if grid is None:
-        grid = make_grid(31)
     f_mean, f_absmax, positive_mean, ratio, ratio_ok = _mean_and_ratio(f, grid)
-    warnings_list = []
+    doc = {"morse_ok": False, "failure": "", "f_mean": f_mean, "f_absmax": f_absmax, "ratio": ratio, "m": [],
+           "index_sum": 0, "conditions": None, "criteria_hold": False, "warnings": [], "points": []}
     try:
-        points = find_critical_points(f, grid, collect_warnings=warnings_list)
+        points = find_critical_points(f, grid, collect_warnings=doc["warnings"])
     except NotMorseError as exc:
-        return MorseReport(
-            f_source=getattr(f, "source", ""),
-            morse_ok=False,
-            failure=str(exc),
-            f_mean=f_mean,
-            f_absmax=f_absmax,
-            ratio=ratio,
-            warnings=warnings_list,
-        )
-    m = counts_mi(f, grid, points=points)
+        doc["failure"] = str(exc)
+        return doc
+    m = counts_mi(points)
     kv = solve_k_system(m, N)
-    isum = index_count(f, points=points)
+    isum = index_count(points)
     conditions = {
         "positive_mean": bool(positive_mean),
         "simple_bubble_ratio": bool(ratio_ok),
@@ -237,20 +206,20 @@ def check_conditions(f, grid=None):
         and conditions["clean_critical_laplacian"]
         and conditions["k_system_unsolvable"]
     )
-    return MorseReport(
-        f_source=getattr(f, "source", ""),
+    doc.update(
         morse_ok=True,
-        points=points,
-        m=m,
-        k_verdict=kv,
+        m=list(m),
         index_sum=isum["sum"],
-        f_mean=f_mean,
-        f_absmax=f_absmax,
-        ratio=ratio,
         conditions=conditions,
         criteria_hold=bool(criteria),
-        warnings=warnings_list,
+        points=[
+            {"location": [float(v) for v in cp.location], "value": cp.value, "laplacian": cp.laplacian,
+             "index": cp.index, "hessian_eigs": list(cp.hessian_eigs), "counted": cp.counted}
+            for cp in points
+        ],
+        k_system={"solvable": kv.solvable, "k": list(kv.k), "reason": kv.reason},
     )
+    return doc
 
 
 _SYM_RE = re.compile(
@@ -321,7 +290,7 @@ def _circle_max(f, axis_vec, n_samples=8192):
     return best_val, maximizers
 
 
-def check_symmetry(f, sym_spec, grid=None):
+def check_symmetry(f, sym_spec, grid):
     """Invariance test and the symmetric-case solvability flags.
 
     Reports the fixed-point set Sigma of the generator (a great circle
@@ -331,8 +300,6 @@ def check_symmetry(f, sym_spec, grid=None):
     has surface Laplacian > 0).  Both also require invariance and the
     positive-mean and ratio conditions.
     """
-    if grid is None:
-        grid = make_grid(31)
     kind, axis, k = parse_sym_spec(sym_spec) if isinstance(sym_spec, str) else sym_spec
     theta = _generator_matrix(kind, axis, k)
     nodes = grid.nodes().reshape(-1, 3)

@@ -23,13 +23,13 @@ the surface gradient, surface Laplacian, and tangent Hessian follow:
 """
 
 import re
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .curvature import N
 from .errors import SpecParseError
-from .spectral import BoundaryField
 
 # extrema scans a lattice of this many colatitudes by twice as many longitudes.
 _EXTREMA_PROBE = 64
@@ -42,44 +42,37 @@ class _Mono:
         self.coef = float(coef)
         self.powers = tuple(int(p) for p in powers)
 
-    def value(self, pts):
-        out = np.full(pts.shape[:-1], self.coef)
-        for i, a in enumerate(self.powers):
-            if a:
-                out = out * pts[..., i] ** a
+    def _derivative(self, pts, axes):
+        """coef * prod_k x_k^{p_k} differentiated once along each axis in axes, by the power rule.
+
+        Callers skip the axes that differentiate a power away: that derivative is 0.
+        """
+        c, exps = self.coef, list(self.powers)
+        for k in axes:
+            c *= exps[k]
+            exps[k] -= 1
+        out = np.full(pts.shape[:-1], c)
+        for k, e in enumerate(exps):
+            if e:
+                out = out * pts[..., k] ** e
         return out
+
+    def value(self, pts):
+        return self._derivative(pts, ())
 
     def grad(self, pts):
         g = np.zeros(pts.shape)
         for i, a in enumerate(self.powers):
-            if not a:
-                continue
-            part = np.full(pts.shape[:-1], self.coef * a)
-            for j, b in enumerate(self.powers):
-                e = b - 1 if j == i else b
-                if e:
-                    part = part * pts[..., j] ** e
-            g[..., i] = part
+            if a:
+                g[..., i] = self._derivative(pts, (i,))
         return g
 
     def hess(self, pts):
         h = np.zeros(pts.shape[:-1] + (3, 3))
         for i in range(3):
             for j in range(3):
-                exps = list(self.powers)
-                c = self.coef * exps[i]
-                if c == 0:
-                    continue
-                exps[i] -= 1
-                c *= exps[j]
-                if c == 0:
-                    continue
-                exps[j] -= 1
-                part = np.full(pts.shape[:-1], float(c))
-                for k, e in enumerate(exps):
-                    if e:
-                        part = part * pts[..., k] ** e
-                h[..., i, j] = part
+                if self.powers[i] and self.powers[j] > (i == j):
+                    h[..., i, j] = self._derivative(pts, (i, j))
         return h
 
     def __repr__(self):
@@ -286,9 +279,6 @@ class PrescribedFunction:
         H = basis @ self.ambient_hess(x) @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
         return H, basis
 
-    def gridded(self, grid):
-        return BoundaryField(grid, values=self(grid.nodes()))
-
     def newton_critical(self, seeds):
         """Newton iteration for grad_S f = 0 from every seed of a (k, 3) stack at once.
 
@@ -318,7 +308,14 @@ class PrescribedFunction:
         return x, ok
 
     def extrema(self):
-        """(min, max) over the sphere: the lattice argmin and argmax polished by newton_critical."""
+        """(min, max) over the sphere: the lattice argmin and argmax polished by newton_critical.
+
+        Computed once per function: a parsed target is never mutated.
+        """
+        return self._extrema
+
+    @cached_property
+    def _extrema(self):
         th = np.linspace(0, np.pi, _EXTREMA_PROBE)
         ph = np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)
         T, P = np.meshgrid(th, ph, indexing="ij")

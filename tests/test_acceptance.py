@@ -176,7 +176,7 @@ def test_c08_symmetric_target_convergence(run_quadric_target):
     traj = run_quadric_target["traj"]
     state = run_quadric_target["state"]
     f = parse_f_spec("2 - z^2")
-    sym = check_symmetry(f, "rotation(z, 5)")
+    sym = check_symmetry(f, "rotation(z, 5)", make_grid(31))
     hyp = sym["ratio_ok"] and sym["positive_mean"]
     pole_lap = float(f.lap_sphere(N_POLE[None, :])[0])
     res = float(np.sqrt(f2_norm(state.u, state.f_values, state.energy_report.lam)))
@@ -226,14 +226,14 @@ def test_c11_counting_machinery():
     solvable with m = (1,0,0); the k-solver matches brute-force
     enumeration for all m with entries <= 5, n <= 4, in under 1 s."""
     f1 = parse_f_spec("4 + 0.3x^2 + 0.6y^2 + 1.05z^2")
-    pts = find_critical_points(f1)
-    m1 = counts_mi(f1, points=pts)
+    pts = find_critical_points(f1, make_grid(31))
+    m1 = counts_mi(pts)
     kv1 = solve_k_system(m1, 2)
-    rep1 = check_conditions(f1)
+    rep1 = check_conditions(f1, make_grid(31))
     part1 = (len(pts) == 6 and m1 == (2, 0, 0) and not kv1.solvable
-             and rep1.index_sum == 2)
+             and rep1["index_sum"] == 2)
     f2 = parse_f_spec("2 + 0.5z")
-    m2 = counts_mi(f2)
+    m2 = counts_mi(find_critical_points(f2, make_grid(31)))
     part2 = m2 == (1, 0, 0) and solve_k_system(m2, 2).solvable
 
     t0 = time.perf_counter()
@@ -252,7 +252,7 @@ def test_c11_counting_machinery():
     elapsed = time.perf_counter() - t0
     part3 = mismatches == 0 and elapsed < 1.0
     ok = part1 and part2 and part3
-    _report(11, ok, f"quadric {m1} unsolvable ({kv1.reason}), index sum {rep1.index_sum}; "
+    _report(11, ok, f"quadric {m1} unsolvable ({kv1.reason}), index sum {rep1['index_sum']}; "
                     f"tilted {m2} solvable; brute force mismatches {mismatches} "
                     f"({elapsed:.2f} s)")
 

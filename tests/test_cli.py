@@ -6,7 +6,8 @@ Validates:
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
   morse.json) and the config echo
 - byte-identical reruns of a seeded experiment
-- morse check with and without symmetry specs
+- morse check with and without symmetry specs; its stdout is the
+  check_conditions document, and extrema() is polished once per target
 - bubble probe diagnostics against closed forms
 - the selftest table, and its failure when the DtN is broken
 """
@@ -23,6 +24,13 @@ import pytest
 from bmcflow import cli, spectral
 from bmcflow.cli import main
 from bmcflow.flow import FlowConfig
+from bmcflow.morse import check_conditions
+from bmcflow.prescribed import PrescribedFunction, parse_f_spec
+from bmcflow.spectral import make_grid
+
+ELLIPSOID = "4 + 0.3x^2 + 0.6y^2 + 1.05z^2"
+MORSE_KEYS = ["morse_ok", "failure", "f_mean", "f_absmax", "ratio", "m", "index_sum", "conditions",
+              "criteria_hold", "warnings", "points"]
 
 
 def write_config(path, **overrides):
@@ -336,6 +344,48 @@ def test_morse_check_symmetry_not_applying(capsys):
 def test_morse_check_usage_errors(capsys):
     assert main(["morse", "check", "--f", "2 - q"]) == 64
     assert main(["morse", "check", "--f", "2 - z^2", "--sym", "twist(z)"]) == 64
+
+
+@pytest.mark.parametrize("spec, keys", [(ELLIPSOID, MORSE_KEYS + ["k_system"]), ("2 - z^2", MORSE_KEYS)])
+def test_morse_check_prints_check_conditions(capsys, spec, keys):
+    """morse check prints the check_conditions document as it is, keys in
+    order; a target that is not Morse has no k_system entry."""
+    main(["morse", "check", "--f", spec])
+    printed = json.loads(capsys.readouterr().out)
+    doc = check_conditions(parse_f_spec(spec), make_grid(31))
+    assert printed == json.loads(json.dumps(doc, default=cli._json_default))
+    assert list(printed) == keys
+
+
+def count_extrema_polishes(monkeypatch):
+    """Targets of the two-seed newton_critical calls: extrema() polishes
+    its lattice argmin and argmax in one such call."""
+    calls = []
+    newton_critical = PrescribedFunction.newton_critical
+
+    def counted(self, seeds):
+        if len(seeds) == 2:
+            calls.append(self.source)
+        return newton_critical(self, seeds)
+
+    monkeypatch.setattr(PrescribedFunction, "newton_critical", counted)
+    return calls
+
+
+def test_morse_check_sym_polishes_extrema_once(capsys, monkeypatch):
+    """check_conditions and check_symmetry both need max|f|."""
+    calls = count_extrema_polishes(monkeypatch)
+    assert main(["morse", "check", "--f", ELLIPSOID, "--sym", "mirror(z)"]) == 0
+    assert calls == [ELLIPSOID]
+
+
+def test_flow_run_with_morse_polishes_extrema_once(tmp_path, monkeypatch):
+    """flow_bounds and check_conditions both need max|f|."""
+    calls = count_extrema_polishes(monkeypatch)
+    cfg = write_config(tmp_path / "exp.json", f_spec=ELLIPSOID, flow={"t_end": 0.05, "conv_tol": 1e-14},
+                       checks=["identities", "morse"])
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [ELLIPSOID]
 
 
 def test_bubble_probe(capsys):

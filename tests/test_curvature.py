@@ -22,6 +22,7 @@ from bmcflow.curvature import (
     N,
     OMEGA_N,
     TWO_SHARP,
+    barrier_gamma,
     energy_functional,
     f2_norm,
     flow_bounds,
@@ -87,7 +88,7 @@ def test_energy_report_closed_form():
     denom = 5/3, E_f = sqrt(3/5) = 0.7745966692414833, lambda = 3/5."""
     g = make_grid(15)
     u = constant_field(g)
-    rep = energy_functional(u, parse_f_spec("2 - z^2").gridded(g))
+    rep = energy_functional(u, parse_f_spec("2 - z^2")(g.nodes()))
     assert abs(rep.E - 1.0) < 1e-14
     assert abs(rep.denom - 5.0 / 3.0) < 1e-14
     assert abs(rep.E_f - 0.7745966692414833) < 1e-14
@@ -99,7 +100,7 @@ def test_dissipation_closed_form():
     F2 = mean((0.6(2-z^2) - 1)^2) = 0.032 for u = 1."""
     g = make_grid(15)
     u = constant_field(g)
-    f = parse_f_spec("2 - z^2").gridded(g)
+    f = parse_f_spec("2 - z^2")(g.nodes())
     assert abs(f2_norm(u, f, 0.6) - 0.032) < 1e-14
 
 
@@ -108,7 +109,7 @@ def test_lambda_prime_closed_form():
     for u = 1, f = 2 - z^2 at lambda = 0.6."""
     g = make_grid(15)
     u = constant_field(g)
-    f = parse_f_spec("2 - z^2").gridded(g)
+    f = parse_f_spec("2 - z^2")(g.nodes())
     assert abs(lambda_prime(u, f, 0.6) - (-0.0192)) < 1e-15
 
 
@@ -116,7 +117,7 @@ def test_lp_residual_p2_matches_f2():
     g = make_grid(12)
     rng = np.random.default_rng(3)
     u = random_positive_field(g, rng)
-    f = parse_f_spec("2 - z^2").gridded(g)
+    f = parse_f_spec("2 - z^2")(g.nodes())
     lam = energy_functional(u, f).lam
     assert abs(lp_residual(u, f, lam, 2) - f2_norm(u, f, lam)) < 1e-14
 
@@ -125,7 +126,7 @@ def test_stationary_point_has_zero_dissipation():
     """u = 1 with f = 1 sits at H = lambda f exactly."""
     g = make_grid(8)
     u = constant_field(g)
-    f = constant_field(g)
+    f = constant_field(g).values
     rep = energy_functional(u, f)
     assert abs(rep.lam - 1.0) < 1e-14
     assert f2_norm(u, f, rep.lam) < 1e-27
@@ -157,7 +158,7 @@ def test_normalized_energy_scale_invariant(seed, scale):
     g = make_grid(10)
     rng = np.random.default_rng(seed)
     u = random_positive_field(g, rng)
-    f = parse_f_spec("2 - z^2").gridded(g)
+    f = parse_f_spec("2 - z^2")(g.nodes())
     a = energy_functional(u, f).E_f
     b = energy_functional(BoundaryField(g, values=scale * u.values), f).E_f
     assert abs(a - b) < 1e-10 * max(1.0, a)
@@ -181,7 +182,7 @@ def test_flow_bounds_closed_forms():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")
-    b = flow_bounds(u, f, mean_curvature(u), Lambda0=10.0)
+    b = flow_bounds(u, f, mean_curvature(u))
     assert abs(b.lambda1 - 0.5) < 1e-12
     assert abs(b.lambda2 - 0.6) < 1e-12
     assert abs(b.gamma - (-7.433258594542055)) < 1e-12
@@ -196,15 +197,12 @@ def test_flow_bounds_closed_forms():
 
 def test_flow_bounds_barrier_uses_min_branch():
     """With a huge Lambda0 the square-root branch dominates; with a tiny
-    one the min H - lambda2 max|f| branch does."""
-    g = make_grid(15)
-    u = constant_field(g)
-    f = parse_f_spec("2 - z^2")
-    H = mean_curvature(u)
-    tiny = flow_bounds(u, f, H, Lambda0=0.01)
-    assert abs(tiny.gamma - min(1.0 - 1.2, -np.sqrt((4 / 3) * 1.44 + (8 / 3) * 0.02))) < 1e-12
-    big = flow_bounds(u, f, H, Lambda0=1e4)
-    assert big.gamma < -100.0
+    one the min H - lambda2 max|f| branch does (min H0 = 1, lambda2 = 0.6
+    and max|f| = 2 as for u0 = 1, f = 2 - z^2)."""
+    tiny = barrier_gamma(1.0, 0.6, 2.0, 0.01)
+    assert abs(tiny - min(1.0 - 1.2, -np.sqrt((4 / 3) * 1.44 + (8 / 3) * 0.02))) < 1e-12
+    big = barrier_gamma(1.0, 0.6, 2.0, 1e4)
+    assert big < -100.0
 
 
 def test_flow_bounds_negative_sigma_flagged():
@@ -224,24 +222,24 @@ def test_inadmissible_rejections():
     for L in (10, 12, 14, 31):
         g = make_grid(L)
         u = constant_field(g)
-        z = f.gridded(g)
+        z = f(g.nodes())
         with pytest.raises(AdmissibilityError):
             energy_functional(u, z)
         with pytest.raises(AdmissibilityError):
             flow_bounds(u, f, mean_curvature(u))
         with pytest.raises(AdmissibilityError):
             lambda_prime(u, z, 1.0)
-        assert check_conditions(f, grid=g).conditions["positive_mean"] is False
+        assert check_conditions(f, g)["conditions"]["positive_mean"] is False
     g = make_grid(10)
     bad = BoundaryField(g, values=np.full(g.shape, -1.0))
     with pytest.raises(PositivityError):
-        energy_functional(bad, constant_field(g))
+        energy_functional(bad, constant_field(g).values)
 
 
 def test_membership():
     g = make_grid(12)
     u = constant_field(g)
-    f = parse_f_spec("2 - z^2").gridded(g)
+    f = parse_f_spec("2 - z^2")(g.nodes())
     beta = np.sqrt((1.0 + (5.0 * np.sqrt(2.0) - 6.0) / 12.0) * 0.6)
     assert membership(u, f, beta) == {"in_Xstar": True, "in_Xf": True}
     assert membership(u, f, 0.7) == {"in_Xstar": True, "in_Xf": False}
@@ -249,7 +247,7 @@ def test_membership():
     assert membership(doubled, f, beta) == {"in_Xstar": True, "in_Xf": False}
     negative = BoundaryField(g, values=u.values - 2.0)
     assert membership(negative, f, beta) == {"in_Xstar": False, "in_Xf": False}
-    z_only = parse_f_spec("z").gridded(g)
+    z_only = parse_f_spec("z")(g.nodes())
     assert membership(u, z_only, beta) == {"in_Xstar": False, "in_Xf": False}
 
 

@@ -304,7 +304,7 @@ def test_verdict_document(tmp_path, converged_run):
 def test_interpolation_path_endpoints():
     g = make_grid(15)
     u = perturbed_constant(g)
-    f = parse_f_spec("1").gridded(g)
+    f = parse_f_spec("1")(g.nodes())
     top = interpolation_path(u, f, 1.0)
     assert np.abs(top.values - 1.0).max() < 1e-12
     bottom = interpolation_path(u, f, 0.5)
@@ -318,7 +318,7 @@ def test_interpolation_path_endpoints():
 def test_interpolation_path_validation():
     g = make_grid(10)
     u = ones_field(g)
-    f = parse_f_spec("1").gridded(g)
+    f = parse_f_spec("1")(g.nodes())
     for bad in (0.3, 1.2):
         with pytest.raises(ValueError):
             interpolation_path(u, f, bad)

@@ -39,7 +39,7 @@ def test_ellipsoid_critical_points():
     coordinate axes, with values 4.3 / 4.6 / 5.05, indices 0 / 1 / 2 and
     surface Laplacians 2.1 / 0.3 / -2.4."""
     f = parse_f_spec(ELLIPSOID)
-    points = find_critical_points(f)
+    points = find_critical_points(f, make_grid(31))
     assert len(points) == 6
     by_axis = {}
     for cp in points:
@@ -59,7 +59,7 @@ def test_ellipsoid_counts_and_k_verdict():
     """Only the two maxima count (f > 0, negative Laplacian): m = (2,0,0),
     and the recursion gives k = (1,-1,1), failing at k_1."""
     f = parse_f_spec(ELLIPSOID)
-    m = counts_mi(f)
+    m = counts_mi(find_critical_points(f, make_grid(31)))
     assert m == (2, 0, 0)
     kv = solve_k_system(m, 2)
     assert not kv.solvable
@@ -69,46 +69,46 @@ def test_ellipsoid_counts_and_k_verdict():
 
 def test_ellipsoid_index_count():
     """Signed count (+1) + (+1) = 2 differs from (-1)^2: the criterion holds."""
-    out = index_count(parse_f_spec(ELLIPSOID))
+    out = index_count(find_critical_points(parse_f_spec(ELLIPSOID), make_grid(31)))
     assert out == {"sum": 2, "holds": True}
 
 
 def test_ellipsoid_conditions_report():
-    rep = check_conditions(parse_f_spec(ELLIPSOID))
-    assert rep.morse_ok
-    assert rep.m == (2, 0, 0)
-    assert rep.conditions == {
+    rep = check_conditions(parse_f_spec(ELLIPSOID), make_grid(31))
+    assert rep["morse_ok"]
+    assert rep["m"] == [2, 0, 0]
+    assert rep["conditions"] == {
         "positive_mean": True,
         "simple_bubble_ratio": True,
         "clean_critical_laplacian": True,
         "k_system_unsolvable": True,
         "index_count": True,
     }
-    assert rep.criteria_hold
-    assert abs(rep.f_mean - 4.65) < 1e-12
-    assert abs(rep.f_absmax - 5.05) < 1e-9
-    assert rep.index_sum == 2
+    assert rep["criteria_hold"]
+    assert abs(rep["f_mean"] - 4.65) < 1e-12
+    assert abs(rep["f_absmax"] - 5.05) < 1e-9
+    assert rep["index_sum"] == 2
 
 
 def test_tilted_constant_is_solvable():
     """Oracle (sympy, notes): 2 + 0.5z has a counted maximum at the north
     pole only, m = (1,0,0), k = (0,0,0) solvable, index sum 1 = (-1)^2."""
     f = parse_f_spec("2 + 0.5z")
-    points = find_critical_points(f)
+    points = find_critical_points(f, make_grid(31))
     assert len(points) == 2
     counted = [cp for cp in points if cp.counted]
     assert len(counted) == 1
     assert counted[0].location[2] > 0.99
     assert abs(counted[0].value - 2.5) < 1e-10
     assert abs(counted[0].laplacian - (-1.0)) < 1e-8
-    kv = solve_k_system(counts_mi(f), 2)
+    kv = solve_k_system(counts_mi(points), 2)
     assert kv.solvable
     assert kv.k == (0, 0, 0)
-    rep = check_conditions(f)
-    assert rep.morse_ok
-    assert not rep.criteria_hold
-    assert rep.index_sum == 1
-    assert not index_count(f, points=points)["holds"]
+    rep = check_conditions(f, make_grid(31))
+    assert rep["morse_ok"]
+    assert not rep["criteria_hold"]
+    assert rep["index_sum"] == 1
+    assert not index_count(points)["holds"]
 
 
 def test_solve_k_length_check():
@@ -147,8 +147,8 @@ def test_critical_points_shift_invariant():
     Laplacians."""
     f1 = parse_f_spec(ELLIPSOID)
     f2 = parse_f_spec(ELLIPSOID + " + 3")
-    p1 = find_critical_points(f1)
-    p2 = find_critical_points(f2)
+    p1 = find_critical_points(f1, make_grid(31))
+    p2 = find_critical_points(f2, make_grid(31))
     assert len(p1) == len(p2)
     for a, b in zip(p1, p2):
         assert np.abs(a.location - b.location).max() < 1e-9
@@ -220,30 +220,30 @@ def test_newton_refinement_is_batched(spec, monkeypatch):
 
 def test_constant_rejected():
     with pytest.raises(NotMorseError):
-        find_critical_points(parse_f_spec("2"))
+        find_critical_points(parse_f_spec("2"), make_grid(31))
 
 
 def test_degenerate_circle_rejected():
     """2 - z^2 has a critical equator: degenerate, not Morse."""
     with pytest.raises(NotMorseError):
-        find_critical_points(parse_f_spec("2 - z^2"))
+        find_critical_points(parse_f_spec("2 - z^2"), make_grid(31))
 
 
 def test_degenerate_reported_not_raised():
-    rep = check_conditions(parse_f_spec("2 - z^2"))
-    assert not rep.morse_ok
-    assert rep.failure is not None
-    assert not rep.criteria_hold
+    rep = check_conditions(parse_f_spec("2 - z^2"), make_grid(31))
+    assert not rep["morse_ok"]
+    assert rep["failure"] is not None
+    assert not rep["criteria_hold"]
 
 
 def test_bump_ratio_close_to_closed_form():
     """max f = 1.34 - 1.36 e^{-16} over mean 1.2550000095654898 stays
     under sqrt(2): the simple-bubble ratio condition for the
     sign-changing bump target."""
-    rep = check_conditions(parse_f_spec("1.34 - 1.36bump(8; 0,0,-1)"))
+    rep = check_conditions(parse_f_spec("1.34 - 1.36bump(8; 0,0,-1)"), make_grid(31))
     want = (1.34 - 1.36 * np.exp(-16.0)) / 1.2550000095654898
-    assert abs(rep.ratio - want) < 1e-9
-    assert rep.conditions["simple_bubble_ratio"]
+    assert abs(rep["ratio"] - want) < 1e-9
+    assert rep["conditions"]["simple_bubble_ratio"]
 
 
 @pytest.mark.parametrize("text,want", [
@@ -274,7 +274,7 @@ def test_rotation_symmetry_both_criteria_apply():
     """2 - z^2 is rotation(z, 5)-invariant; the fixed set is the pole
     pair where f = 1 <= mean 5/3 and the surface Laplacian 6z^2 - 2 = 4
     is positive: both symmetric criteria apply."""
-    out = check_symmetry(parse_f_spec("2 - z^2"), "rotation(z, 5)")
+    out = check_symmetry(parse_f_spec("2 - z^2"), "rotation(z, 5)", make_grid(31))
     assert out["invariant"]
     assert out["sigma"] == "poles"
     assert abs(out["max_sigma_f"] - 1.0) < 1e-12
@@ -288,7 +288,7 @@ def test_mirror_symmetry_criteria_fail_on_equator_max():
     """The same target is mirror(z)-invariant but its equatorial fixed
     circle carries the maximum 2 > 5/3 with negative Laplacian there:
     neither symmetric criterion applies."""
-    out = check_symmetry(parse_f_spec("2 - z^2"), "mirror(z)")
+    out = check_symmetry(parse_f_spec("2 - z^2"), "mirror(z)", make_grid(31))
     assert out["invariant"]
     assert out["sigma"] == "great-circle"
     assert abs(out["max_sigma_f"] - 2.0) < 1e-9
@@ -297,7 +297,7 @@ def test_mirror_symmetry_criteria_fail_on_equator_max():
 
 
 def test_non_invariant_target_flagged():
-    out = check_symmetry(parse_f_spec("2 + 0.5x"), "rotation(z, 3)")
+    out = check_symmetry(parse_f_spec("2 + 0.5x"), "rotation(z, 3)", make_grid(31))
     assert not out["invariant"]
     assert out["deviation"] > 1e-3
     assert not out["invariant_criteria"]["applies"]
@@ -309,6 +309,6 @@ def test_mirror_symmetric_bump_pair():
     equatorial fixed circle at the global minimum: the fixed-set-mean
     criterion applies."""
     f = parse_f_spec("1 + 0.2bump(6; 0,0,1) + 0.2bump(6; 0,0,-1)")
-    out = check_symmetry(f, "mirror(z)")
+    out = check_symmetry(f, "mirror(z)", make_grid(31))
     assert out["invariant"]
     assert out["invariant_criteria"]["applies"]

@@ -5,6 +5,8 @@ Validates:
 - rejection of malformed specs
 - values, tangential gradients, surface Laplacians against closed forms
   and central finite differences
+- ambient Hessians of mixed monomials against central differences of
+  the gradient
 - extremum refinement beyond grid resolution
 - the tangent basis and Hessian of a stack of points, bit for bit
   against one point at a time
@@ -151,6 +153,18 @@ def test_gradient_matches_finite_differences(seed):
     assert abs(f.grad_sphere(x) @ v - fd) < 1e-7
 
 
+@pytest.mark.parametrize("spec", ["3 + x y z + 0.2x^3", "x^2 y z^3", "1 - 0.5x^3 y + y^2 z^2"])
+def test_ambient_hessian_matches_finite_differences(spec):
+    """ambient_hess of mixed cubic and higher monomials agrees with
+    central differences of ambient_grad, off the sphere as well."""
+    f = parse_f_spec(spec)
+    pts = np.random.default_rng(2).uniform(-1.2, 1.2, (30, 3))
+    h = 1e-6
+    fd = np.stack([(f.ambient_grad(pts + h * e) - f.ambient_grad(pts - h * e)) / (2 * h) for e in np.eye(3)],
+                  axis=-1)
+    assert np.abs(f.ambient_hess(pts) - fd).max() < 1e-7
+
+
 def test_tangent_hessian_pole_values():
     """Oracle (sympy, notes): 2 + 0.5z has tangent eigenvalues -0.5 (double)
     at the north pole and +0.5 (double) at the south pole."""
@@ -211,8 +225,3 @@ def test_extrema_of_bump_target():
     assert abs(fmin - (-0.02)) < 1e-9
     assert abs(fmax - (1.34 - 1.36 * np.exp(-16.0))) < 1e-9
 
-
-def test_gridded_matches_pointwise():
-    g = make_grid(10)
-    f = parse_f_spec("2 - z^2")
-    assert np.abs(f.gridded(g).values - f(g.nodes())).max() < 1e-14
