@@ -54,7 +54,7 @@ from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_fiel
                         center_of_mass)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume
 from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
-from .flow import FlowConfig, check_identities, init_state, run
+from .flow import FlowConfig, admits, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
 from .spectral import BoundaryField, dtn_apply, make_grid
@@ -83,7 +83,7 @@ def _build_u0(spec, grid, rng):
         raise ConfigError(f"unknown u0_spec type {kind!r}")
     _reject_unknown(spec, ("type",) + _U0_FIELDS[kind], f"{kind} u0_spec fields")
     if kind == "constant":
-        return BoundaryField.constant(float(spec.get("value", 1.0)), grid)
+        return BoundaryField(grid, values=np.full(grid.shape, float(spec.get("value", 1.0))))
     if kind == "bubble":
         p = np.asarray(spec["p"], dtype=float)
         return bubble_field(p, float(spec["eps"]), grid)
@@ -101,7 +101,7 @@ def _build_u0(spec, grid, rng):
         amp = float(rand["amp"])
         for l in range(1, lmax + 1):
             coeffs[l, L - l:L + l + 1] += amp * rng.standard_normal(2 * l + 1)
-    return BoundaryField.from_coeffs(coeffs, grid)
+    return BoundaryField(grid, coeffs=coeffs)
 
 
 def _load_experiment(path):
@@ -110,11 +110,12 @@ def _load_experiment(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(doc, _EXPERIMENT_KEYS, "config keys")
-    L = int(doc.get("L", 31))
-    n = int(doc.get("n", 2))
-    if n != 2:
-        raise ConfigError(f"only the two-sphere boundary (n=2) is supported, got n={n}")
-    seed = int(doc.get("seed", 0))
+    ints = {"seed": doc.get("seed", 0), "L": doc.get("L", 31), "n": doc.get("n", 2)}
+    for key, value in ints.items():
+        if not admits(int, value):
+            raise ConfigError(f"{key} must be of type int, got {value!r}")
+    if ints["n"] != 2:
+        raise ConfigError(f"only the two-sphere boundary (n=2) is supported, got n={ints['n']}")
     f_spec = doc.get("f_spec")
     if not isinstance(f_spec, str):
         raise ConfigError("config needs an f_spec string")
@@ -124,27 +125,7 @@ def _load_experiment(path):
     checks = list(doc.get("checks", ["identities"]))
     _reject_unknown(checks, _CHECKS, "checks")
     u0_spec = doc.get("u0_spec", {"type": "constant", "value": 1.0})
-    return {
-        "seed": seed,
-        "L": L,
-        "n": n,
-        "f_spec": f_spec,
-        "u0_spec": u0_spec,
-        "flow": config,
-        "checks": checks,
-    }
-
-
-def _experiment_echo(exp):
-    return {
-        "seed": exp["seed"],
-        "L": exp["L"],
-        "n": exp["n"],
-        "f_spec": exp["f_spec"],
-        "u0_spec": exp["u0_spec"],
-        "checks": exp["checks"],
-        "flow": asdict(exp["flow"]),
-    }
+    return {**ints, "f_spec": f_spec, "u0_spec": u0_spec, "checks": checks, "flow": config}
 
 
 def _json_default(obj):
@@ -174,7 +155,7 @@ def _run_experiment(config_path, out_dir):
         return _EXIT_USAGE
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    echo = _experiment_echo(exp)
+    echo = {**exp, "flow": asdict(exp["flow"])}
     cfg = exp["flow"]
     try:
         state = init_state(u0, f, cfg)
@@ -224,7 +205,11 @@ def cmd_morse_check(args):
     except SpecParseError as exc:
         print(f"bad f spec: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    grid = make_grid(args.L)
+    try:
+        grid = make_grid(args.L)
+    except ConfigError as exc:
+        print(f"bad grid degree: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     doc = check_conditions(f, grid)
     ok = doc["criteria_hold"]
     if args.sym is not None:
@@ -292,7 +277,7 @@ def _suite_parseval(L, rng):
     for l in range(L + 1):
         coeffs[l, :L - l] = 0.0
         coeffs[l, L + l + 1:] = 0.0
-    u = BoundaryField.from_coeffs(coeffs, grid)
+    u = BoundaryField(grid, coeffs=coeffs)
     lhs = float(np.sum(coeffs**2))
     rhs = grid.integrate(u.values**2)
     err = abs(lhs - rhs) / max(abs(lhs), 1.0)
@@ -308,7 +293,7 @@ def _suite_trace(L, rng, n_fields):
         for l in range(1, lmax + 1):
             coeffs[l, L - l:L + l + 1] = 0.1 * rng.standard_normal(2 * l + 1) / (1 + l) ** 2
         coeffs[0, L] = 1.0
-        u = BoundaryField.from_coeffs(coeffs, grid)
+        u = BoundaryField(grid, coeffs=coeffs)
         if u.values.min() <= 0:
             continue
         margin = total_energy(u) - volume(u) ** (2.0 / TWO_SHARP)
@@ -335,7 +320,7 @@ def _suite_volume_invariance(L, rng):
     lmax = min(4, L)
     for l in range(1, lmax + 1):
         coeffs[l, L - l:L + l + 1] = 0.05 * rng.standard_normal(2 * l + 1) / (1 + l) ** 2
-    u = BoundaryField.from_coeffs(coeffs, grid)
+    u = BoundaryField(grid, coeffs=coeffs)
     worst = 0.0
     for _ in range(3):
         axis = rng.standard_normal(3)

@@ -121,7 +121,10 @@ def bubble_field(p, eps, grid):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"concentration parameter must be in (0, 1], got {eps}")
     p = np.asarray(p, dtype=float)
-    p = p / np.linalg.norm(p)
+    norm = np.linalg.norm(p)
+    if not norm > 0:
+        raise ValueError("bubble center must be a nonzero vector")
+    p = p / norm
     _resolution_check(eps / (2.0 - eps), grid.L)
     dist = np.linalg.norm(grid.nodes() - (1.0 - eps) * p, axis=-1)
     k = (N - 1.0) / 2.0
@@ -286,13 +289,10 @@ def cap_integrals(density, grid, radii):
 
 @dataclass
 class ConcentrationReport:
-    radii: tuple
     cap_max: dict          # radius -> max over nodes of the cap integral (dmu_g units)
     flags: np.ndarray      # bool over grid nodes: threshold met at ALL radii
-    flagged_points: list   # unit vectors of flagged nodes
-    clusters: list         # representative unit vectors, merged by geodesic distance
+    clusters: list         # flagged unit vectors, merged by geodesic distance
     total_mass: float      # integral of |H|^n dmu_g
-    tau: float
     uniqueness_warning: bool
 
 
@@ -316,21 +316,17 @@ def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5)):
     caps = cap_integrals(W, grid, radii)
     cap_max = {r: float(cap.max()) for r, cap in zip(radii, caps)}
     flags = np.all(caps >= tau**N * OMEGA_N, axis=0)
-    flagged_points = list(grid.nodes()[flags])
     clusters = []
-    for pt in flagged_points:
+    for pt in grid.nodes()[flags]:
         for rep in clusters:
             if np.arccos(np.clip(pt @ rep, -1.0, 1.0)) <= 0.5:
                 break
         else:
             clusters.append(pt)
     return ConcentrationReport(
-        radii=tuple(radii),
         cap_max=cap_max,
         flags=flags,
-        flagged_points=flagged_points,
         clusters=clusters,
         total_mass=float(total),
-        tau=tau,
         uniqueness_warning=len(clusters) >= 2,
     )

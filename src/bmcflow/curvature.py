@@ -25,7 +25,6 @@ A_N = 2.0
 TWO_SHARP = 4.0
 OMEGA_N = 4.0 * np.pi
 
-_TWO_SHARP_VOL_TOL = 1e-8
 # The a priori bound on |lambda'| that the frozen barrier gamma assumes.
 LAMBDA0 = 10.0
 # |mean(f w)| at or below this multiple of mean(|f| w) counts as zero:
@@ -205,17 +204,3 @@ def flow_bounds(u0, f, H0):
         f_absmax=f_absmax,
         min_H0=min_H0,
     )
-
-
-def membership(u, fv, beta):
-    """Admissible-set membership of u for f given by its node values fv: {in_Xstar, in_Xf}.
-
-    in_Xstar: u positive with positive f-weighted volume; in_Xf adds
-    unit volume (within 1e-8) and E_f <= beta.
-    """
-    try:
-        report = energy_functional(u, fv)
-    except (PositivityError, AdmissibilityError):
-        return {"in_Xstar": False, "in_Xf": False}
-    in_xf = abs(volume(u) - 1.0) <= _TWO_SHARP_VOL_TOL and report.E_f <= beta
-    return {"in_Xstar": True, "in_Xf": bool(in_xf)}

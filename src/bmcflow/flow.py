@@ -24,7 +24,6 @@ can excite slowly growing high-mode oscillations on long runs (the
 residual-based controller does not see them until they are large).
 """
 
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
@@ -44,9 +43,10 @@ _LP_ORDERS = (2, 4)
 _ADMITS = {float: numbers.Real, int: numbers.Integral, bool: bool}
 
 
-def _admits(kind, value):
+def admits(kind, value):
+    """FlowConfig's type rule for a JSON value; the CLI checks its integer keys by it too."""
     if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(_admits(float, v) for v in value)
+        return isinstance(value, (list, tuple)) and all(admits(float, v) for v in value)
     return isinstance(value, _ADMITS[kind]) and isinstance(value, bool) == (kind is bool)
 
 
@@ -66,7 +66,7 @@ class FlowConfig:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _admits(f.type, value):
+            if not admits(f.type, value):
                 raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
         if not (0.0 < self.dt_min <= self.dt0 <= self.dt_max):
             raise ConfigError(
@@ -128,11 +128,6 @@ class Trajectory:
             "bounds": None if self.bounds is None else asdict(self.bounds),
             "concentration": self.info.get("concentration"),
         }
-
-    def write_verdict(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.verdict_document(), fh, indent=2)
-            fh.write("\n")
 
 
 def _columns(config):
@@ -350,23 +345,3 @@ def check_identities(traj):
         report[f"barrier_ok_{tag}"] = worst >= gamma - 1e-6
     report["barrier_min"] = float(min_barrier.min())
     return report
-
-
-def interpolation_path(uT, f, s, zeta=None):
-    """Deformation of a flowed state toward the constant, volume-normalized.
-
-    w_s = [(2 - 2s)(zeta uT)^{2#} + (2s - 1)]^{1/2#} for s in [1/2, 1];
-    zeta defaults to max uT.  At s=1/2 this is uT up to normalization,
-    at s=1 the constant 1.  The result has unit volume; its f-weighted
-    volume stays positive whenever mean f > 0 and mean(f uT^{2#}) > 0.
-    """
-    if not 0.5 <= s <= 1.0:
-        raise ValueError(f"s must lie in [1/2, 1], got {s}")
-    if float(uT.values.min()) <= 0.0:
-        raise AdmissibilityError("uT must be positive", condition="positivity")
-    if zeta is None:
-        zeta = float(uT.values.max())
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    w = ((2.0 - 2.0 * s) * (zeta * uT.values) ** TWO_SHARP + (2.0 * s - 1.0)) ** (1.0 / TWO_SHARP)
-    return _project_volume(BoundaryField(uT.grid, values=w))[0]

@@ -300,7 +300,7 @@ def check_symmetry(f, sym_spec, grid):
     has surface Laplacian > 0).  Both also require invariance and the
     positive-mean and ratio conditions.
     """
-    kind, axis, k = parse_sym_spec(sym_spec) if isinstance(sym_spec, str) else sym_spec
+    kind, axis, k = parse_sym_spec(sym_spec)
     theta = _generator_matrix(kind, axis, k)
     nodes = grid.nodes().reshape(-1, 3)
     deviation = float(np.max(np.abs(f(nodes @ theta.T) - f(nodes))))

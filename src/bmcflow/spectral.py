@@ -72,24 +72,6 @@ class Grid:
             T[: l + 1, :, l] = row
         return T
 
-    @cached_property
-    def _dtheta_table(self):
-        """d/dtheta of the packed table, from the table itself.
-
-        sin(theta) dP_l^m/dtheta = l x P_l^m - (l+m) P_{l-1}^m, and with
-        the normalization (l+m) N_{l,m} = r_{l,m} N_{l-1,m} where
-        r_{l,m} = sqrt((2l+1)(l^2-m^2)/(2l-1)), taken as 0 for l < m where
-        the table is zero.  Gauss nodes exclude the poles, so dividing by
-        sin(theta) is safe.
-        """
-        T = self._table
-        ls = np.arange(self.L + 1, dtype=float)
-        ms = ls[:, None]
-        r = np.sqrt((2 * ls[1:] + 1) * np.maximum(ls[1:] ** 2 - ms**2, 0.0) / (2 * ls[1:] - 1))
-        dT = ls * self.x[:, None] * T
-        dT[..., 1:] -= r[:, None, :] * T[..., :-1]
-        return dT / self.sin_theta[:, None]
-
     def integrate(self, values):
         """Spherical mean (1/4pi) * integral of a gridded field, or of each field of a stack.
 
@@ -156,17 +138,14 @@ def _legendre(stack, table):
     return np.matmul(rows, table.transpose(0, 2, 1)).reshape(stack.shape[:-1] + table.shape[1:2])
 
 
-def _fourier_synthesis(cos_sin, grid, weight=1.0):
-    """Grid values (..., n_lat, n_lon) from (m, ..., 2, n_lat) cosine/sine longitude coefficients.
-
-    weight scales order m in Fourier space (1j*m differentiates in phi).
-    """
+def _fourier_synthesis(cos_sin, grid):
+    """Grid values (..., n_lat, n_lon) from (m, ..., 2, n_lat) cosine/sine longitude coefficients."""
     n = grid.n_lon
     scale = np.full(grid.L + 1, n / 2.0)
     scale[0] = n
     by_lat = cos_sin.transpose(*range(1, cos_sin.ndim), 0)
     G = np.zeros(by_lat.shape[:-3] + (grid.n_lat, n // 2 + 1), dtype=complex)
-    G[..., : grid.L + 1] = (by_lat[..., 0, :, :] - 1j * by_lat[..., 1, :, :]) * (weight * scale)
+    G[..., : grid.L + 1] = (by_lat[..., 0, :, :] - 1j * by_lat[..., 1, :, :]) * scale
     return np.fft.irfft(G, n=n, axis=-1)
 
 
@@ -206,11 +185,6 @@ def synth_at(coeffs, points):
     return out.reshape(np.shape(points)[:-1])
 
 
-def degree_multipliers(L):
-    """Column vector of degrees l, for building diagonal operators."""
-    return np.arange(L + 1, dtype=float)[:, None]
-
-
 def dtn_apply(coeffs):
     """Dirichlet-to-Neumann map of the harmonic extension to the unit ball.
 
@@ -218,27 +192,7 @@ def dtn_apply(coeffs):
     normal derivative at r=1 multiplies each degree by l.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs * degree_multipliers(coeffs.shape[0] - 1)
-
-
-def laplace_beltrami(coeffs):
-    """Surface Laplacian: multiplies degree l by -l(l+1)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    ls = degree_multipliers(coeffs.shape[0] - 1)
-    return coeffs * (-ls * (ls + 1.0))
-
-
-def gradient_norm_sq(coeffs, grid):
-    """Pointwise |grad u|^2 on the grid from spectral first derivatives.
-
-    Derivatives in colatitude use the analytic d/dtheta of the Legendre
-    table; the longitude derivative is taken in Fourier space.  Gauss
-    nodes exclude the poles, so dividing by sin(theta) is safe.
-    """
-    stack = _order_stack(coeffs, grid.L)
-    u_theta = _fourier_synthesis(_legendre(stack, grid._dtheta_table), grid)
-    u_phi = _fourier_synthesis(_legendre(stack, grid._table), grid, 1j * np.arange(grid.L + 1))
-    return u_theta**2 + (u_phi / grid.sin_theta[:, None]) ** 2
+    return coeffs * np.arange(coeffs.shape[0], dtype=float)[:, None]
 
 
 class BoundaryField:
@@ -253,18 +207,6 @@ class BoundaryField:
         if self._values is not None and self._values.shape != grid.shape:
             raise ValueError(f"values shape {self._values.shape} does not match grid {grid.shape}")
 
-    @classmethod
-    def from_values(cls, values, grid):
-        return cls(grid, values=values)
-
-    @classmethod
-    def from_coeffs(cls, coeffs, grid):
-        return cls(grid, coeffs=coeffs)
-
-    @classmethod
-    def constant(cls, value, grid):
-        return cls(grid, values=np.full(grid.shape, float(value)))
-
     @property
     def values(self):
         if self._values is None:
@@ -276,9 +218,6 @@ class BoundaryField:
         if self._coeffs is None:
             self._coeffs = analyze(self._values, self.grid)
         return self._coeffs
-
-    def mean(self):
-        return self.grid.integrate(self.values)
 
     def filtered(self):
         """Projection onto the band limit (synthesize of analyze); keeps the coefficients."""

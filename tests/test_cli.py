@@ -214,18 +214,24 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
     pytest.param({"flow": {"vol_project": "no"}}, id="vol_project-string"),
     pytest.param({"flow": {"record_every": 2.5}}, id="fractional-record_every"),
     pytest.param({"flow": {"t_end": True}}, id="bool-t_end"),
+    pytest.param({"L": 31.7}, id="fractional-L"),
+    pytest.param({"n": 2.5}, id="fractional-n"),
+    pytest.param({"seed": 1.9}, id="fractional-seed"),
+    pytest.param({"L": True}, id="bool-L"),
+    pytest.param({"seed": False}, id="bool-seed"),
+    pytest.param({"u0_spec": {"type": "bubble", "p": [0, 0, 0], "eps": 0.5}}, id="zero-bubble-center"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     """Out-of-range or wrongly typed settings and unknown names exit 64
     with a one-line message, before the output directory exists; a bad
-    flow setting is named in the message."""
+    flow setting or integer key is named in the message."""
     cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    for name in mutate.get("flow", {}):
+    for name in mutate.get("flow", {}) or set(mutate) & {"L", "n", "seed"}:
         assert f"{name} must" in err or f"'{name}'" in err
 
 
@@ -344,6 +350,11 @@ def test_morse_check_symmetry_not_applying(capsys):
 def test_morse_check_usage_errors(capsys):
     assert main(["morse", "check", "--f", "2 - q"]) == 64
     assert main(["morse", "check", "--f", "2 - z^2", "--sym", "twist(z)"]) == 64
+    capsys.readouterr()
+    for L in ("3", "86"):
+        assert main(["morse", "check", "--f", "2 - z^2", "--L", L]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and L in captured.err
 
 
 @pytest.mark.parametrize("spec, keys", [(ELLIPSOID, MORSE_KEYS + ["k_system"]), ("2 - z^2", MORSE_KEYS)])

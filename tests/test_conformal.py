@@ -202,6 +202,14 @@ def test_bubble_eps_validation():
             bubble_field(N_POLE, bad, g)
 
 
+def test_bubble_center_validation():
+    """A zero or nan center is rejected, as by ConformalMap, before it is normalized."""
+    g = make_grid(8)
+    for bad in (np.zeros(3), np.array([np.nan, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="nonzero"):
+            bubble_field(bad, 0.5, g)
+
+
 def test_resolution_warning():
     """A bubble whose zonal tail exceeds the band limit warns; a resolved
     one does not."""

@@ -6,8 +6,7 @@ Validates:
 - spectral and boundary forms of the energy agree to roundoff
 - E_f, lambda, the dissipation rate and the multiplier derivative against
   hand-integrated closed forms for u = 1, f = 2 - z^2
-- scale invariance of E_f, the trace inequality, and admissible-set
-  membership
+- scale invariance of E_f and the trace inequality
 - the frozen t = 0 window/barrier constants
 """
 
@@ -29,7 +28,6 @@ from bmcflow.curvature import (
     lambda_prime,
     lp_residual,
     mean_curvature,
-    membership,
     total_energy,
     volume,
 )
@@ -234,21 +232,6 @@ def test_inadmissible_rejections():
     bad = BoundaryField(g, values=np.full(g.shape, -1.0))
     with pytest.raises(PositivityError):
         energy_functional(bad, constant_field(g).values)
-
-
-def test_membership():
-    g = make_grid(12)
-    u = constant_field(g)
-    f = parse_f_spec("2 - z^2")(g.nodes())
-    beta = np.sqrt((1.0 + (5.0 * np.sqrt(2.0) - 6.0) / 12.0) * 0.6)
-    assert membership(u, f, beta) == {"in_Xstar": True, "in_Xf": True}
-    assert membership(u, f, 0.7) == {"in_Xstar": True, "in_Xf": False}
-    doubled = BoundaryField(g, values=2.0 * u.values)
-    assert membership(doubled, f, beta) == {"in_Xstar": True, "in_Xf": False}
-    negative = BoundaryField(g, values=u.values - 2.0)
-    assert membership(negative, f, beta) == {"in_Xstar": False, "in_Xf": False}
-    z_only = parse_f_spec("z")(g.nodes())
-    assert membership(u, z_only, beta) == {"in_Xstar": False, "in_Xf": False}
 
 
 def test_volume_of_constant():
