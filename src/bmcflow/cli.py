@@ -31,7 +31,7 @@ Experiment config schema (JSON):
     "n": 2,
     "f_spec": "2 - z^2",
     "u0_spec": {"type": "constant", "value": 1.0},
-    "flow": {"dt_max": 0.01, "t_end": 50.0},
+    "flow": {"dt_max": 0.05, "t_end": 50.0},
     "checks": ["identities"]
   }
 
@@ -75,6 +75,14 @@ def _reject_unknown(given, known, what):
         raise ConfigError(f"unknown {what}: {unknown}")
 
 
+def _typed(block, key, kind, default=None):
+    """block[key] (or the default when it is absent and one is given), checked by FlowConfig's type rule."""
+    value = block[key] if default is None else block.get(key, default)
+    if not admits(kind, value):
+        raise ConfigError(f"u0_spec field {key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _build_u0(spec, grid, rng):
     if not isinstance(spec, dict):
         raise ConfigError(f"u0_spec must be a JSON object, got {spec!r}")
@@ -83,22 +91,22 @@ def _build_u0(spec, grid, rng):
         raise ConfigError(f"unknown u0_spec type {kind!r}")
     _reject_unknown(spec, ("type",) + _U0_FIELDS[kind], f"{kind} u0_spec fields")
     if kind == "constant":
-        return BoundaryField(grid, values=np.full(grid.shape, float(spec.get("value", 1.0))))
+        return BoundaryField(grid, values=np.full(grid.shape, float(_typed(spec, "value", float, 1.0))))
     if kind == "bubble":
         p = np.asarray(spec["p"], dtype=float)
-        return bubble_field(p, float(spec["eps"]), grid)
+        return bubble_field(p, float(_typed(spec, "eps", float)), grid)
     L = grid.L
     coeffs = np.zeros((L + 1, 2 * L + 1))
-    coeffs[0, L] = float(spec.get("base", 1.0))
+    coeffs[0, L] = _typed(spec, "base", float, 1.0)
     for mode in spec.get("modes", []):
-        l, m = int(mode["l"]), int(mode["m"])
+        l, m = _typed(mode, "l", int), _typed(mode, "m", int)
         if not (0 <= l <= L and -l <= m <= l):
             raise ConfigError(f"mode (l={l}, m={m}) outside the band limit L={L}")
-        coeffs[l, m + L] += float(mode["amp"])
+        coeffs[l, m + L] += _typed(mode, "amp", float)
     rand = spec.get("random")
     if rand is not None:
-        lmax = min(int(rand["lmax"]), L)
-        amp = float(rand["amp"])
+        lmax = min(_typed(rand, "lmax", int), L)
+        amp = _typed(rand, "amp", float)
         for l in range(1, lmax + 1):
             coeffs[l, L - l:L + l + 1] += amp * rng.standard_normal(2 * l + 1)
     return BoundaryField(grid, coeffs=coeffs)

@@ -71,7 +71,7 @@ def test_flow_run_stationary(tmp_path, capsys):
     assert doc["steps_recorded"] == 1
     assert doc["experiment"]["f_spec"] == "1"
     assert doc["experiment"]["L"] == 10
-    assert doc["experiment"]["flow"]["dt_max"] == 0.01
+    assert doc["experiment"]["flow"]["dt_max"] == 0.05
     assert list(doc["experiment"]["flow"]) == [f.name for f in dataclasses.fields(FlowConfig)]
 
 
@@ -79,7 +79,7 @@ def test_flow_run_horizon_writes_identities(tmp_path):
     cfg = write_config(
         tmp_path / "exp.json",
         u0_spec={"type": "perturbation", "modes": [{"l": 2, "m": 1, "amp": 0.05}]},
-        flow={"t_end": 0.1, "conv_tol": 1e-14},
+        flow={"dt_max": 0.01, "t_end": 0.1, "conv_tol": 1e-14},
     )
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 0
@@ -144,8 +144,9 @@ def test_flow_run_admissibility_exit(tmp_path, capsys):
 
 
 def test_flow_run_scheme_failure_writes_run_files(tmp_path, capsys):
-    """dt pinned at 3.0 loses positivity on the third step: exit 3, and
-    trajectory.csv and verdict.json are written as for a finished run."""
+    """dt pinned at 3.0 exceeds the local error tolerance on the first
+    step: exit 3, the reason names the cause, and trajectory.csv and
+    verdict.json are written as for a finished run."""
     cfg = write_config(
         tmp_path / "exp.json",
         L=15,
@@ -155,7 +156,7 @@ def test_flow_run_scheme_failure_writes_run_files(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 3
-    assert "positivity lost" in capsys.readouterr().err
+    assert "no step at or above dt_min = 3 accepted: local error" in capsys.readouterr().err
     assert run_dir_files(out) == ["trajectory.csv", "verdict.json"]
     with open(out / "verdict.json") as fh:
         doc = json.load(fh)
@@ -220,6 +221,13 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
     pytest.param({"L": True}, id="bool-L"),
     pytest.param({"seed": False}, id="bool-seed"),
     pytest.param({"u0_spec": {"type": "bubble", "p": [0, 0, 0], "eps": 0.5}}, id="zero-bubble-center"),
+    pytest.param({"u0_spec": {"type": "perturbation", "base": True}}, id="bool-base"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [{"l": 2.7, "m": 0, "amp": 0.05}]}},
+                 id="fractional-mode-l"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "m": 0.4, "amp": 0.05}]}},
+                 id="fractional-mode-m"),
+    pytest.param({"u0_spec": {"type": "perturbation", "random": {"lmax": 3.9, "amp": 0.01}}},
+                 id="fractional-random-lmax"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     """Out-of-range or wrongly typed settings and unknown names exit 64
@@ -233,6 +241,24 @@ def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     assert err.startswith("config error") and err.count("\n") == 1
     for name in mutate.get("flow", {}) or set(mutate) & {"L", "n", "seed"}:
         assert f"{name} must" in err or f"'{name}'" in err
+
+
+@pytest.mark.parametrize("u0_spec, name", [
+    ({"type": "constant", "value": "2"}, "value"),
+    ({"type": "bubble", "p": [0, 0, 1], "eps": True}, "eps"),
+    ({"type": "perturbation", "base": True}, "base"),
+    ({"type": "perturbation", "modes": [{"l": 2.7, "m": 0, "amp": 0.05}]}, "l"),
+    ({"type": "perturbation", "modes": [{"l": 2, "m": 0.4, "amp": 0.05}]}, "m"),
+    ({"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": [0.05]}]}, "amp"),
+    ({"type": "perturbation", "random": {"lmax": 3.9, "amp": 0.01}}, "lmax"),
+    ({"type": "perturbation", "random": {"lmax": 3, "amp": "0.01"}}, "amp"),
+])
+def test_u0_spec_type_error_names_the_field(tmp_path, capsys, u0_spec, name):
+    """u0_spec numbers follow FlowConfig's type rule: no truncation or
+    coercion, and the message names the offending field."""
+    cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", u0_spec=u0_spec)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert f"u0_spec field {name} must be of type" in capsys.readouterr().err
 
 
 def test_flow_run_unreadable_config(tmp_path, capsys):

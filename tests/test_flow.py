@@ -12,9 +12,12 @@ Validates:
 - CSV round-trip and the verdict document
 - a recorded row against the curvature layer's one-quantity functions,
   and the number of Legendre stages a recorded step costs
+- the ETD-RK2 step: second-order self-convergence at fixed dt, and a
+  monotone E_f on a concentrated bubble at L = 63 with the defaults
 """
 
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from bmcflow.flow import (
     init_state,
     run,
 )
-from bmcflow import spectral
+from bmcflow import flow, spectral
 from bmcflow.conformal import center_of_mass
 from bmcflow.curvature import lambda_prime, lp_residual, volume
 from bmcflow.prescribed import parse_f_spec
@@ -178,7 +181,7 @@ def test_identities_need_three_rows():
 
 def test_horizon_verdict():
     g = make_grid(10)
-    cfg = FlowConfig(t_end=0.1, conv_tol=1e-14)
+    cfg = FlowConfig(dt_max=0.01, t_end=0.1, conv_tol=1e-14)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
     traj = run(state, cfg)
     assert traj.verdict == "HorizonReached"
@@ -190,7 +193,7 @@ def test_horizon_clips_last_step():
     """A t_end that is not a multiple of dt ends the run at t_end: the
     last step is shortened instead of stepping past the horizon."""
     g = make_grid(10)
-    cfg = FlowConfig(t_end=0.105, conv_tol=1e-14)
+    cfg = FlowConfig(dt_max=0.01, t_end=0.105, conv_tol=1e-14)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
     traj = run(state, cfg)
     assert traj.verdict == "HorizonReached"
@@ -205,7 +208,7 @@ def test_record_every_does_not_change_run():
     g = make_grid(15)
     runs = []
     for every in (1, 7):
-        cfg = FlowConfig(t_end=0.5, conv_tol=1e-14, record_every=every)
+        cfg = FlowConfig(dt_max=0.01, t_end=0.5, conv_tol=1e-14, record_every=every)
         state = init_state(perturbed_constant(g), parse_f_spec("2 - z^2"), cfg)
         runs.append((run(state, cfg), state))
     (full, full_state), (thin, thin_state) = runs
@@ -219,7 +222,7 @@ def test_record_every_does_not_change_run():
 
 def test_record_every_thins_rows():
     g = make_grid(10)
-    cfg = FlowConfig(t_end=0.1, conv_tol=1e-14, record_every=4)
+    cfg = FlowConfig(dt_max=0.01, t_end=0.1, conv_tol=1e-14, record_every=4)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
     traj = run(state, cfg)
     # rows at steps 0, 4, 8 plus the forced final record at step 10
@@ -321,10 +324,11 @@ def test_row_matches_reference_functions():
 
 def test_legendre_stages_per_recorded_step(monkeypatch):
     """Every analyze and synthesize runs the Legendre stage once.  A step
-    costs two (analyze, then one synthesis of u and DtN u) and a row two
-    (analyze, then one synthesis of all cap radii): 4 per recorded step."""
+    costs four (per stage an analysis of the remainder and one synthesis
+    of the stage and its DtN image) and a row two (analyze, then one
+    synthesis of all cap radii): 6 per recorded step."""
     g = make_grid(10)
-    cfg = FlowConfig(t_end=0.2, conv_tol=1e-14)
+    cfg = FlowConfig(dt_max=0.01, t_end=0.2, conv_tol=1e-14)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
     calls, legendre = [], spectral._legendre
 
@@ -335,4 +339,63 @@ def test_legendre_stages_per_recorded_step(monkeypatch):
     monkeypatch.setattr(spectral, "_legendre", counted)
     traj = run(state, cfg)
     assert state.steps == 20 and len(traj.rows) == 21
-    assert len(calls) == 2 * state.steps + 2 * len(traj.rows)
+    assert len(calls) == 4 * state.steps + 2 * len(traj.rows)
+
+
+def test_step_self_convergence_is_second_order():
+    """At a fixed step h (dt_min = dt0 = dt_max = h) the step is second
+    order: max|u_h(T) - u_{h/2}(T)| falls by a factor 3 to 5 per halving."""
+    g = make_grid(15)
+    finals = []
+    for k in range(3):
+        h = 0.04 / 2**k
+        cfg = FlowConfig(dt_min=h, dt0=h, dt_max=h)
+        state = init_state(perturbed_constant(g, l=2, m=0), parse_f_spec("2 - z^2"), cfg)
+        for _ in range(25 * 2**k):
+            flow.step(state, cfg)
+        assert abs(state.t - 1.0) < 1e-12
+        finals.append(state.u.values)
+    d1, d2 = (float(np.abs(a - b).max()) for a, b in zip(finals, finals[1:]))
+    assert 3.0 <= d1 / d2 <= 5.0, (d1, d2)
+
+
+def test_concentrated_bubble_keeps_energy_monotone_at_L63(monkeypatch):
+    """A north-pole eps = 0.15 bubble on f = 2 + 0.5z with the default
+    config: E_f never rises over a step (1e-12 relative), and lambda
+    stays in its window above the curvature barrier."""
+    rises, original = [], flow.step
+
+    def watched(state, config):
+        before = state.energy_report.E_f
+        original(state, config)
+        rises.append(state.energy_report.E_f / before - 1.0)
+        return state
+
+    monkeypatch.setattr(flow, "step", watched)
+    g = make_grid(63)
+    cfg = FlowConfig(t_end=1.0)
+    state = init_state(bubble_field(N_POLE, 0.15, g), parse_f_spec("2 + 0.5z"), cfg)
+    traj = run(state, cfg)
+    assert traj.verdict == "HorizonReached"
+    assert len(rises) == state.steps > 0
+    assert max(rises) <= 1e-12
+    rep = check_identities(traj)
+    assert rep["lambda_window_ok"]
+    assert rep["barrier_ok_config"]
+
+
+def test_phi_functions_match_extended_precision():
+    """e^z, phi1 and phi2 agree with 60-digit references to 1e-13 relative
+    on both sides of the Taylor switch at |z| = 1e-2 and far out on the
+    negative axis, with no overflow or invalid value (Tier-1 turns any
+    RuntimeWarning of the flow module into an error)."""
+    z = np.array([0.0, -1e-12, -1e-6, -1e-3, -9.99e-3, -1e-2, -1.01e-2, -0.3, -1.0, -30.0, -800.0, -1e6])
+    got = flow._phi(z)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k, zk in enumerate(z):
+            d = Decimal(float(zk))
+            e = d.exp()
+            want = (e, Decimal(1), Decimal("0.5")) if zk == 0.0 else (e, (e - 1) / d, (e - 1 - d) / (d * d))
+            for value, ref in zip((g[k] for g in got), want):
+                assert abs(value - float(ref)) <= 1e-13 * abs(float(ref)) + 1e-300, (zk, value, ref)
