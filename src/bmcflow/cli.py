@@ -19,7 +19,7 @@ Subcommands:
       its closed forms, as JSON on stdout.
 
   selftest [--quick]
-      Build sanity suites (DtN exactness, Parseval, trace inequality,
+      Build sanity suites (bubble curvature, Parseval, trace inequality,
       conformal group law, pullback volume invariance) with a pass/fail
       table; exit 0 iff all pass.
 
@@ -57,7 +57,7 @@ from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
 from .flow import FlowConfig, admits, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
-from .spectral import BoundaryField, dtn_apply, make_grid
+from .spectral import BoundaryField, make_grid
 
 _EXIT_OK = 0
 _EXIT_CONCENTRATING = 2
@@ -266,17 +266,11 @@ def cmd_bubble_probe(args):
     return _EXIT_OK
 
 
-def _suite_dtn(L):
-    mult = np.arange(L + 1, dtype=float)
-    worst = 0.0
-    for l in range(L + 1):
-        coeffs = np.zeros((L + 1, 2 * L + 1))
-        m = min(l, 1)
-        coeffs[l, m + L] = 1.0
-        got = dtn_apply(coeffs)[l, m + L]
-        err = abs(got - mult[l]) / max(mult[l], 1.0)
-        worst = max(worst, err)
-    return worst < 1e-10, f"max rel err {worst:.3e}"
+def _suite_bubble_curvature(L):
+    """A bubble pulls the unit ball back by a conformal map, so its H, formed through the DtN map, is 1."""
+    u = bubble_field(np.array([0.3, -0.2, 0.9]), 0.8, make_grid(L))
+    dev = float(np.abs(mean_curvature(u).values - 1.0).max())
+    return dev < 1e-4, f"max |H - 1| {dev:.3e}"
 
 
 def _suite_parseval(L, rng):
@@ -344,7 +338,7 @@ def cmd_selftest(args):
     n_fields = 20 if args.quick else 100
     rng = np.random.default_rng(1234)
     suites = [
-        ("dtn_exactness", lambda: _suite_dtn(L)),
+        ("bubble_curvature", lambda: _suite_bubble_curvature(L)),
         ("parseval", lambda: _suite_parseval(L, rng)),
         ("trace_inequality", lambda: _suite_trace(L, rng, n_fields)),
         ("conformal_group_law", lambda: _suite_group_law(L, rng)),

@@ -299,19 +299,20 @@ class ConcentrationReport:
 def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5)):
     """Flag grid nodes whose caps carry a bubble's worth of curvature mass.
 
-    The monitored density is |H|^n u^{2#}; a node is flagged when its
-    cap integral is >= tau^n * omega_n at every radius in radii.  Cap
-    integrals are spherical convolutions with the cap indicator,
-    evaluated by Funk-Hecke multipliers, so they carry truncation error
-    of the band-limited density; tau should not be chosen closer to the
-    theoretical threshold than that error (tau < 2^{1/n} always).
+    The monitored density is |H|^n u^{2#}, with H given by its node
+    values; a node is flagged when its cap integral is >= tau^n * omega_n
+    at every radius in radii.  Cap integrals are spherical convolutions
+    with the cap indicator, evaluated by Funk-Hecke multipliers, so they
+    carry truncation error of the band-limited density; tau should not
+    be chosen closer to the theoretical threshold than that error
+    (tau < 2^{1/n} always).
     """
     if not tau < 2.0 ** (1.0 / N):
         raise ValueError(f"tau must be below 2^(1/n), got {tau}")
     if not radii:
         raise ValueError("need at least one cap radius")
     grid = u.grid
-    W = np.abs(H.values) ** N * u.values ** TWO_SHARP
+    W = np.abs(H) ** N * u.values ** TWO_SHARP
     total = OMEGA_N * grid.integrate(W)
     caps = cap_integrals(W, grid, radii)
     cap_max = {r: float(cap.max()) for r, cap in zip(radii, caps)}

@@ -120,25 +120,20 @@ def energy_functional(u, fv):
 
 
 def _residual(u, fv, lam, H):
-    """(lam f - H, u^{2#}): the flow's residual and the density of dmu_g."""
+    """(lam f - H, u^{2#}): the flow's residual and the density of dmu_g; H holds node values or is None."""
     if H is None:
-        H = mean_curvature(u)
-    return lam * fv - H.values, u.values ** TWO_SHARP
-
-
-def f2_norm(u, fv, lam, H=None):
-    """Dissipation rate F2 = mean((lam f - H)^2 u^{2#}), the p = 2 residual; fv holds f at the nodes."""
-    return lp_residual(u, fv, lam, 2, H)
+        H = mean_curvature(u).values
+    return lam * fv - H, u.values ** TWO_SHARP
 
 
 def lp_residual(u, fv, lam, p, H=None):
-    """mean(|lam f - H|^p u^{2#}) for the residual-trend diagnostics; fv holds f at the nodes."""
+    """mean(|lam f - H|^p u^{2#}); p = 2 gives the dissipation rate F2.  fv and H hold node values."""
     r, w = _residual(u, fv, lam, H)
     return u.grid.integrate(np.abs(r) ** p * w)
 
 
 def lambda_prime(u, fv, lam, H=None):
-    """Time derivative of the volume-preserving multiplier; fv holds f at the nodes.
+    """Time derivative of the volume-preserving multiplier; fv and H hold node values.
 
     lambda' = -(mean(f dmu_g))^{-1} [ (n-1)/2 * mean((lam f - H)^2 dmu_g)
               + 1/2 * mean(lam f (lam f - H) dmu_g) ].
@@ -159,7 +154,7 @@ def barrier_gamma(min_H0, lambda2, f_absmax, Lambda0):
 
 
 def flow_bounds(u0, f, H0):
-    """Frozen t=0 bounds for u0, its mean curvature H0 and the closed-form target f.
+    """Frozen t=0 bounds for u0, its mean curvature H0 at the nodes and the closed-form target f.
 
     lambda1 = (max f)^{-1} vol^{-1/n},
     lambda2 = E_f[u0]^{n/(n-1)} vol^{-1/n},
@@ -185,7 +180,7 @@ def flow_bounds(u0, f, H0):
     report = energy_functional(u0, fv)
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
-    min_H0 = float(H0.values.min())
+    min_H0 = float(H0.min())
     gamma = barrier_gamma(min_H0, lambda2, f_absmax, LAMBDA0)
     c_star = -lambda2 * f_absmax + gamma
     sigma = 0.5 * (2.0 ** (1.0 / N) * f_mean / f_absmax - 1.0)

@@ -35,8 +35,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .conformal import center_of_mass, concentration_check
-from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, f2_norm, flow_bounds,
-                        mean_curvature_values, volume)
+from .curvature import N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, flow_bounds, mean_curvature_values
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -61,7 +60,6 @@ def admits(kind, value):
 
 @dataclass
 class FlowConfig:
-    dt0: float = 0.01
     dt_min: float = 1e-7
     dt_max: float = 0.05
     t_end: float = 50.0
@@ -77,10 +75,8 @@ class FlowConfig:
             value = getattr(self, f.name)
             if not admits(f.type, value):
                 raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
-        if not (0.0 < self.dt_min <= self.dt0 <= self.dt_max):
-            raise ConfigError(
-                f"need 0 < dt_min <= dt0 <= dt_max, got {self.dt_min}, {self.dt0}, {self.dt_max}"
-            )
+        if not (0.0 < self.dt_min <= self.dt_max):
+            raise ConfigError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
         for name in ("conv_tol", "t_end", "blowup_maxu"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -99,11 +95,11 @@ class FlowState:
     t: float
     u: BoundaryField
     f_values: np.ndarray
-    H: BoundaryField
+    H: np.ndarray              # mean curvature at the grid nodes
     dtn: np.ndarray            # DtN u at the grid nodes
     energy_report: object
     bounds: object
-    dt: float                  # the last accepted step (dt0 at t = 0)
+    dt: float                  # the last accepted step (dt_max at t = 0)
     dt_next: float             # the size step() tries first
     steps: int = 0
 
@@ -129,13 +125,12 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     def verdict_document(self):
-        """Verdict + config echo as a plain dict with a fixed key order."""
+        """Verdict, frozen bounds and concentration info as a plain dict with a fixed key order."""
         return {
             "verdict": self.verdict,
             "reason": self.reason,
             "t_final": self.rows[-1][0] if self.rows else None,
             "steps_recorded": len(self.rows),
-            "config": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.config).items()},
             "bounds": None if self.bounds is None else asdict(self.bounds),
             "concentration": self.info.get("concentration"),
         }
@@ -150,33 +145,45 @@ def _columns(config):
     return tuple(cols)
 
 
-def _project_volume(u):
-    """(c u, c) for the constant c that gives c u unit volume."""
-    c = volume(u) ** (-1.0 / TWO_SHARP)
-    return BoundaryField(u.grid, values=c * u.values, coeffs=c * u.coeffs), c
+def _evaluate(coeffs, grid, f_values, project):
+    """(u, DtN u, H, EnergyReport) of the state with harmonic coefficients coeffs; DtN u and H at the nodes.
+
+    One synthesis of (coeffs, A coeffs) serves u, DtN u and H.  With
+    project, coeffs, values and DtN u are first scaled by the constant
+    that gives u unit volume.  A nonpositive node raises
+    AdmissibilityError with condition "positivity"; energy_functional
+    raises it when u lies outside the admissible set.
+    """
+    values, dtn = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
+    if values.min() <= 0.0:
+        raise AdmissibilityError("conformal factor has a nonpositive node", condition="positivity")
+    if project:
+        c = grid.integrate(values ** TWO_SHARP) ** (-1.0 / TWO_SHARP)
+        coeffs, values, dtn = c * coeffs, c * values, c * dtn
+    u = BoundaryField(grid, values=values, coeffs=coeffs)
+    return u, dtn, mean_curvature_values(values, dtn), energy_functional(u, f_values)
 
 
 def init_state(u0, f, config):
     """Admissible state at t=0 for the closed-form target f: filtered, positive, unit boundary volume.
 
-    The initial data is band-limited by one analysis/synthesis pass and
-    rescaled by a constant to unit volume (the normalized energy is
-    scale-invariant, so this changes nothing downstream).  Frozen
-    bounds (multiplier window, barrier, energy threshold) are attached.
+    The initial data is band-limited (u0's coefficients are synthesized
+    again) and rescaled by a constant to unit volume (the normalized
+    energy is scale-invariant, so this changes nothing downstream).
+    Frozen bounds (multiplier window, barrier, energy threshold) are
+    attached.
     """
     config.validate()
     f_values = f(u0.grid.nodes())
     if float(u0.values.min()) <= 0.0:
         raise AdmissibilityError("initial data is not positive", condition="positivity")
-    u = u0.filtered()
-    if float(u.values.min()) <= 0.0:
+    try:
+        u, dtn, H, report = _evaluate(u0.coeffs, u0.grid, f_values, project=True)
+    except AdmissibilityError as exc:
+        if exc.condition != "positivity":
+            raise
         raise AdmissibilityError("initial data loses positivity under band-limit filtering",
-                                 condition="positivity")
-    u, _ = _project_volume(u)
-    report = energy_functional(u, f_values)
-    dtn = synthesize(dtn_apply(u.coeffs), u.grid)
-    H = BoundaryField(u.grid, values=mean_curvature_values(u.values, dtn))
-    bounds = flow_bounds(u, f, H)
+                                 condition="positivity") from None
     return FlowState(
         t=0.0,
         u=u,
@@ -184,9 +191,9 @@ def init_state(u0, f, config):
         H=H,
         dtn=dtn,
         energy_report=report,
-        bounds=bounds,
-        dt=config.dt0,
-        dt_next=config.dt0,
+        bounds=flow_bounds(u, f, H),
+        dt=config.dt_max,
+        dt_next=config.dt_max,
     )
 
 
@@ -213,39 +220,35 @@ def _remainder(u, dtn_values, H_values, lam, f_values, kappa):
     return analyze(-(N - 1.0) / 4.0 * (H_values - lam * f_values) * u.values + 0.5 * kappa * dtn_values, u.grid)
 
 
+def _cause(exc, where):
+    """Why a try fails when _evaluate raised exc at a stage; where is empty for the new state."""
+    if exc.condition == "positivity":
+        return f"positivity lost{where}"
+    return f"left the admissible set{where}: {exc}"
+
+
 def _etd_rk2(state, config, dt, kappa, r_u):
-    """One ETD-RK2 try of size dt: (u, DtN u values, EnergyReport, err) of the new state, or why it fails."""
+    """One ETD-RK2 try of size dt: ((u, DtN u, H, EnergyReport) of the new state, err), or why it fails."""
     grid, fv = state.u.grid, state.f_values
     e, phi1, phi2 = _phi(-0.5 * dt * kappa * np.arange(grid.L + 1.0)[:, None])
     a = e * state.u.coeffs + dt * phi1 * r_u
-    a_values, a_dtn = synthesize(np.stack((a, dtn_apply(a))), grid)
-    if a_values.min() <= 0.0:
-        return "positivity lost at the first stage"
-    stage = BoundaryField(grid, values=a_values, coeffs=a)
     try:
-        lam_a = energy_functional(stage, fv).lam
+        stage, a_dtn, a_H, a_report = _evaluate(a, grid, fv, project=False)
     except AdmissibilityError as exc:
-        return f"left the admissible set at the first stage: {exc}"
-    r_a = _remainder(stage, a_dtn, mean_curvature_values(a_values, a_dtn), lam_a, fv, kappa)
-    correction = dt * phi2 * (r_a - r_u)
+        return _cause(exc, " at the first stage")
+    correction = dt * phi2 * (_remainder(stage, a_dtn, a_H, a_report.lam, fv, kappa) - r_u)
     coeffs = a + correction
     err = float(np.linalg.norm(correction) / np.linalg.norm(coeffs))
     if err > STEP_TOL:
         return f"local error {err:.3e} above STEP_TOL = {STEP_TOL:g}"
-    values, dtn_values = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
-    if values.min() <= 0.0:
-        return "positivity lost"
-    u, scale = BoundaryField(grid, values=values, coeffs=coeffs), 1.0
-    if config.vol_project:
-        u, scale = _project_volume(u)
     try:
-        report = energy_functional(u, fv)
+        u, dtn, H, report = _evaluate(coeffs, grid, fv, project=config.vol_project)
     except AdmissibilityError as exc:
-        return f"left the admissible set: {exc}"
+        return _cause(exc, "")
     rise = report.E_f / state.energy_report.E_f - 1.0
     if rise > _EF_RISE_REL:
         return f"E_f rose by {rise:.3e} relative"
-    return u, scale * dtn_values, report, err
+    return (u, dtn, H, report), err
 
 
 def step(state, config):
@@ -263,7 +266,7 @@ def step(state, config):
 
     with lambda at a from energy_functional.  The correction's norm over
     that of c+ estimates the local error (by Parseval).  The first try is
-    the proposal left by the previous step (dt0 at t = 0), but not below
+    the proposal left by the previous step (dt_max at t = 0), but not below
     dt_min and not past t_end.  A try is halved while a stage has a
     nonpositive node or leaves the admissible set, the error exceeds
     STEP_TOL, or E_f rises by more than 1e-13 relative; if no try at or
@@ -274,14 +277,13 @@ def step(state, config):
     """
     u = state.u
     kappa = float(u.values.min()) ** (2.0 - TWO_SHARP)
-    r_u = _remainder(u, state.dtn, state.H.values, state.energy_report.lam, state.f_values, kappa)
+    r_u = _remainder(u, state.dtn, state.H, state.energy_report.lam, state.f_values, kappa)
     dt = min(max(state.dt_next, config.dt_min), config.t_end - state.t)
     while isinstance(result := _etd_rk2(state, config, dt, kappa, r_u), str):
         dt *= 0.5
         if dt < config.dt_min:
             raise FlowFailure(f"no step at or above dt_min = {config.dt_min:g} accepted: {result}")
-    state.u, state.dtn, state.energy_report, err = result
-    state.H = BoundaryField(u.grid, values=mean_curvature_values(state.u.values, state.dtn))
+    (state.u, state.dtn, state.H, state.energy_report), err = result
     state.t += dt
     state.dt = dt
     state.steps += 1
@@ -290,17 +292,18 @@ def step(state, config):
     return state
 
 
-def _record(traj, state, config, F2):
-    """Append the row of the current state, its moments in one reduction; returns the cap-mass check."""
-    u, H, rep = state.u, state.H, state.energy_report
-    w = u.values ** TWO_SHARP
+def _record(traj, state, config, r, w, F2):
+    """Append the row of the current state, its moments in one reduction; returns the cap-mass check.
+
+    r = lambda f - H and w = u^{2#} at the nodes, and F2 = mean(r^2 w), come from run.
+    """
+    u, rep = state.u, state.energy_report
     lam_f = rep.lam * state.f_values
-    r = lam_f - H.values
     moments = u.grid.integrate(np.stack([w, lam_f * r * w, *(np.abs(r) ** p * w for p in _LP_ORDERS),
                                          *(u.grid.nodes().transpose(2, 0, 1) * w)]))
     vol, lr, lp, S = moments[0], moments[1], moments[2:-3], moments[-3:]
     lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
-    conc = concentration_check(u, H, tau=config.tau, radii=config.cap_radii)
+    conc = concentration_check(u, state.H, tau=config.tau, radii=config.cap_radii)
     row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
@@ -323,7 +326,9 @@ def run(state, config):
     config.validate()
     traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds)
     while True:
-        F2 = f2_norm(state.u, state.f_values, state.energy_report.lam, H=state.H)
+        r = state.energy_report.lam * state.f_values - state.H
+        w = state.u.values ** TWO_SHARP
+        F2 = state.u.grid.integrate(r**2 * w)
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
         if res < config.conv_tol:
             verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
@@ -333,7 +338,7 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            conc = _record(traj, state, config, F2)
+            conc = _record(traj, state, config, r, w, F2)
             if verdict is None and conc.flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")

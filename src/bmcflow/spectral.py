@@ -219,9 +219,5 @@ class BoundaryField:
             self._coeffs = analyze(self._values, self.grid)
         return self._coeffs
 
-    def filtered(self):
-        """Projection onto the band limit (synthesize of analyze); keeps the coefficients."""
-        return BoundaryField(self.grid, values=synthesize(self.coeffs, self.grid), coeffs=self.coeffs)
-
     def __repr__(self):
         return f"BoundaryField(L={self.grid.L}, min={self.values.min():.3g}, max={self.values.max():.3g})"

@@ -21,7 +21,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from bmcflow import cli, spectral
+from bmcflow import cli, curvature, spectral
 from bmcflow.cli import main
 from bmcflow.flow import FlowConfig
 from bmcflow.morse import check_conditions
@@ -49,15 +49,16 @@ def test_selftest_quick(capsys):
     assert main(["selftest", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "selftest: pass" in out
-    assert "dtn_exactness" in out
+    assert "bubble_curvature" in out
     assert "trace_inequality" in out
 
 
 def test_selftest_negative_control(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "dtn_apply", lambda c: 1.01 * spectral.dtn_apply(c))
+    """A DtN map off by 1% moves a bubble's H by 5e-3, far outside the suite's 1e-4."""
+    monkeypatch.setattr(curvature, "dtn_apply", lambda c: 1.01 * spectral.dtn_apply(c))
     assert main(["selftest", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL dtn_exactness" in out
+    assert "FAIL bubble_curvature" in out
 
 
 def test_flow_run_stationary(tmp_path, capsys):
@@ -152,7 +153,7 @@ def test_flow_run_scheme_failure_writes_run_files(tmp_path, capsys):
         L=15,
         f_spec="2 - z^2",
         u0_spec={"type": "perturbation", "modes": [{"l": 1, "m": 0, "amp": 0.3}]},
-        flow={"dt_min": 3.0, "dt0": 3.0, "dt_max": 3.0},
+        flow={"dt_min": 3.0, "dt_max": 3.0},
     )
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 3
@@ -181,7 +182,7 @@ def test_flow_run_zero_mean_target_exit(tmp_path, L):
     {"f_spec": None},
     {"n": 3},
     {"flow": {"no_such_field": 1}},
-    {"flow": {"dt0": -1.0}},
+    {"flow": {"dt_min": -1.0}},
     {"u0_spec": {"type": "vortex"}},
     {"u0_spec": {"type": "perturbation", "modes": [{"l": 99, "m": 0, "amp": 0.1}]}},
 ])

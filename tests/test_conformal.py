@@ -419,7 +419,7 @@ def test_concentration_flags_sharp_bubble():
     0.1 / 0.2 / 0.5, all above tau^2 = 0.64: one cluster at the peak."""
     g = make_grid(63)
     u = bubble_field(N_POLE, 0.05, g)
-    H = BoundaryField(g, values=np.ones(g.shape))
+    H = np.ones(g.shape)
     rep = concentration_check(u, H)
     omega = 4.0 * np.pi
     for r, want in [(0.1, 0.7298), (0.2, 0.9105), (0.5, 0.9647)]:
@@ -433,7 +433,7 @@ def test_concentration_flags_sharp_bubble():
 def test_concentration_quiet_on_constant():
     g = make_grid(63)
     u = BoundaryField(g, values=np.ones(g.shape))
-    H = BoundaryField(g, values=np.ones(g.shape))
+    H = np.ones(g.shape)
     rep = concentration_check(u, H)
     assert not rep.flags.any()
     assert len(rep.clusters) == 0
@@ -449,7 +449,7 @@ def test_concentration_two_bubbles_warns():
     u1 = bubble_field(N_POLE, 0.05, g)
     u2 = bubble_field(S_POLE, 0.05, g)
     u = BoundaryField(g, values=u1.values + u2.values)
-    H = BoundaryField(g, values=np.ones(g.shape))
+    H = np.ones(g.shape)
     rep = concentration_check(u, H)
     assert len(rep.clusters) == 2
     assert rep.uniqueness_warning
@@ -459,7 +459,7 @@ def test_concentration_tau_validation():
     g = make_grid(8)
     u = BoundaryField(g, values=np.ones(g.shape))
     with pytest.raises(ValueError):
-        concentration_check(u, u, tau=1.5)
+        concentration_check(u, u.values, tau=1.5)
 
 
 @pytest.mark.parametrize("L", [8, 31, 63, 85])

@@ -23,7 +23,6 @@ from bmcflow.curvature import (
     TWO_SHARP,
     barrier_gamma,
     energy_functional,
-    f2_norm,
     flow_bounds,
     lambda_prime,
     lp_residual,
@@ -99,7 +98,7 @@ def test_dissipation_closed_form():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")(g.nodes())
-    assert abs(f2_norm(u, f, 0.6) - 0.032) < 1e-14
+    assert abs(lp_residual(u, f, 0.6, 2) - 0.032) < 1e-14
 
 
 def test_lambda_prime_closed_form():
@@ -111,15 +110,6 @@ def test_lambda_prime_closed_form():
     assert abs(lambda_prime(u, f, 0.6) - (-0.0192)) < 1e-15
 
 
-def test_lp_residual_p2_matches_f2():
-    g = make_grid(12)
-    rng = np.random.default_rng(3)
-    u = random_positive_field(g, rng)
-    f = parse_f_spec("2 - z^2")(g.nodes())
-    lam = energy_functional(u, f).lam
-    assert abs(lp_residual(u, f, lam, 2) - f2_norm(u, f, lam)) < 1e-14
-
-
 def test_stationary_point_has_zero_dissipation():
     """u = 1 with f = 1 sits at H = lambda f exactly."""
     g = make_grid(8)
@@ -127,7 +117,7 @@ def test_stationary_point_has_zero_dissipation():
     f = constant_field(g).values
     rep = energy_functional(u, f)
     assert abs(rep.lam - 1.0) < 1e-14
-    assert f2_norm(u, f, rep.lam) < 1e-27
+    assert lp_residual(u, f, rep.lam, 2) < 1e-27
     assert abs(lambda_prime(u, f, rep.lam)) < 1e-14
 
 
@@ -180,7 +170,7 @@ def test_flow_bounds_closed_forms():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")
-    b = flow_bounds(u, f, mean_curvature(u))
+    b = flow_bounds(u, f, mean_curvature(u).values)
     assert abs(b.lambda1 - 0.5) < 1e-12
     assert abs(b.lambda2 - 0.6) < 1e-12
     assert abs(b.gamma - (-7.433258594542055)) < 1e-12
@@ -208,7 +198,7 @@ def test_flow_bounds_negative_sigma_flagged():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("1 + 0.9z")
-    b = flow_bounds(u, f, mean_curvature(u))
+    b = flow_bounds(u, f, mean_curvature(u).values)
     assert b.sigma < 0.0
     assert not b.condition_ii_ok
 
@@ -224,7 +214,7 @@ def test_inadmissible_rejections():
         with pytest.raises(AdmissibilityError):
             energy_functional(u, z)
         with pytest.raises(AdmissibilityError):
-            flow_bounds(u, f, mean_curvature(u))
+            flow_bounds(u, f, mean_curvature(u).values)
         with pytest.raises(AdmissibilityError):
             lambda_prime(u, z, 1.0)
         assert check_conditions(f, g)["conditions"]["positive_mean"] is False

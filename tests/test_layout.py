@@ -13,19 +13,34 @@ SRC = ROOT / "src" / "bmcflow"
 UNCALLED_ALLOWED = {
     "conformal.bubble": "the map-generated reference that tests compare bubble_field's closed form against",
     "conformal.ConformalMap.width": "the concentration parameter acceptance check c10 reads off a recentering map",
+    "curvature.lambda_prime": "the reference that test_row_matches_reference_functions compares _record's row against",
+    "curvature.lp_residual": "the reference that test_row_matches_reference_functions compares _record's row against",
 }
 
 
 def _references(tree):
-    """Every name a tree uses: bare names, attribute names and imported names."""
+    """Every name a tree reads: bare and attribute names in Load context, and imported names.
+
+    A binding (`x = ...`, `obj.x = ...`) or a `del` is no reference, and
+    neither is a read of a name that the enclosing function binds or
+    takes as a parameter: that name is a local there.
+    """
     refs = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = {n.arg for n in ast.walk(node.args) if isinstance(n, ast.arg)}
+            local |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             refs[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             refs[node.attr] += 1
         elif isinstance(node, ast.alias):
             refs[node.name.rsplit(".", 1)[-1]] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, set())
     return refs
 
 
@@ -37,6 +52,23 @@ def _public_definitions(path, tree):
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{path.stem}.{node.name}.{item.name}", item.name, item
+
+
+def test_references_count_reads_not_bindings():
+    """A function's own local of the same name is no caller; a read elsewhere is."""
+    refs = _references(ast.parse(
+        "from .curvature import flow_bounds\n"
+        "def record(rep, volume):\n"
+        "    lambda_prime = rep.lam\n"
+        "    state.H = lp_residual\n"
+        "    del rep\n"
+        "    return lambda_prime + volume + rep.denom\n"
+        "def reference(u):\n"
+        "    return lambda_prime(u)\n"
+    ))
+    assert refs["lambda_prime"] == 1 and refs["lp_residual"] == 1 and refs["flow_bounds"] == 1
+    assert refs["lam"] == 1 and refs["denom"] == 1
+    assert refs["H"] == 0 and refs["volume"] == 0 and refs["rep"] == 0 and refs["state"] == 1
 
 
 def test_no_module_imports_a_private_name():
