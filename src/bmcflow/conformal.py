@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import N, OMEGA_N, TWO_SHARP, volume
-from .errors import NormalizeError, PositivityError
+from .curvature import N, TWO_SHARP, require_positive, volume
+from .errors import NormalizeError
 from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -157,9 +157,7 @@ def pullback_normalized(u, mp):
     equals that of u (change of variables), which the tests verify on
     the grid.
     """
-    if u.values.min() <= 0.0:
-        node = np.unravel_index(np.argmin(u.values), u.values.shape)
-        raise PositivityError("pullback requires a positive field", node=node)
+    require_positive(u.values, "pulled-back field")
     nodes = u.grid.nodes()
     mapped = boundary_map(mp, nodes)
     comp = synth_at(u.coeffs, mapped)
@@ -286,48 +284,3 @@ def cap_integrals(density, grid, radii):
     multipliers = np.stack([_cap_kernel(grid.L, r) for r in radii])[:, :, None]
     return synthesize(analyze(density, grid) * multipliers, grid)
 
-
-@dataclass
-class ConcentrationReport:
-    cap_max: dict          # radius -> max over nodes of the cap integral (dmu_g units)
-    flags: np.ndarray      # bool over grid nodes: threshold met at ALL radii
-    clusters: list         # flagged unit vectors, merged by geodesic distance
-    total_mass: float      # integral of |H|^n dmu_g
-    uniqueness_warning: bool
-
-
-def concentration_check(u, H, tau=0.8, radii=(0.1, 0.2, 0.5)):
-    """Flag grid nodes whose caps carry a bubble's worth of curvature mass.
-
-    The monitored density is |H|^n u^{2#}, with H given by its node
-    values; a node is flagged when its cap integral is >= tau^n * omega_n
-    at every radius in radii.  Cap integrals are spherical convolutions
-    with the cap indicator, evaluated by Funk-Hecke multipliers, so they
-    carry truncation error of the band-limited density; tau should not
-    be chosen closer to the theoretical threshold than that error
-    (tau < 2^{1/n} always).
-    """
-    if not tau < 2.0 ** (1.0 / N):
-        raise ValueError(f"tau must be below 2^(1/n), got {tau}")
-    if not radii:
-        raise ValueError("need at least one cap radius")
-    grid = u.grid
-    W = np.abs(H) ** N * u.values ** TWO_SHARP
-    total = OMEGA_N * grid.integrate(W)
-    caps = cap_integrals(W, grid, radii)
-    cap_max = {r: float(cap.max()) for r, cap in zip(radii, caps)}
-    flags = np.all(caps >= tau**N * OMEGA_N, axis=0)
-    clusters = []
-    for pt in grid.nodes()[flags]:
-        for rep in clusters:
-            if np.arccos(np.clip(pt @ rep, -1.0, 1.0)) <= 0.5:
-                break
-        else:
-            clusters.append(pt)
-    return ConcentrationReport(
-        cap_max=cap_max,
-        flags=flags,
-        clusters=clusters,
-        total_mass=float(total),
-        uniqueness_warning=len(clusters) >= 2,
-    )

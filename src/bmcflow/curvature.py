@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, PositivityError
+from .errors import AdmissibilityError
 from .spectral import BoundaryField, dtn_apply, synthesize
 
 # The n = 2 values of the formulas above.
@@ -57,10 +57,11 @@ class FlowBounds:
     min_H0: float
 
 
-def _require_positive(values, what="field"):
+def require_positive(values, what):
+    """Raise AdmissibilityError with condition "positivity" when a node value of the field is not positive."""
     if values.min() <= 0.0:
         node = np.unravel_index(np.argmin(values), values.shape)
-        raise PositivityError(f"{what} is not positive at node {node}", node=node)
+        raise AdmissibilityError(f"{what} is not positive at node {node}", condition="positivity")
 
 
 def weighted_mean_sign(grid, fv, weight=1.0):
@@ -89,7 +90,7 @@ def mean_curvature_values(u_values, dtn_values):
 
 def mean_curvature(u):
     """Boundary mean curvature of the metric with conformal factor u; DtN(u) is applied spectrally."""
-    _require_positive(u.values, "conformal factor")
+    require_positive(u.values, "conformal factor")
     H = mean_curvature_values(u.values, synthesize(dtn_apply(u.coeffs), u.grid))
     return BoundaryField(u.grid, values=H)
 
@@ -107,7 +108,7 @@ def energy_functional(u, fv):
     E_f = E / denom^{(n-1)/n} and lambda = E / denom, defined only on
     the admissible set where denom = mean(f u^{2#}) is positive.
     """
-    _require_positive(u.values, "conformal factor")
+    require_positive(u.values, "conformal factor")
     E = total_energy(u)
     denom, sign = weighted_mean_sign(u.grid, fv, u.values ** TWO_SHARP)
     if sign <= 0:

@@ -9,14 +9,6 @@ class SpecParseError(ValueError):
     """Malformed function or initial-data specification string."""
 
 
-class PositivityError(RuntimeError):
-    """A field that must be positive has a non-positive node value."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class AdmissibilityError(RuntimeError):
     """Initial or evolved data left the admissible set.
 

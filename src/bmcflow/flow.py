@@ -34,13 +34,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .conformal import center_of_mass, concentration_check
-from .curvature import N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, flow_bounds, mean_curvature_values
+from .conformal import cap_integrals
+from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, flow_bounds, mean_curvature_values,
+                        require_positive)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
-# Orders p of the recorded residuals mean(|lambda f - H|^p dmu_g).
-_LP_ORDERS = (2, 4)
 # Largest local error of an accepted step, relative to the new coefficients.
 STEP_TOL = 1e-4
 # Largest relative rise of E_f over an accepted step: roundoff, not a rise.
@@ -140,8 +139,7 @@ def _columns(config):
     cols = ["t", "dt", "lambda", "E", "E_f", "F2", "lambda_prime", "vol_err",
             "min_u", "max_u", "S_x", "S_y", "S_z", "S_norm"]
     cols += [f"capmass_r{r:g}" for r in config.cap_radii]
-    cols += [f"Lp_res_p{p:g}" for p in _LP_ORDERS]
-    cols.append("min_H_minus_lambda_f")
+    cols += ["Lp_res_p2", "Lp_res_p4", "min_H_minus_lambda_f"]
     return tuple(cols)
 
 
@@ -155,8 +153,7 @@ def _evaluate(coeffs, grid, f_values, project):
     raises it when u lies outside the admissible set.
     """
     values, dtn = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
-    if values.min() <= 0.0:
-        raise AdmissibilityError("conformal factor has a nonpositive node", condition="positivity")
+    require_positive(values, "conformal factor")
     if project:
         c = grid.integrate(values ** TWO_SHARP) ** (-1.0 / TWO_SHARP)
         coeffs, values, dtn = c * coeffs, c * values, c * dtn
@@ -293,25 +290,33 @@ def step(state, config):
 
 
 def _record(traj, state, config, r, w, F2):
-    """Append the row of the current state, its moments in one reduction; returns the cap-mass check.
+    """Append the row of the current state and run the cap-mass detector, both from one reduction.
 
-    r = lambda f - H and w = u^{2#} at the nodes, and F2 = mean(r^2 w), come from run.
+    r = lambda f - H and w = u^{2#} at the nodes, and F2 = mean(r^2 w), come
+    from run.  The detector's density is W = |H|^n w; a node is flagged
+    when the integral of W over its cap is >= tau^n omega_n at every
+    radius in cap_radii.  Cap integrals are spherical convolutions with
+    the cap indicators, evaluated by Funk-Hecke multipliers, so they carry
+    the truncation error of the band-limited density; tau (always below
+    2^{1/n}) should not be chosen closer to the theoretical threshold
+    than that error.  Returns (flags over the nodes, the total mass
+    integral |H|^n dmu_g, S = mean(x w)).
     """
     u, rep = state.u, state.energy_report
     lam_f = rep.lam * state.f_values
-    moments = u.grid.integrate(np.stack([w, lam_f * r * w, *(np.abs(r) ** p * w for p in _LP_ORDERS),
+    W = np.abs(state.H) ** N * w
+    moments = u.grid.integrate(np.stack([w, lam_f * r * w, np.abs(r) ** 4 * w, W,
                                          *(u.grid.nodes().transpose(2, 0, 1) * w)]))
-    vol, lr, lp, S = moments[0], moments[1], moments[2:-3], moments[-3:]
+    vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
     lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
-    conc = concentration_check(u, state.H, tau=config.tau, radii=config.cap_radii)
+    caps = cap_integrals(W, u.grid, config.cap_radii)
     row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
-    row += [conc.cap_max[r] / OMEGA_N for r in config.cap_radii]
-    row += list(lp)
-    row.append(-float(r.max()))
+    row += [float(cap.max()) / OMEGA_N for cap in caps]
+    row += [F2, lp4, -float(r.max())]
     traj.rows.append(row)
-    return conc
+    return np.all(caps >= config.tau**N * OMEGA_N, axis=0), OMEGA_N * mass, S
 
 
 def run(state, config):
@@ -338,14 +343,14 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            conc = _record(traj, state, config, r, w, F2)
-            if verdict is None and conc.flags.any():
+            flags, mass, S = _record(traj, state, config, r, w, F2)
+            if verdict is None and flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")
         if verdict is not None:
             traj.verdict, traj.reason = verdict
             if traj.verdict == "Concentrating":
-                traj.info["concentration"] = _concentration_info(conc, state)
+                traj.info["concentration"] = _concentration_info(flags, state.u.grid, mass, S)
             return traj
         try:
             step(state, config)
@@ -355,14 +360,19 @@ def run(state, config):
             raise
 
 
-def _concentration_info(conc, state):
-    S, Q = center_of_mass(state.u)
+def _concentration_info(flags, grid, total_mass, S):
+    """The concentration block of verdict.json: flagged nodes merged into clusters 0.5 rad apart, S and Q = S/|S|."""
+    clusters = []
+    for pt in grid.nodes()[flags]:
+        if all(np.arccos(np.clip(pt @ c, -1.0, 1.0)) > 0.5 for c in clusters):
+            clusters.append(pt)
+    norm = float(np.linalg.norm(S))
     return {
-        "clusters": [[float(v) for v in pt] for pt in conc.clusters],
-        "uniqueness_warning": bool(conc.uniqueness_warning),
-        "total_mass": conc.total_mass,
+        "clusters": [[float(v) for v in pt] for pt in clusters],
+        "uniqueness_warning": len(clusters) >= 2,
+        "total_mass": float(total_mass),
         "S": [float(v) for v in S],
-        "Q": None if Q is None else [float(v) for v in Q],
+        "Q": [float(v) for v in S / norm] if norm > 1e-10 else None,
     }
 
 

@@ -15,8 +15,9 @@ Validates:
 - the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
   Jacobian against the true pullback, and a bound on the pullbacks a
   solve makes
-- cap-convolution concentration flags, clustering, and the uniqueness
-  warning
+- the cap integrals the flow's detector reads: a sharp bubble's flags
+  and its one cluster, and no flag on the constant
+- pullback of a nonpositive field raises AdmissibilityError
 - the cap multipliers against scipy's eval_legendre, and the batched
   cap integrals against one synthesis per radius
 """
@@ -38,13 +39,13 @@ from bmcflow.conformal import (
     bubble_field,
     cap_integrals,
     center_of_mass,
-    concentration_check,
     conformal_factor,
     normalize,
     pullback_normalized,
 )
 from bmcflow.curvature import TWO_SHARP, mean_curvature, total_energy, volume
-from bmcflow.errors import NormalizeError
+from bmcflow.errors import AdmissibilityError, NormalizeError
+from bmcflow.flow import _concentration_info
 from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -412,54 +413,44 @@ def test_normalize_makes_few_pullbacks(monkeypatch):
     assert 1 <= len(calls) <= 8
 
 
+def _detector(u):
+    """Cap integrals of u^4 (the detector's density |H|^2 u^4 where H = 1), the
+    nodes flagged at tau = 0.8 and the clusters the flow reports for them."""
+    g = u.grid
+    caps = cap_integrals(u.values**4, g, (0.1, 0.2, 0.5))
+    flags = np.all(caps >= 0.8**2 * 4.0 * np.pi, axis=0)
+    return caps, flags, _concentration_info(flags, g, 0.0, np.zeros(3))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_concentration_flags_sharp_bubble():
     """Frozen grid evaluation (notes): at degree 63 the truncated 0.05
     bubble carries cap fractions 0.7298 / 0.9105 / 0.9647 at radii
     0.1 / 0.2 / 0.5, all above tau^2 = 0.64: one cluster at the peak."""
     g = make_grid(63)
-    u = bubble_field(N_POLE, 0.05, g)
-    H = np.ones(g.shape)
-    rep = concentration_check(u, H)
-    omega = 4.0 * np.pi
-    for r, want in [(0.1, 0.7298), (0.2, 0.9105), (0.5, 0.9647)]:
-        assert abs(rep.cap_max[r] / omega - want) < 1e-3
-    assert rep.flags.any()
-    assert len(rep.clusters) == 1
-    assert float(rep.clusters[0] @ N_POLE) > 0.99
-    assert not rep.uniqueness_warning
+    caps, flags, info = _detector(bubble_field(N_POLE, 0.05, g))
+    for cap, want in zip(caps, (0.7298, 0.9105, 0.9647)):
+        assert abs(float(cap.max()) / (4.0 * np.pi) - want) < 1e-3
+    assert flags.any()
+    assert len(info["clusters"]) == 1
+    assert info["clusters"][0] @ N_POLE > 0.99
+    assert not info["uniqueness_warning"]
 
 
 def test_concentration_quiet_on_constant():
     g = make_grid(63)
-    u = BoundaryField(g, values=np.ones(g.shape))
-    H = np.ones(g.shape)
-    rep = concentration_check(u, H)
-    assert not rep.flags.any()
-    assert len(rep.clusters) == 0
-    assert not rep.uniqueness_warning
-    assert abs(rep.total_mass - 4.0 * np.pi) < 1e-10
+    _, flags, info = _detector(BoundaryField(g, values=np.ones(g.shape)))
+    assert not flags.any()
+    assert info["clusters"] == []
+    assert not info["uniqueness_warning"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_concentration_two_bubbles_warns():
-    """Antipodal glued bubbles flag two clusters and trip the uniqueness
-    warning."""
-    g = make_grid(63)
-    u1 = bubble_field(N_POLE, 0.05, g)
-    u2 = bubble_field(S_POLE, 0.05, g)
-    u = BoundaryField(g, values=u1.values + u2.values)
-    H = np.ones(g.shape)
-    rep = concentration_check(u, H)
-    assert len(rep.clusters) == 2
-    assert rep.uniqueness_warning
-
-
-def test_concentration_tau_validation():
+def test_pullback_rejects_nonpositive_field():
     g = make_grid(8)
-    u = BoundaryField(g, values=np.ones(g.shape))
-    with pytest.raises(ValueError):
-        concentration_check(u, u.values, tau=1.5)
+    u = BoundaryField(g, values=np.full(g.shape, -1.0))
+    with pytest.raises(AdmissibilityError) as exc:
+        pullback_normalized(u, ConformalMap(N_POLE, 0.5))
+    assert exc.value.condition == "positivity"
 
 
 @pytest.mark.parametrize("L", [8, 31, 63, 85])

@@ -30,7 +30,7 @@ from bmcflow.curvature import (
     total_energy,
     volume,
 )
-from bmcflow.errors import AdmissibilityError, PositivityError
+from bmcflow.errors import AdmissibilityError
 from bmcflow.morse import check_conditions
 from bmcflow.prescribed import parse_f_spec
 from bmcflow.spectral import BoundaryField, dtn_apply, make_grid, synth_at
@@ -220,8 +220,9 @@ def test_inadmissible_rejections():
         assert check_conditions(f, g)["conditions"]["positive_mean"] is False
     g = make_grid(10)
     bad = BoundaryField(g, values=np.full(g.shape, -1.0))
-    with pytest.raises(PositivityError):
+    with pytest.raises(AdmissibilityError) as exc:
         energy_functional(bad, constant_field(g).values)
+    assert exc.value.condition == "positivity"
 
 
 def test_volume_of_constant():

@@ -10,7 +10,9 @@ Validates:
   projection accuracy, step-size rules, verdicts, and the recorded
   diagnostic identities
 - concentration verdicts from the amplitude guard and from the
-  cap-mass detector at t = 0
+  cap-mass detector at t = 0, two clusters from glued antipodal
+  bubbles, and the concentration block of a unit bubble against its
+  oracles (total mass 4 pi, S the row's and center_of_mass's)
 - CSV round-trip and the verdict document
 - a recorded row against the curvature layer's one-quantity functions,
   and the number of Legendre stages a recorded step costs
@@ -276,6 +278,37 @@ def test_detector_fires_on_initial_data():
     assert not conc["uniqueness_warning"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_detector_reports_two_bubbles():
+    """Glued antipodal 0.05 bubbles flag two clusters at t = 0 and trip
+    the uniqueness warning."""
+    g = make_grid(63)
+    u0 = BoundaryField(g, values=bubble_field(N_POLE, 0.05, g).values + bubble_field(-N_POLE, 0.05, g).values)
+    traj = run(init_state(u0, parse_f_spec("2 + 0.5z"), FlowConfig()), FlowConfig())
+    assert traj.verdict == "Concentrating"
+    assert "initial data" in traj.reason
+    conc = traj.info["concentration"]
+    assert len(conc["clusters"]) == 2
+    assert conc["uniqueness_warning"]
+
+
+def test_concentration_block_oracles():
+    """An eps = 0.5 bubble has H = 1 and unit volume, so the detector's
+    total mass, integral |H|^2 dmu_g, is 4 pi; S is the row's S columns
+    and center_of_mass of the state, bit for bit."""
+    g = make_grid(31)
+    cfg = FlowConfig(blowup_maxu=1.5)
+    state = init_state(bubble_field([0.3, -0.2, 0.9], 0.5, g), parse_f_spec("2 + 0.5z"), cfg)
+    traj = run(state, cfg)
+    assert traj.verdict == "Concentrating"
+    assert state.t == 0.0
+    conc = traj.info["concentration"]
+    assert abs(conc["total_mass"] - 4.0 * np.pi) <= 1e-12
+    row = dict(zip(traj.columns, traj.rows[-1]))
+    assert conc["S"] == [row["S_x"], row["S_y"], row["S_z"]]
+    assert conc["S"] == [float(v) for v in center_of_mass(state.u)[0]]
+
+
 def test_unprojected_volume_drift_is_small():
     """Without projection the volume drifts at the truncation-error rate
     of the scheme, not catastrophically."""
@@ -326,13 +359,13 @@ def test_row_matches_reference_functions():
         "vol_err": volume(u) - 1.0,
         "F2": lp_residual(u, fv, lam, 2, H=H),
         "lambda_prime": lambda_prime(u, fv, lam, H=H),
-        "Lp_res_p2": lp_residual(u, fv, lam, 2, H=H),
         "Lp_res_p4": lp_residual(u, fv, lam, 4, H=H),
         "S_x": S[0], "S_y": S[1], "S_z": S[2],
         "min_H_minus_lambda_f": float((H - lam * fv).min()),
     }
     for name, value in want.items():
         assert abs(row[name] - value) <= 1e-14 * max(1.0, abs(value)), name
+    assert row["Lp_res_p2"] == row["F2"]
 
 
 def test_legendre_stages_per_recorded_step(monkeypatch):
