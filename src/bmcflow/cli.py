@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
-                        center_of_mass)
+                        center_of_mass, unit_direction)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume
 from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
 from .flow import FlowConfig, admits, check_identities, init_state, run
@@ -93,8 +93,7 @@ def _build_u0(spec, grid, rng):
     if kind == "constant":
         return BoundaryField(grid, values=np.full(grid.shape, float(_typed(spec, "value", float, 1.0))))
     if kind == "bubble":
-        p = np.asarray(spec["p"], dtype=float)
-        return bubble_field(p, float(_typed(spec, "eps", float)), grid)
+        return bubble_field(_typed(spec, "p", tuple), float(_typed(spec, "eps", float)), grid)
     L = grid.L
     coeffs = np.zeros((L + 1, 2 * L + 1))
     coeffs[0, L] = _typed(spec, "base", float, 1.0)
@@ -234,9 +233,8 @@ def cmd_morse_check(args):
 
 def cmd_bubble_probe(args):
     try:
-        p = np.array([float(v) for v in args.p.split(",")], dtype=float)
-        if p.shape != (3,) or not np.linalg.norm(p) > 0:
-            raise ValueError("need three comma-separated components, not all zero")
+        p = [float(v) for v in args.p.split(",")]
+        direction = unit_direction(p, "--p")
         if not 0.0 < args.eps <= 1.0:
             raise ValueError(f"eps must lie in (0, 1], got {args.eps}")
         grid = make_grid(args.L)
@@ -249,7 +247,7 @@ def cmd_bubble_probe(args):
     radii = (0.1, 0.2, 0.5)
     caps = cap_integrals(u.values**TWO_SHARP, grid, radii)
     doc = {
-        "p": [float(v) for v in p / np.linalg.norm(p)],
+        "p": [float(v) for v in direction],
         "eps": args.eps,
         "L": args.L,
         "volume_err": volume(u) - 1.0,

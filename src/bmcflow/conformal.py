@@ -36,6 +36,22 @@ from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesiz
 _NORTH = np.array([0.0, 0.0, 1.0])
 
 
+def unit_direction(p, what):
+    """p / |p| for a 3-vector p with finite components, not all zero; ValueError otherwise.
+
+    Where the squares in |p| could overflow (1e308, 1e308, 0) or
+    underflow (1e-320, 1e-320, 0), p is first divided by its largest
+    |component|.
+    """
+    p = np.asarray(p, dtype=float)
+    scale = np.abs(p).max() if p.shape == (3,) else np.nan
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"{what} must be a nonzero vector of three finite components, got {p.tolist()}")
+    if not 1e-150 < scale < 1e150:
+        p = p / scale
+    return p / np.linalg.norm(p)
+
+
 @dataclass
 class ConformalMap:
     """Moebius dilation with fixed points p and -p and chart factor eps."""
@@ -44,11 +60,7 @@ class ConformalMap:
     eps: float
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        norm = np.linalg.norm(self.p)
-        if norm == 0:
-            raise ValueError("map base point must be a nonzero vector")
-        self.p = self.p / norm
+        self.p = unit_direction(self.p, "map base point")
         if self.eps <= 0:
             raise ValueError(f"dilation parameter must be positive, got {self.eps}")
 
@@ -120,11 +132,7 @@ def bubble_field(p, eps, grid):
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"concentration parameter must be in (0, 1], got {eps}")
-    p = np.asarray(p, dtype=float)
-    norm = np.linalg.norm(p)
-    if not norm > 0:
-        raise ValueError("bubble center must be a nonzero vector")
-    p = p / norm
+    p = unit_direction(p, "bubble center")
     _resolution_check(eps / (2.0 - eps), grid.L)
     dist = np.linalg.norm(grid.nodes() - (1.0 - eps) * p, axis=-1)
     k = (N - 1.0) / 2.0

@@ -12,7 +12,7 @@ Spherical means are written mean(.) throughout; dmu_g denotes the
 evolving boundary measure u^{2#} dmu.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class EnergyReport:
     denom: float
     E_f: float
     lam: float
+    density: np.ndarray = field(repr=False, compare=False)   # u^{2#} at the nodes: the density of dmu_g
 
 
 @dataclass
@@ -106,18 +107,20 @@ def energy_functional(u, fv):
     """EnergyReport for (u, f), f given by its node values fv: E, the f-weighted volume, E_f, lambda.
 
     E_f = E / denom^{(n-1)/n} and lambda = E / denom, defined only on
-    the admissible set where denom = mean(f u^{2#}) is positive.
+    the admissible set where denom = mean(f u^{2#}) is positive.  The
+    report keeps u^{2#} at the nodes, so its callers need not form it again.
     """
     require_positive(u.values, "conformal factor")
     E = total_energy(u)
-    denom, sign = weighted_mean_sign(u.grid, fv, u.values ** TWO_SHARP)
+    density = u.values ** TWO_SHARP
+    denom, sign = weighted_mean_sign(u.grid, fv, density)
     if sign <= 0:
         raise AdmissibilityError(
             f"f-weighted volume is {denom:.3e}; u lies outside the admissible set for this f",
             condition="positive f-weighted volume",
         )
     E_f = E / denom ** ((N - 1.0) / N)
-    return EnergyReport(E=E, denom=denom, E_f=E_f, lam=E / denom)
+    return EnergyReport(E=E, denom=denom, E_f=E_f, lam=E / denom, density=density)
 
 
 def _residual(u, fv, lam, H):
@@ -177,8 +180,8 @@ def flow_bounds(u0, f, H0):
     f_absmax = max(abs(fmin), abs(fmax))
     if fmax <= 0.0:
         raise AdmissibilityError("max f must be positive", condition="positive maximum")
-    vol = volume(u0)
     report = energy_functional(u0, fv)
+    vol = u0.grid.integrate(report.density)
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
     min_H0 = float(H0.min())

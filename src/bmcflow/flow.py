@@ -148,7 +148,8 @@ def _evaluate(coeffs, grid, f_values, project):
 
     One synthesis of (coeffs, A coeffs) serves u, DtN u and H.  With
     project, coeffs, values and DtN u are first scaled by the constant
-    that gives u unit volume.  A nonpositive node raises
+    that gives u unit volume; u^{2#} is formed once for that constant and
+    once more, of the scaled u, in the EnergyReport.  A nonpositive node raises
     AdmissibilityError with condition "positivity"; energy_functional
     raises it when u lies outside the admissible set.
     """
@@ -332,7 +333,7 @@ def run(state, config):
     traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds)
     while True:
         r = state.energy_report.lam * state.f_values - state.H
-        w = state.u.values ** TWO_SHARP
+        w = state.energy_report.density
         F2 = state.u.grid.integrate(r**2 * w)
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
         if res < config.conv_tol:

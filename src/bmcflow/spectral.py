@@ -13,7 +13,7 @@ so analyze/synthesize round-trip band-limited data to machine precision.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,19 +169,68 @@ def synthesize(coeffs, grid):
     return _fourier_synthesis(_legendre(_order_stack(coeffs, grid.L), grid._table), grid)
 
 
+@lru_cache(maxsize=8)
+def _fourier_table(L):
+    """Read-only (m, k, l) table of s_m N_{l,m} P_l^m(cos theta) in cos k theta (m even) or sin k theta (m odd).
+
+    P_l^m(cos theta) is sin^m theta times a polynomial of degree l - m in
+    cos theta, so each is a trigonometric polynomial of degree l in theta
+    (the double Fourier sphere; Townsend, Wilber & Wright 2016).  The rows
+    at the L+2 colatitudes pi k / (L+1), k = 0..L+1, extended to the full
+    circle with parity (-1)^m, give the coefficients by one rfft.
+    """
+    half = np.zeros((L + 1, L + 1, L + 2))
+    for l, row in enumerate(legendre_rows(L, np.cos(np.pi * np.arange(L + 2) / (L + 1)))):
+        half[: l + 1, l] = row
+    parity = (-1.0) ** np.arange(L + 1)[:, None, None]
+    F = np.fft.rfft(np.concatenate((half, parity * half[..., L:0:-1]), axis=-1))[..., : L + 1] / (L + 1)
+    T = np.where(parity > 0, F.real, -F.imag)
+    T[0::2, :, 0] *= 0.5
+    T = T.transpose(0, 2, 1)
+    T.flags.writeable = False
+    return T
+
+
+def _angle_powers(e, K):
+    """e^{ik a} for k = 0..K, shape (K+1, npts), from e^{ia} at each point.
+
+    Each complex multiply doubles the range of k, so no cos or sin is
+    taken of a (K+1, npts) array.
+    """
+    E = np.empty((K + 1, len(e)), dtype=complex)
+    E[0], E[1:2] = 1.0, e
+    n = 2
+    while n <= K:
+        m = min(n, K + 1 - n)
+        np.multiply(E[:m], E[n - 1] * e, out=E[n : n + m])
+        n *= 2
+    return E
+
+
 def synth_at(coeffs, points):
     """Evaluate a coefficient array at arbitrary unit vectors.
 
     points has shape (..., 3); the return matches points.shape[:-1].
+    The cosine of the colatitude is z clipped to [-1, 1] and the
+    longitude is arctan2(y, x).  The Legendre stage of synthesize, run
+    against _fourier_table, gives each order's cosine and sine longitude
+    coefficients as trigonometric polynomials in theta; two matrix
+    products evaluate them at the points (even orders in cos k theta,
+    odd in sin k theta), and one weighted sum adds cos m phi and sin m phi.
     """
     L = np.shape(coeffs)[0] - 1
-    stack = _order_stack(coeffs, L)
+    by_order = _legendre(_order_stack(coeffs, L), _fourier_table(L))
     flat = np.asarray(points, dtype=float).reshape(-1, 3)
-    mphi = np.arange(L + 1)[:, None] * np.arctan2(flat[:, 1], flat[:, 0])
-    cos_sin = np.zeros((L + 1, 2, len(flat)))
-    for l, row in enumerate(legendre_rows(L, np.clip(flat[:, 2], -1.0, 1.0))):
-        cos_sin[: l + 1] += stack[: l + 1, :, l, None] * row[:, None]
-    out = np.sum(cos_sin[:, 0] * np.cos(mphi) + cos_sin[:, 1] * np.sin(mphi), axis=0)
+    z = np.clip(flat[:, 2], -1.0, 1.0)
+    phi = np.arctan2(flat[:, 1], flat[:, 0])
+    e_theta = _angle_powers(z + 1j * np.sqrt(1.0 - z * z), L)
+    e_phi = _angle_powers(np.cos(phi) + 1j * np.sin(phi), L)
+    out = 0.0
+    for parity, trig in ((0, e_theta.real), (1, e_theta.imag)):
+        # the copy makes the strided real or imaginary part contiguous for BLAS
+        lon = (by_order[parity::2].reshape(-1, L + 1) @ trig.copy()).reshape(-1, 2, len(flat))
+        out += np.einsum("mp,mp->p", lon[:, 0], e_phi.real[parity::2])
+        out += np.einsum("mp,mp->p", lon[:, 1], e_phi.imag[parity::2])
     return out.reshape(np.shape(points)[:-1])
 
 

@@ -253,6 +253,7 @@ def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     ({"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": [0.05]}]}, "amp"),
     ({"type": "perturbation", "random": {"lmax": 3.9, "amp": 0.01}}, "lmax"),
     ({"type": "perturbation", "random": {"lmax": 3, "amp": "0.01"}}, "amp"),
+    ({"type": "bubble", "p": [0, 0, True], "eps": 0.5}, "p"),
 ])
 def test_u0_spec_type_error_names_the_field(tmp_path, capsys, u0_spec, name):
     """u0_spec numbers follow FlowConfig's type rule: no truncation or
@@ -448,6 +449,52 @@ def test_bubble_probe_usage_errors(capsys):
     assert main(["bubble", "probe", "--p", "0,0", "--eps", "0.3"]) == 64
     assert main(["bubble", "probe", "--p", "0,0,0", "--eps", "0.3"]) == 64
     assert main(["bubble", "probe", "--p", "0,0,1", "--eps", "1.5"]) == 64
+
+
+@pytest.mark.parametrize("p", ["inf,0,0", "nan,0,1", "1e400,0,0"])
+def test_bubble_probe_rejects_non_finite_center(capsys, p):
+    """A center with a non-finite component exits 64 with one line, no traceback and no JSON."""
+    assert main(["bubble", "probe", f"--p={p}", "--eps", "0.5", "--L", "16"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad probe arguments") and captured.err.count("\n") == 1
+    assert "finite" in captured.err
+
+
+def test_bubble_probe_overflowing_center_keeps_direction(capsys):
+    """|p| of (1e308, 1e308, 0) overflows; the probe still reports the
+    direction (1, 1, 0)/sqrt(2) and the same bubble as p = (1, 1, 0)."""
+    assert main(["bubble", "probe", "--p=1,1,0", "--eps", "0.5", "--L", "16"]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(["bubble", "probe", "--p=1e308,1e308,0", "--eps", "0.5", "--L", "16"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert np.abs(np.array(got["p"]) - [np.sqrt(0.5), np.sqrt(0.5), 0.0]).max() < 1e-15
+    assert got == want
+
+
+def test_flow_run_overflowing_bubble_center(tmp_path):
+    """A u0 bubble at (1e308, 1e308, 0) runs the flow from the bubble at
+    (1, 1, 0): its trajectory is byte-identical to that run's."""
+    runs = {}
+    for tag, p in (("unit", [1, 1, 0]), ("huge", [1e308, 1e308, 0])):
+        cfg = write_config(tmp_path / f"{tag}.json", L=16, f_spec="2 + 0.5z",
+                           u0_spec={"type": "bubble", "p": p, "eps": 0.6}, flow={"t_end": 0.3})
+        assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / tag)]) == 0
+        runs[tag] = (tmp_path / tag / "trajectory.csv").read_bytes()
+    assert runs["huge"] == runs["unit"]
+
+
+def test_flow_run_rejects_non_finite_bubble_center(tmp_path, capsys):
+    """A u0 bubble at (Infinity, 0, 0) exits 64 with one line before any
+    output is written, not 3 with a nan f-weighted volume."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text('{"L": 16, "f_spec": "2 + 0.5z", "u0_spec": {"type": "bubble", "p": [Infinity, 0, 0], "eps": 0.6}}')
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", str(cfg), "--out", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "bubble center" in err and "finite" in err
 
 
 def _package_installed():

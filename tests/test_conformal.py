@@ -211,6 +211,22 @@ def test_bubble_center_validation():
             bubble_field(bad, 0.5, g)
 
 
+def test_bubble_center_non_finite_or_overflowing():
+    """A center with an infinite component is rejected; one whose norm
+    overflows or underflows gives the bubble of its direction, bit for bit."""
+    g = make_grid(8)
+    for bad in ([np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0], [np.nan, np.nan, np.nan], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            bubble_field(np.array(bad), 0.9, g)
+        with pytest.raises(ValueError, match="finite"):
+            ConformalMap(np.array(bad), 0.5)
+    want = bubble_field(np.array([1.0, 1.0, 0.0]), 0.9, g).values
+    direction = ConformalMap(np.array([1.0, 1.0, 0.0]), 0.5).p
+    for scale in (1e308, 1e-320):
+        assert np.array_equal(bubble_field(np.array([scale, scale, 0.0]), 0.9, g).values, want)
+        assert np.array_equal(ConformalMap(np.array([scale, scale, 0.0]), 0.5).p, direction)
+
+
 def test_resolution_warning():
     """A bubble whose zonal tail exceeds the band limit warns; a resolved
     one does not."""

@@ -4,7 +4,10 @@ Validates:
 - Gauss-Legendre quadrature exactness on polynomial integrands
 - analyze/synthesize round trips and Parseval's identity
 - the degree multipliers of the normal-derivative operator
-- point evaluation (synth_at) against zonal Legendre sums
+- point evaluation (synth_at) against zonal Legendre sums, grid
+  synthesis at every node, and a per-degree Legendre sum off the grid;
+  its poles, the longitude cut, point shapes and the cached read-only
+  Legendre-to-Fourier table
 - grid synthesis and synth_at against a reference synthesis built on
   scipy's lpmv, independent of the library's Legendre recurrence
 - leading batch axes of synthesize and integrate against single calls,
@@ -20,8 +23,10 @@ from scipy.special import eval_legendre, lpmv
 
 from bmcflow.spectral import (
     BoundaryField,
+    _fourier_table,
     analyze,
     dtn_apply,
+    legendre_rows,
     make_grid,
     synth_at,
     synthesize,
@@ -149,24 +154,101 @@ def test_dtn_quadratic_form_nonnegative(seed):
     assert abs(quad - np.sum(ls * coeffs**2)) < 1e-10
 
 
-@pytest.mark.parametrize("L", [12, 85])
+@pytest.mark.parametrize("L", [4, 12, 31, 85])
 def test_synth_at_matches_grid_synthesis(L):
-    """Point evaluation agrees with the grid transform at grid nodes.
+    """At every node of make_grid(L), synth_at equals synthesize to 1e-12 relative.
 
-    Both take their Legendre values from the same recurrence, so this
-    checks the two longitude paths; test_synthesis_matches_lpmv_reference
-    checks the Legendre values themselves.
+    The grid path sums Legendre values at the Gauss nodes and then
+    longitudes by FFT; synth_at sums each order's Fourier series in the
+    colatitude, with both series built from the same recurrence, so this
+    checks the Legendre-to-Fourier table and the angle tables;
+    test_synthesis_matches_lpmv_reference checks the Legendre values
+    themselves.
     """
     g = make_grid(L)
-    rng = np.random.default_rng(11)
+    coeffs = random_band_limited(L, np.random.default_rng(11))
+    want = synthesize(coeffs, g)
+    got = synth_at(coeffs, g.nodes())
+    assert got.shape == g.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def degree_by_degree_synthesis(coeffs, points):
+    """Reference synth_at: one (l+1, npts) row of legendre_rows at a time, cos/sin m phi taken directly."""
+    L = coeffs.shape[0] - 1
+    z = np.clip(points[:, 2], -1.0, 1.0)
+    mphi = np.arange(L + 1)[:, None] * np.arctan2(points[:, 1], points[:, 0])
+    out = np.zeros(len(points))
+    for l, row in enumerate(legendre_rows(L, z)):
+        cos_part = coeffs[l, L:L + l + 1, None] * np.cos(mphi[: l + 1])
+        sin_part = coeffs[l, L - 1::-1][:l, None] * np.sin(mphi[1 : l + 1])
+        out += np.sum(row * cos_part, axis=0) + np.sum(row[1:] * sin_part, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("L", [31, 63, 85])
+def test_synth_at_matches_degree_by_degree_sum(L):
+    """Off the grid, synth_at equals the per-degree Legendre sum to 1e-13 relative."""
+    rng = np.random.default_rng(100 + L)
     coeffs = random_band_limited(L, rng)
-    values = synthesize(coeffs, g)
-    nodes = g.nodes()
-    picks = [(0, 0), (3, 7), (L, 2 * L + 1), (7, 13)]
-    pts = np.array([nodes[i % g.n_lat, j % g.n_lon] for i, j in picks])
+    pts = rng.standard_normal((500, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    want = degree_by_degree_synthesis(coeffs, pts)
+    assert np.abs(synth_at(coeffs, pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("L", [4, 31, 85])
+def test_synth_at_poles_and_longitude_cut(L):
+    """At the poles and on the phi = +-pi cut (x < 0, y = +-0.0) synth_at
+    agrees with the lpmv reference, and both sides of the cut agree."""
+    coeffs = random_band_limited(L, np.random.default_rng(7 * L))
+    s = np.sqrt(0.5)
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [1e-300, 0.0, -1.0],
+                    [-s, 0.0, s], [-s, -0.0, s], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0],
+                    [-0.6, 0.0, -0.8], [-0.6, -0.0, -0.8]])
+    want = lpmv_synthesis(coeffs, pts[:, 2], np.arctan2(pts[:, 1], pts[:, 0]))
     got = synth_at(coeffs, pts)
-    want = np.array([values[i % g.n_lat, j % g.n_lon] for i, j in picks])
-    assert np.abs(got - want).max() < 1e-10
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    assert np.abs(got[4::2] - got[5::2]).max() <= 1e-13 * scale
+    # a z one ulp past a pole, as roundoff leaves it, is clipped to the pole
+    past = synth_at(coeffs, np.array([[0.0, 0.0, np.nextafter(1.0, 2.0)], [0.0, 0.0, np.nextafter(-1.0, -2.0)]]))
+    assert np.abs(past - got[:2]).max() <= 1e-13 * scale
+
+
+def test_synth_at_point_shapes():
+    """Points (3,), (k, 3) and (a, b, 3) give results of shape (), (k,) and (a, b)."""
+    L = 6
+    coeffs = random_band_limited(L, np.random.default_rng(3))
+    pts = np.random.default_rng(4).standard_normal((2, 5, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    full = synth_at(coeffs, pts)
+    assert full.shape == (2, 5)
+    assert synth_at(coeffs, pts[1]).shape == (5,)
+    assert synth_at(coeffs, pts[1, 3]).shape == ()
+    scale = np.abs(full).max()
+    assert np.abs(synth_at(coeffs, pts[1]) - full[1]).max() <= 1e-14 * scale
+    assert abs(synth_at(coeffs, pts[1, 3]) - full[1, 3]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("L", [4, 31, 85])
+def test_fourier_table_cached_read_only(L):
+    """One cached read-only (L+1)^3 table per L, whose cosine (even m) and
+    sine (odd m) series give legendre_rows at colatitudes off its samples."""
+    T = _fourier_table(L)
+    assert T.shape == (L + 1, L + 1, L + 1)
+    assert _fourier_table(L) is T
+    with pytest.raises(ValueError):
+        T[0, 0, 0] = 1.0
+    theta = np.array([0.0, 0.3, 1.7, 3.0, np.pi])
+    k_theta = np.arange(L + 1)[:, None] * theta
+    want = np.zeros((L + 1, L + 1, len(theta)))
+    for l, row in enumerate(legendre_rows(L, np.cos(theta))):
+        want[: l + 1, l] = row
+    got = np.empty_like(want)
+    got[0::2] = np.einsum("mkl,kp->mlp", T[0::2], np.cos(k_theta))
+    got[1::2] = np.einsum("mkl,kp->mlp", T[1::2], np.sin(k_theta))
+    assert np.abs(got - want).max() <= 1e-13 * np.sqrt(2 * L + 1)
 
 
 def lpmv_synthesis(coeffs, z, phi):
