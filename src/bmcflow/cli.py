@@ -52,7 +52,7 @@ import numpy as np
 
 from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
                         center_of_mass, unit_direction)
-from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume
+from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume, volume_density
 from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
 from .flow import FlowConfig, admits, check_identities, init_state, run
 from .morse import check_conditions, check_symmetry
@@ -245,7 +245,7 @@ def cmd_bubble_probe(args):
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
     radii = (0.1, 0.2, 0.5)
-    caps = cap_integrals(u.values**TWO_SHARP, grid, radii)
+    caps = cap_integrals(volume_density(u.values), grid, radii)
     doc = {
         "p": [float(v) for v in direction],
         "eps": args.eps,

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import N, TWO_SHARP, require_positive, volume
+from .curvature import N, require_positive, volume, volume_density
 from .errors import NormalizeError
 from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
 
@@ -175,7 +175,7 @@ def pullback_normalized(u, mp):
 
 def center_of_mass(u):
     """S = mean(x u^{2#}) and its direction Q (None when |S| <= 1e-10)."""
-    S = u.grid.integrate(u.grid.nodes().transpose(2, 0, 1) * u.values ** TWO_SHARP)
+    S = u.grid.integrate(u.grid.nodes().transpose(2, 0, 1) * volume_density(u.values))
     norm = float(np.linalg.norm(S))
     Q = S / norm if norm > 1e-10 else None
     return S, Q
@@ -215,7 +215,7 @@ def normalize(u, tol=1e-8, max_iter=100):
     constant field the map is not unique; if the solve stalls there the
     identity map is returned.
     """
-    w = u.values ** TWO_SHARP
+    w = volume_density(u.values)
     vol = u.grid.integrate(w)
     R0 = center_of_mass(u)[0] / vol
 

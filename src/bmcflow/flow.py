@@ -36,7 +36,7 @@ import numpy as np
 
 from .conformal import cap_integrals
 from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, flow_bounds, mean_curvature_values,
-                        require_positive)
+                        require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -156,7 +156,7 @@ def _evaluate(coeffs, grid, f_values, project):
     values, dtn = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
     require_positive(values, "conformal factor")
     if project:
-        c = grid.integrate(values ** TWO_SHARP) ** (-1.0 / TWO_SHARP)
+        c = grid.integrate(volume_density(values)) ** (-1.0 / TWO_SHARP)
         coeffs, values, dtn = c * coeffs, c * values, c * dtn
     u = BoundaryField(grid, values=values, coeffs=coeffs)
     return u, dtn, mean_curvature_values(values, dtn), energy_functional(u, f_values)
@@ -198,19 +198,23 @@ def init_state(u0, f, config):
 def _phi(z):
     """(e^z, phi1(z), phi2(z)) for z <= 0: phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2.
 
-    Both quotients are formed from expm1 (Kassam & Trefethen 2005).
-    Below |z| = 1e-2, where the one of phi2 cancels, both are their
-    degree-6 Taylor polynomials instead, so each is good to 1e-13
-    relative on either side (z = 0 gives the limits 1 and 1/2).
+    Both quotients are formed from expm1 (Kassam & Trefethen 2005); z = 0
+    gives the limits 1 and 1/2.  For 0 < |z| < 1e-2, where the quotient
+    of phi2 cancels, phi2 is its degree-6 Taylor polynomial instead, so
+    each is good to 1e-13 relative.  Only those entries run the series.
     """
-    small = np.abs(z) < 1e-2
-    zs, zt = np.where(small, 1.0, z), np.where(small, z, 0.0)
+    zero = z == 0.0
+    zs = np.where(zero, 1.0, z)
     em1 = np.expm1(z)
-    taylor1 = taylor2 = 0.0
-    for k in range(6, -1, -1):
-        taylor1 = taylor1 * zt + 1.0 / math.factorial(k + 1)
-        taylor2 = taylor2 * zt + 1.0 / math.factorial(k + 2)
-    return np.exp(z), np.where(small, taylor1, em1 / zs), np.where(small, taylor2, (em1 - z) / zs**2)
+    phi1 = np.where(zero, 1.0, em1 / zs)
+    phi2 = np.where(zero, 0.5, (em1 - z) / (zs * zs))
+    small = (np.abs(z) < 1e-2) & ~zero
+    if small.any():
+        zt, taylor = z[small], 0.0
+        for k in range(6, -1, -1):
+            taylor = taylor * zt + 1.0 / math.factorial(k + 2)
+        phi2[small] = taylor
+    return np.exp(z), phi1, phi2
 
 
 def _remainder(u, dtn_values, H_values, lam, f_values, kappa):
@@ -306,7 +310,8 @@ def _record(traj, state, config, r, w, F2):
     u, rep = state.u, state.energy_report
     lam_f = rep.lam * state.f_values
     W = np.abs(state.H) ** N * w
-    moments = u.grid.integrate(np.stack([w, lam_f * r * w, np.abs(r) ** 4 * w, W,
+    r2 = r * r
+    moments = u.grid.integrate(np.stack([w, lam_f * r * w, r2 * r2 * w, W,
                                          *(u.grid.nodes().transpose(2, 0, 1) * w)]))
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
     lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom

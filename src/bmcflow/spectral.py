@@ -10,6 +10,14 @@ field, and Parseval reads  mean(u^2) = sum(coeffs^2).
 With L+1 Gauss nodes the colatitude quadrature is exact through
 polynomial degree 2L+1 and 2L+2 longitudes resolve all modes |m| <= L,
 so analyze/synthesize round-trip band-limited data to machine precision.
+
+The Gauss nodes are symmetric about the equator, and a normalized
+associated Legendre function obeys T_l^m(-x) = (-1)^{l+m} T_l^m(x), so
+the grid transforms tabulate only the (L+2)//2 nodes with x >= 0, packed
+by the parity of l and scaled by the quadrature weights (Schaeffer 2013,
+G-cubed 14:751).  That table is half the (L+1)^3 doubles of a full one;
+each transform is one FFT and one matrix product batched over (parity,
+order).
 """
 
 from dataclasses import dataclass
@@ -66,11 +74,44 @@ class Grid:
 
     @cached_property
     def _table(self):
-        """Packed table T[m, j, l] = s_m N_{l,m} P_l^m(x_j) (see legendre_rows), zero where l < m."""
-        T = np.zeros((self.L + 1, self.n_lat, self.L + 1))
-        for l, row in enumerate(legendre_rows(self.L, self.x)):
-            T[: l + 1, :, l] = row
+        """Read-only split table T[p, m, a, i] = q_i s_m N_{l,m} P_l^m(x_i) of degree l = 2a + p (see legendre_rows).
+
+        Only the h = (L+2)//2 nodes x_i >= 0 are tabulated, in ascending
+        order (for even L the equator is x_0); T_l^m(-x) = (-1)^{l+m} T_l^m(x)
+        gives the southern nodes.  Zero where l < m or l > L.  The analysis
+        weight q_i = w_i / (2 n_lon), halved at the equator (its own mirror),
+        is folded in; synthesis divides it out again.
+        """
+        h = (self.L + 2) // 2
+        T = np.zeros((2, self.L + 1, h, h))
+        for l, row in enumerate(legendre_rows(self.L, self.x[self.L + 1 - h:])):
+            T[l % 2, : l + 1, l // 2] = row
+        T *= self._folds[0]
+        T.flags.writeable = False
         return T
+
+    @cached_property
+    def _folds(self):
+        """Read-only (q, sign, parity): the factors the grid transforms fold into products they form anyway.
+
+        q (h,) is the analysis weight w_i / (2 n_lon) of each northern node,
+        halved at the equator (its own mirror); the table carries it.
+        sign (2, L+1, 2, 1, h) turns the northern sums E + O and the mirror
+        differences E - O of order m (cosine, sine) into the input of an
+        irfft of "forward" norm: 1 / q_i, times 1 (m = 0) or 1/2, minus
+        for the sine, and (-1)^m at the mirror.  parity (L+1,) is (-1)^m.
+        """
+        h = (self.L + 2) // 2
+        q = 0.5 / self.n_lon * self.w[self.L + 1 - h:]
+        if self.L % 2 == 0:
+            q[0] *= 0.5
+        parity = (-1.0) ** np.arange(self.L + 1)
+        scale = np.where(np.arange(self.L + 1) == 0, 1.0, 0.5)[:, None] * np.array([1.0, -1.0])
+        sign = np.stack((scale, parity[:, None] * scale))[..., None, None] / q
+        folds = q, sign, parity
+        for a in folds:
+            a.flags.writeable = False
+        return folds
 
     def integrate(self, values):
         """Spherical mean (1/4pi) * integral of a gridded field, or of each field of a stack.
@@ -128,45 +169,78 @@ def _order_stack(coeffs, L):
 
 
 def _legendre(stack, table):
-    """Legendre stage: contract an (m, ..., 2, k) cosine/sine stack with an (m, j, k) table over k.
+    """Legendre stage of synth_at: contract an (m, ..., 2, k) cosine/sine stack with an (m, j, k) table over k.
 
-    With the packed table this maps coefficients (k = l) to longitude
-    coefficients on the latitudes (j); with its transpose, the reverse.
     Batch axes sit after m, so one matmul per order serves the batch.
     """
     rows = stack.reshape(stack.shape[0], -1, stack.shape[-1])
     return np.matmul(rows, table.transpose(0, 2, 1)).reshape(stack.shape[:-1] + table.shape[1:2])
 
 
-def _fourier_synthesis(cos_sin, grid):
-    """Grid values (..., n_lat, n_lon) from (m, ..., 2, n_lat) cosine/sine longitude coefficients."""
-    n = grid.n_lon
-    scale = np.full(grid.L + 1, n / 2.0)
-    scale[0] = n
-    by_lat = cos_sin.transpose(*range(1, cos_sin.ndim), 0)
-    G = np.zeros(by_lat.shape[:-3] + (grid.n_lat, n // 2 + 1), dtype=complex)
-    G[..., : grid.L + 1] = (by_lat[..., 0, :, :] - 1j * by_lat[..., 1, :, :]) * scale
-    return np.fft.irfft(G, n=n, axis=-1)
-
-
 def analyze(values, grid):
-    """Project a gridded field onto the real harmonic basis."""
+    """Project a gridded field onto the real harmonic basis.
+
+    One rfft; the sum and difference of each northern node's longitude
+    coefficients and its mirror's, the mirror's signed by (-1)^m, give
+    the even and the odd degrees in one Legendre stage against the split
+    table, which carries the quadrature weights.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-    L = grid.L
-    F = np.fft.rfft(values, axis=1)[:, : L + 1].T
-    cos_sin = np.stack((F.real, -F.imag), axis=1) * (0.5 * grid.w / grid.n_lon)
-    stack = _legendre(cos_sin, grid._table.transpose(0, 2, 1))
-    c = np.empty((L + 1, 2 * L + 1))
-    c[:, L:] = stack[:, 0].T
-    c[:, :L] = stack[:0:-1, 1].T
-    return c
+    L, T = grid.L, grid._table
+    h = T.shape[-1]
+    F = np.fft.rfft(values, axis=1)
+    np.conjugate(F, out=F)                           # cos - i sin  ->  cos + i sin coefficients
+    north = F[L + 1 - h:, : L + 1]
+    south = F[h - 1::-1, : L + 1] * grid._folds[2]
+    G = np.empty((h, 2, L + 1), dtype=complex)      # [i, p, m]: row i plus (p = 0) or minus its signed mirror
+    np.add(north, south, out=G[:, 0])
+    np.subtract(north, south, out=G[:, 1])
+    R = np.matmul(T.reshape(2 * (L + 1), h, h), G.view(float).reshape(h, 2 * (L + 1), 2).transpose(1, 0, 2))
+    R = R.reshape(2, L + 1, h, 2).transpose(2, 0, 1, 3)
+    # degree 2a + p is row (a, p) of a 2h-row array; for even L the last row is degree L + 1 and is dropped
+    c = np.empty((2 * h, 2 * L + 1))
+    pairs = c.reshape(h, 2, 2 * L + 1)
+    pairs[..., L:] = R[..., 0]
+    pairs[..., L - 1::-1] = R[:, :, 1:, 1]
+    return c[: L + 1]
 
 
 def synthesize(coeffs, grid):
-    """Evaluate a coefficient array, or each of a stack (..., L+1, 2L+1), on the grid."""
-    return _fourier_synthesis(_legendre(_order_stack(coeffs, grid.L), grid._table), grid)
+    """Evaluate a coefficient array, or each of a stack (..., L+1, 2L+1), on the grid.
+
+    One Legendre stage against the split table gives the even-degree
+    sum E and the odd-degree sum O of each order at the northern nodes;
+    a node takes E + O and its mirror (-1)^m (E - O), and one irfft
+    gives the values.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    L, T = grid.L, grid._table
+    if coeffs.shape[-2:] != (L + 1, 2 * L + 1):
+        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
+    h = T.shape[-1]
+    c = coeffs.reshape((-1, L + 1, 2 * L + 1))
+    B = c.shape[0]
+    S = np.empty((2, L + 1, 2, B, h))           # [p, m, cos/sin, b, a] of degree 2a + p
+    n = (L + 1) // 2
+    pairs = c[:, : 2 * n].reshape(B, n, 2, 2 * L + 1).transpose(2, 3, 0, 1)
+    S[:, :, 0, :, :n] = pairs[:, L:]
+    S[:, :, 1, :, :n] = pairs[:, L::-1]
+    if n < h:  # even L: degree L ends the even rows and has no odd partner
+        S[0, :, 0, :, n] = c[:, L, L:].T
+        S[0, :, 1, :, n] = c[:, L, L::-1].T
+        S[1, ..., n] = 0.0
+    E, O = np.matmul(S.reshape(2 * (L + 1), 2 * B, h), T.reshape(2 * (L + 1), h, h)).reshape(2, L + 1, 2, B, h)
+    np.add(E, O, out=S[0])                       # S is free again: [north/mirror, m, cos/sin, b, i]
+    np.subtract(E, O, out=S[1])
+    S *= grid._folds[1]
+    G = np.empty((B, L + 1, L + 2), dtype=complex)
+    G[..., L + 1] = 0.0
+    out = G.view(float).reshape(B, L + 1, L + 2, 2)[..., : L + 1, :]
+    out[:, L + 1 - h:] = S[0].transpose(2, 3, 0, 1)
+    out[:, L - h::-1] = S[1, ..., 2 * h - L - 1:].transpose(2, 3, 0, 1)
+    return np.fft.irfft(G, n=grid.n_lon, axis=-1, norm="forward").reshape(coeffs.shape[:-2] + grid.shape)
 
 
 @lru_cache(maxsize=8)

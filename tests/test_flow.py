@@ -34,7 +34,7 @@ from bmcflow.flow import (
     init_state,
     run,
 )
-from bmcflow import flow, spectral
+from bmcflow import conformal, curvature, flow, spectral
 from bmcflow.conformal import center_of_mass
 from bmcflow.curvature import lambda_prime, lp_residual, volume
 from bmcflow.prescribed import parse_f_spec
@@ -369,23 +369,28 @@ def test_row_matches_reference_functions():
 
 
 def test_legendre_stages_per_recorded_step(monkeypatch):
-    """Every analyze and synthesize runs the Legendre stage once.  A step
-    costs four (per stage an analysis of the remainder and one synthesis
-    of the stage and its DtN image) and a row two (analyze, then one
-    synthesis of all cap radii): 6 per recorded step."""
+    """Analyses and syntheses are counted apart, at every module that
+    binds them.  A step costs two of each (per stage an analysis of the
+    remainder and one synthesis of the stage and its DtN image) and a row
+    one of each (the cap-mass density, analyzed and synthesized for all
+    radii at once); each runs one Legendre stage."""
     g = make_grid(10)
     cfg = FlowConfig(dt_max=0.01, t_end=0.2, conv_tol=1e-14)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
-    calls, legendre = [], spectral._legendre
+    calls = {"analyze": 0, "synthesize": 0}
+    for name in calls:
+        original = getattr(spectral, name)
 
-    def counted(*args):
-        calls.append(args)
-        return legendre(*args)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(spectral, "_legendre", counted)
+        for module in (spectral, flow, curvature, conformal):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     traj = run(state, cfg)
     assert state.steps == 20 and len(traj.rows) == 21
-    assert len(calls) == 4 * state.steps + 2 * len(traj.rows)
+    assert calls == {"analyze": 2 * state.steps + len(traj.rows), "synthesize": 2 * state.steps + len(traj.rows)}
 
 
 def test_step_self_convergence_is_second_order():

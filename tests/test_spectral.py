@@ -10,6 +10,8 @@ Validates:
   Legendre-to-Fourier table
 - grid synthesis and synth_at against a reference synthesis built on
   scipy's lpmv, independent of the library's Legendre recurrence
+- the equatorially split grid transforms against the full-table
+  reference, and the split table's size, contents and caching
 - leading batch axes of synthesize and integrate against single calls,
   and the cached read-only grid nodes
 """
@@ -249,6 +251,81 @@ def test_fourier_table_cached_read_only(L):
     got[0::2] = np.einsum("mkl,kp->mlp", T[0::2], np.cos(k_theta))
     got[1::2] = np.einsum("mkl,kp->mlp", T[1::2], np.sin(k_theta))
     assert np.abs(got - want).max() <= 1e-13 * np.sqrt(2 * L + 1)
+
+
+def full_table(g):
+    """T[m, j, l] = legendre_rows at every node of g, zero where l < m: the packed (L+1)^3 table."""
+    T = np.zeros((g.L + 1, g.n_lat, g.L + 1))
+    for l, row in enumerate(legendre_rows(g.L, g.x)):
+        T[: l + 1, :, l] = row
+    return T
+
+
+def full_table_synthesis(coeffs, g):
+    """Reference grid synthesis without the equatorial split: every order against the full table, then one irfft."""
+    L, n = g.L, g.n_lon
+    T = full_table(g)
+    cos = np.einsum("mjl,...lm->...jm", T, coeffs[..., L:])
+    sin = np.einsum("mjl,...lm->...jm", T[1:], coeffs[..., L - 1::-1])
+    G = np.zeros(cos.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    G[..., : L + 1] = cos * (n / 2.0)
+    G[..., 0] *= 2.0
+    G[..., 1 : L + 1] -= 1j * (n / 2.0) * sin
+    return np.fft.irfft(G, n=n, axis=-1)
+
+
+def full_table_analysis(values, g):
+    """Reference grid analysis without the equatorial split: one rfft, then the weighted full table."""
+    L = g.L
+    F = np.fft.rfft(values, axis=1)[:, : L + 1] * (0.5 * g.w / g.n_lon)[:, None]
+    T = full_table(g)
+    c = np.zeros((L + 1, 2 * L + 1))
+    c[:, L:] = np.einsum("mjl,jm->lm", T, F.real)
+    c[:, L - 1::-1] = -np.einsum("mjl,jm->lm", T[1:], F.imag[:, 1:])
+    return c
+
+
+@pytest.mark.parametrize("L", [4, 5, 31, 62, 63, 85])
+def test_split_transforms_match_full_table(L):
+    """synthesize (batch shapes (), (2,) and (2, 3)) and analyze agree
+    with the full-table reference to 1e-13 relative; even L puts the
+    equator on a node, which is its own mirror."""
+    g = make_grid(L)
+    rng = np.random.default_rng(200 + L)
+    for batch in [(), (2,), (2, 3)]:
+        coeffs = random_band_limited(L, rng) if batch == () else np.stack(
+            [random_band_limited(L, rng) for _ in range(math.prod(batch))]).reshape(batch + (L + 1, 2 * L + 1))
+        want = full_table_synthesis(coeffs, g)
+        got = synthesize(coeffs, g)
+        assert got.shape == batch + g.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    values = rng.standard_normal(g.shape)
+    want = full_table_analysis(values, g)
+    assert np.abs(analyze(values, g) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("L", [4, 5, 63])
+def test_grid_table_split_cached_read_only(L):
+    """The grid's table is cached and read-only, holds no more than
+    (L+1)^3 doubles, and holds legendre_rows of degree 2a + p at the
+    nodes x >= 0 times half their Gauss weight over n_lon (the equator
+    once for even L, so at half that weight), zero elsewhere."""
+    g = make_grid(L)
+    T = g._table
+    assert g._table is T
+    assert T.size <= (L + 1) ** 3
+    with pytest.raises(ValueError):
+        T[0, 0, 0, 0] = 1.0
+    north = g.x >= 0.0
+    assert T.shape[-1] == north.sum() == (L + 2) // 2
+    weight = 0.5 * g.w[north] / g.n_lon
+    if L % 2 == 0:
+        weight[0] *= 0.5
+    want = np.zeros(T.shape)
+    for l, row in enumerate(legendre_rows(L, g.x[north])):
+        want[l % 2, : l + 1, l // 2] = row * weight
+    assert np.all((want == 0.0) == (T == 0.0))
+    assert np.abs(T - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def lpmv_synthesis(coeffs, z, phi):
