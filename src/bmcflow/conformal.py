@@ -80,24 +80,39 @@ class NormalizedState:
     residual: float
 
 
+def _boundary_action(p, eps, x):
+    """Image and conformal factor of the boundary action at unit vectors x (..., 3), from one <x, p> and D.
+
+    For one map, p is (3,) and eps a number: the image is (3,) + x.shape[:-1],
+    component first, and the factor x.shape[:-1].  A stack of k maps, p (k, 3)
+    and eps (k,), goes in the same pass: the image is (3, k) + x.shape[:-1]
+    and the factor (k,) + x.shape[:-1].  <x, p> is summed elementwise, so a
+    map rounds alike alone or stacked (a matmul does not).
+    """
+    x = np.asarray(x, dtype=float)
+    lead = np.shape(eps) + (1,) * (x.ndim - 1)
+    eps = np.reshape(eps, lead)
+    p = [np.reshape(p[..., i], lead) for i in range(3)]
+    x = [x[..., i] for i in range(3)]
+    t = x[0] * p[0] + x[1] * p[1] + x[2] * p[2]
+    e2 = eps * eps
+    D = (1.0 + t) + e2 * (1.0 - t)
+    factor = 2.0 * eps / D
+    along = ((1.0 + t) - e2 * (1.0 - t)) / D
+    image = np.stack([factor * (xi - t * pi) + along * pi for xi, pi in zip(x, p)])
+    # guard against roundoff drifting off the sphere
+    image /= np.sqrt(image[0] ** 2 + image[1] ** 2 + image[2] ** 2)
+    return image, factor
+
+
 def boundary_map(mp, x):
     """Image of unit vectors x (..., 3) under the boundary action."""
-    x = np.asarray(x, dtype=float)
-    t = x @ mp.p
-    e2 = mp.eps**2
-    D = (1.0 + t) + e2 * (1.0 - t)
-    perp = x - t[..., None] * mp.p
-    out = (2.0 * mp.eps / D)[..., None] * perp + (((1.0 + t) - e2 * (1.0 - t)) / D)[..., None] * mp.p
-    # guard against roundoff drifting off the sphere
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    return np.moveaxis(_boundary_action(mp.p, mp.eps, x)[0], 0, -1)
 
 
 def conformal_factor(mp, x):
     """Conformal factor of the boundary action at unit vectors x."""
-    x = np.asarray(x, dtype=float)
-    t = x @ mp.p
-    D = (1.0 + t) + mp.eps**2 * (1.0 - t)
-    return 2.0 * mp.eps / D
+    return _boundary_action(mp.p, mp.eps, x)[1]
 
 
 def _resolution_check(eps_dilation, L):
@@ -163,13 +178,12 @@ def pullback_normalized(u, mp):
 
     v = (u o phi) * lambda_phi^{(n-1)/2}; the boundary volume of v
     equals that of u (change of variables), which the tests verify on
-    the grid.
+    the grid.  The image phi(x) and the factor lambda_phi(x) at the nodes
+    come from one pass that forms <x, p> and D once (see _boundary_action).
     """
     require_positive(u.values, "pulled-back field")
-    nodes = u.grid.nodes()
-    mapped = boundary_map(mp, nodes)
-    comp = synth_at(u.coeffs, mapped)
-    lam = conformal_factor(mp, nodes)
+    mapped, lam = _boundary_action(mp.p, mp.eps, u.grid.nodes())
+    comp = synth_at(u.coeffs, np.moveaxis(mapped, 0, -1))
     return BoundaryField(u.grid, values=comp * lam ** ((N - 1.0) / 2.0))
 
 
@@ -197,8 +211,25 @@ def _pulled_back_center(w, grid, mp):
 
     The change of variables y = phi(x) takes v^{2#} dmu(x) to u^{2#} dmu(y),
     so this needs no synth_at; on the grid it holds to quadrature accuracy.
+    mp may also be a list of k maps: their centres, shape (3, k), come
+    from one pass over the nodes, each rounded as it is alone.
     """
-    return grid.integrate(boundary_map(mp.inverse(), grid.nodes()).transpose(2, 0, 1) * w)
+    inverse = [m.inverse() for m in (mp if isinstance(mp, list) else [mp])]
+    p, eps = np.array([m.p for m in inverse]), np.array([m.eps for m in inverse])
+    S = grid.integrate(_boundary_action(p, eps, grid.nodes())[0] * w)
+    return S if isinstance(mp, list) else S[:, 0]
+
+
+def _center_jacobian(w, vol, grid, b, h):
+    """Central differences in b, with step h, of the change-of-variables centre S(v_b) / vol(u).
+
+    The six maps of b +- h e_j go through _pulled_back_center in one pass;
+    a perturbed point that leaves the ball falls back to b.
+    """
+    ball = b + h * np.concatenate((np.eye(3), -np.eye(3)))
+    ball[np.linalg.norm(ball, axis=1) >= 1.0] = b
+    S = _pulled_back_center(w, grid, [_map_from_ball_point(c) for c in ball])
+    return (S[:, :3] - S[:, 3:]) / (vol * np.linalg.norm(ball[:3] - ball[3:], axis=1))
 
 
 def normalize(u, tol=1e-8, max_iter=100):
@@ -210,8 +241,10 @@ def normalize(u, tol=1e-8, max_iter=100):
     v_b, starting from b0 = R(u)/2, so a map that squeezes u's volume
     between the grid nodes cannot pass for centered.  The Jacobian is the
     central difference of the change-of-variables form S(v_b) / vol(u)
-    (see _pulled_back_center), which costs no pullback; the residual, the
-    line search and the returned state use the true pullback.  Near the
+    (see _pulled_back_center), which costs no pullback: its six maps
+    b +- h e_j are stacked on a leading axis and mapped in one pass over
+    the nodes (_center_jacobian).  The residual, the line search and the
+    returned state use the true pullback.  Near the
     constant field the map is not unique; if the solve stalls there the
     identity map is returned.
     """
@@ -233,18 +266,7 @@ def normalize(u, tol=1e-8, max_iter=100):
         rnorm = float(np.linalg.norm(R))
         if rnorm <= tol:
             return NormalizedState(map=mp, v=v, residual=rnorm)
-        J = np.empty((3, 3))
-        for j in range(3):
-            db = np.zeros(3)
-            db[j] = h
-            hi = b + db
-            lo = b - db
-            if np.linalg.norm(hi) >= 1.0:
-                hi = b
-            if np.linalg.norm(lo) >= 1.0:
-                lo = b
-            S_hi, S_lo = (_pulled_back_center(w, u.grid, _map_from_ball_point(c)) for c in (hi, lo))
-            J[:, j] = (S_hi - S_lo) / (vol * np.linalg.norm(hi - lo))
+        J = _center_jacobian(w, vol, u.grid, b, h)
         try:
             d = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:

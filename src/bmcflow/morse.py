@@ -23,6 +23,7 @@ import numpy as np
 
 from .curvature import N, weighted_mean_sign
 from .errors import NotMorseError, SpecParseError
+from .prescribed import probe_lattice
 
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
@@ -52,11 +53,7 @@ class KVerdict:
 def _probe_points(L):
     """Rectangular probe lattice (denser than the spectral grid) plus poles."""
     n_th, n_ph = 4 * L, 8 * L
-    th = (np.arange(n_th) + 0.5) * np.pi / n_th
-    ph = 2.0 * np.pi * np.arange(n_ph) / n_ph
-    T, P = np.meshgrid(th, ph, indexing="ij")
-    pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
-    return pts
+    return probe_lattice((np.arange(n_th) + 0.5) * np.pi / n_th, 2.0 * np.pi * np.arange(n_ph) / n_ph)
 
 
 def find_critical_points(f, grid, collect_warnings=None):

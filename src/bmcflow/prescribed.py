@@ -12,7 +12,8 @@ atom.  Grammar (whitespace and '*' between factors are ignored):
 
 A term with no atom is a constant.  Examples: "2 - z^2",
 "4 + 0.3x^2 + 0.6y^2 + 1.05z^2", "1.34 - 1.36 bump(8; 0,0,-1)",
-"2 + 0.5 legendre(1)".
+"2 + 0.5 legendre(1)".  Every number must be finite, and so must a
+bump's coef * k^2, the scale of its Hessian.
 
 Every term carries closed-form ambient gradient and Hessian, from which
 the surface gradient, surface Laplacian, and tangent Hessian follow:
@@ -178,6 +179,8 @@ def _parse_term(sign, frag, original):
     if m:
         coef *= float(m.group(1))
         rest = rest[m.end():]
+        if not np.isfinite(coef):
+            raise SpecParseError(f"coefficient {m.group(1)} in term {frag!r} is not a finite number")
     coords = list(_COORD_RE.finditer(rest))
     leftover = _COORD_RE.sub("", rest)
     if leftover:
@@ -199,6 +202,10 @@ def _parse_term(sign, frag, original):
                 raise SpecParseError(f"bad bump arguments {args!r}") from exc
             if len(p) != 3:
                 raise SpecParseError(f"bump direction needs three components, got {args!r}")
+            if not np.all(np.isfinite([k, *p])):
+                raise SpecParseError(f"bump arguments must be finite numbers, got {args!r}")
+            if not np.isfinite(coef * k * k):
+                raise SpecParseError(f"bump {args!r} with coefficient {coef:g}: its second derivative overflows")
             return _Bump(coef, k, p)
         try:
             l = int(args.strip())
@@ -316,10 +323,8 @@ class PrescribedFunction:
 
     @cached_property
     def _extrema(self):
-        th = np.linspace(0, np.pi, _EXTREMA_PROBE)
-        ph = np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)
-        T, P = np.meshgrid(th, ph, indexing="ij")
-        pts = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1).reshape(-1, 3)
+        pts = probe_lattice(np.linspace(0, np.pi, _EXTREMA_PROBE),
+                            np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)).reshape(-1, 3)
         vals = self(pts)
         x, _ = self.newton_critical(pts[[np.argmin(vals), np.argmax(vals)]])
         vmin, vmax = self(x)
@@ -327,6 +332,17 @@ class PrescribedFunction:
 
     def __repr__(self):
         return f"PrescribedFunction({self.source!r})"
+
+
+def probe_lattice(theta, phi):
+    """Unit vectors at every (colatitude, longitude) pair, shape (len(theta), len(phi), 3).
+
+    Outer products of the 1-D sines and cosines: the same values, bit for
+    bit, as taking sin and cos over the meshgrid of theta and phi.
+    """
+    sin_theta = np.sin(theta)[:, None]
+    return np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)[:, None]),
+                    axis=-1)
 
 
 def _tangent_basis(x):

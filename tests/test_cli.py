@@ -2,7 +2,8 @@
 
 Validates:
 - exit codes: 0 converged/horizon, 2 concentrating, 3 admissibility or
-  scheme failure, 64 unparseable input, 1 for failed checks
+  scheme failure, 64 unparseable input (non-finite numbers in f too),
+  1 for failed checks
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
   morse.json) and the config echo
 - byte-identical reruns of a seeded experiment
@@ -495,6 +496,24 @@ def test_flow_run_rejects_non_finite_bubble_center(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert "bubble center" in err and "finite" in err
+
+
+@pytest.mark.parametrize("spec", ["1e400 + z", "2 + bump(nan;0,0,1)", "bump(1e200;0,0,1)"])
+def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
+    """morse check and flow run reject a non-finite number in f, or a bump
+    whose Hessian overflows, with exit 64 and a one-line message: no
+    traceback, no Infinity in JSON, no admissibility verdict."""
+    assert main(["morse", "check", "--f", spec]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad f spec") and captured.err.count("\n") == 1
+    cfg = write_config(tmp_path / "exp.json", f_spec=spec)
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _package_installed():

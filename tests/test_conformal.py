@@ -13,14 +13,17 @@ Validates:
 - the NormalizeError of a solve cut short names the map it stopped at
   and that map's residual
 - the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
-  Jacobian against the true pullback, and a bound on the pullbacks a
-  solve makes
+  Jacobian against the true pullback; the one-pass Jacobian against
+  per-map differences; a bound on the pullbacks a solve makes, and one
+  pass over the nodes per Jacobian
 - the cap integrals the flow's detector reads: a sharp bubble's flags
   and its one cluster, and no flag on the constant
 - pullback of a nonpositive field raises AdmissibilityError
 - the cap multipliers against scipy's eval_legendre, and the batched
   cap integrals against one synthesis per radius
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from bmcflow import conformal
 from bmcflow.conformal import (
     ConformalMap,
     _cap_kernel,
+    _center_jacobian,
     _map_from_ball_point,
     _pulled_back_center,
     boundary_map,
@@ -412,6 +416,44 @@ def test_change_of_variables_center(p):
             true = center_of_mass(pullback_normalized(u, hi))[0] - center_of_mass(pullback_normalized(u, lo))[0]
             closed = _pulled_back_center(w, g, hi) - _pulled_back_center(w, g, lo)
             assert np.abs(true - closed).max() / (2.0 * h) < 1e-5
+
+
+@pytest.mark.parametrize("b", [np.array([0.1, 0.2, -0.3]), np.array([0.0, 0.0, 0.5]), np.zeros(3),
+                               np.array([0.0, 0.0, 1.0 - 5e-7])])
+def test_center_jacobian_matches_per_map_differences(b):
+    """The one-pass Jacobian equals the central differences of
+    _pulled_back_center taken one map at a time, to 1e-13, including the
+    fall-back to b of a perturbed point that leaves the ball (the last b)."""
+    g = make_grid(31)
+    u = bubble_field(np.array([0.48, -0.6, 0.64]), 0.3, g)
+    w = u.values ** TWO_SHARP
+    vol = g.integrate(w)
+    h = 1e-6
+    want = np.empty((3, 3))
+    for j, db in enumerate(h * np.eye(3)):
+        hi, lo = b + db, b - db
+        hi = b if np.linalg.norm(hi) >= 1.0 else hi
+        lo = b if np.linalg.norm(lo) >= 1.0 else lo
+        S_hi, S_lo = (_pulled_back_center(w, g, _map_from_ball_point(c)) for c in (hi, lo))
+        want[:, j] = (S_hi - S_lo) / (vol * np.linalg.norm(hi - lo))
+    assert np.abs(_center_jacobian(w, vol, g, b, h) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_normalize_maps_the_nodes_once_per_jacobian(monkeypatch):
+    """Every pass over the nodes of a solve is one pullback (one map) or
+    one Jacobian (six maps at once): the solve opens with a pullback, and
+    each Newton iteration makes one six-map pass and then its line search."""
+    passes = []
+    action = conformal._boundary_action
+
+    def counted(p, eps, x):
+        passes.append(str(np.size(eps)))
+        return action(p, eps, x)
+
+    monkeypatch.setattr(conformal, "_boundary_action", counted)
+    g = make_grid(31)
+    assert normalize(bubble_field(np.array([0.48, -0.6, 0.64]), 0.3, g)).residual <= 1e-8
+    assert re.fullmatch("1(61+)+", "".join(passes)), passes
 
 
 def test_normalize_makes_few_pullbacks(monkeypatch):

@@ -2,7 +2,7 @@
 
 Validates:
 - parsing of monomial, bump, and Legendre terms with signs and powers
-- rejection of malformed specs
+- rejection of malformed specs, non-finite numbers and overflowing bumps
 - values, tangential gradients, surface Laplacians against closed forms
   and central finite differences
 - ambient Hessians of mixed monomials against central differences of
@@ -10,6 +10,8 @@ Validates:
 - extremum refinement beyond grid resolution
 - the tangent basis and Hessian of a stack of points, bit for bit
   against one point at a time
+- the probe lattices of extrema and morse, bit for bit against sin and
+  cos taken over the meshgrid
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre
 
 from bmcflow.errors import SpecParseError
-from bmcflow.prescribed import _tangent_basis, parse_f_spec
+from bmcflow.prescribed import _tangent_basis, parse_f_spec, probe_lattice
 from bmcflow.spectral import make_grid
 
 
@@ -94,10 +96,29 @@ def test_legendre_values():
     "",
     "z^",
     "bump(8)",
+    # numbers that are not finite, and bumps whose Hessian scale coef * k^2 overflows
+    "1e400 + z",
+    "2 - 1e400 z^2",
+    "1e400 legendre(2)",
+    "2 + 1e400 bump(1; 0,0,1)",
+    "2 + bump(nan; 0,0,1)",
+    "2 + bump(inf; 0,0,1)",
+    "2 + bump(1e400; 0,0,1)",
+    "2 + bump(8; nan,0,1)",
+    "2 + bump(8; 0,-inf,1)",
+    "2 + bump(8; 0,0,1e400)",
+    "bump(1e200; 0,0,1)",
+    "1e300 bump(1e5; 0,0,1)",
 ])
 def test_malformed_specs_rejected(bad):
     with pytest.raises(SpecParseError):
         parse_f_spec(bad)
+
+
+def test_largest_finite_bump_accepted():
+    """coef * k^2 just under the largest double still parses, and its Hessian is finite."""
+    f = parse_f_spec("bump(1e154; 0,0,1)")
+    assert np.isfinite(f.ambient_hess(np.array([0.0, 0.0, 1.0]))).all()
 
 
 def test_mean_of_sign_changing_target():
@@ -225,3 +246,15 @@ def test_extrema_of_bump_target():
     assert abs(fmin - (-0.02)) < 1e-9
     assert abs(fmax - (1.34 - 1.36 * np.exp(-16.0))) < 1e-9
 
+
+@pytest.mark.parametrize("theta, phi", [
+    (np.linspace(0, np.pi, 64), np.linspace(0, 2 * np.pi, 128, endpoint=False)),
+    ((np.arange(124) + 0.5) * np.pi / 124, 2.0 * np.pi * np.arange(248) / 248),
+])
+def test_probe_lattice_matches_meshgrid(theta, phi):
+    """The extrema lattice and the L = 31 critical-point lattice of
+    morse, built from outer products of the 1-D sines and cosines, equal
+    sin and cos taken over the meshgrid, bit for bit."""
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    want = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
+    assert np.array_equal(probe_lattice(theta, phi), want)

@@ -5,9 +5,9 @@ Validates:
 - analyze/synthesize round trips and Parseval's identity
 - the degree multipliers of the normal-derivative operator
 - point evaluation (synth_at) against zonal Legendre sums, grid
-  synthesis at every node, and a per-degree Legendre sum off the grid;
-  its poles, the longitude cut, point shapes and the cached read-only
-  Legendre-to-Fourier table
+  synthesis at every node, and a per-degree Legendre sum off the grid,
+  also at point counts around its block size; its poles, the longitude
+  cut, point shapes and the cached read-only Legendre-to-Fourier table
 - grid synthesis and synth_at against a reference synthesis built on
   scipy's lpmv, independent of the library's Legendre recurrence
 - the equatorially split grid transforms against the full-table
@@ -26,6 +26,7 @@ from scipy.special import eval_legendre, lpmv
 from bmcflow.spectral import (
     BoundaryField,
     _fourier_table,
+    _synth_block,
     analyze,
     dtn_apply,
     legendre_rows,
@@ -197,6 +198,36 @@ def test_synth_at_matches_degree_by_degree_sum(L):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     want = degree_by_degree_synthesis(coeffs, pts)
     assert np.abs(synth_at(coeffs, pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("L", [31, 85])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                         ids=["1", "B-1", "B", "B+1", "3B+5"])
+def test_synth_at_block_edges(L, blocks, extra):
+    """Point counts on either side of the block size B, and one that leaves
+    a short last block, agree with the per-degree Legendre sum to 1e-13."""
+    n = blocks * _synth_block(L) + extra
+    rng = np.random.default_rng(n + L)
+    coeffs = random_band_limited(L, rng)
+    pts = rng.standard_normal((n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    want = degree_by_degree_synthesis(coeffs, pts)
+    assert np.abs(synth_at(coeffs, pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_synth_at_stack_spans_blocks():
+    """An (a, b, 3) stack of more than two blocks' worth of points keeps its
+    shape, and each point agrees with the per-degree sum to 1e-13."""
+    L = 31
+    rng = np.random.default_rng(5)
+    coeffs = random_band_limited(L, rng)
+    pts = rng.standard_normal((7, _synth_block(L) // 3, 3))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    assert pts[..., 0].size > 2 * _synth_block(L)
+    got = synth_at(coeffs, pts)
+    assert got.shape == pts.shape[:-1]
+    want = degree_by_degree_synthesis(coeffs, pts.reshape(-1, 3)).reshape(got.shape)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("L", [4, 31, 85])
