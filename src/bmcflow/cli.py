@@ -46,6 +46,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +352,9 @@ def cmd_selftest(args):
     return _EXIT_OK if all_ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The command-line parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(prog="bmcflow",
                                      description="Boundary mean-curvature flow experiments")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,6 +12,11 @@ has a closed form in ambient coordinates; with t = <x, p>:
 
 The inverse map keeps p and replaces eps by 1/eps.
 
+In the ball it is the Moebius map taking 0 to its ball point
+c = ((1-eps)/(1+eps)) p (Ahlfors 1981); with 1-|c|^2 = 4 eps / (1+eps)^2,
+
+    phi(x) = q (x + c) + c,   lambda(x) = q = (1-|c|^2) / |x + c|^2.
+
 Bubbles are indexed by a concentration parameter eps in (0, 1]: the
 profile is the conformal factor of the inverse of ConformalMap(p,
 delta) with delta = eps/(2-eps), equivalently in closed form
@@ -80,39 +85,28 @@ class NormalizedState:
     residual: float
 
 
-def _boundary_action(p, eps, x):
-    """Image and conformal factor of the boundary action at unit vectors x (..., 3), from one <x, p> and D.
+def _boundary_action(mp, x):
+    """Image and conformal factor of mp at unit vectors x (..., 3), through its ball point c.
 
-    For one map, p is (3,) and eps a number: the image is (3,) + x.shape[:-1],
-    component first, and the factor x.shape[:-1].  A stack of k maps, p (k, 3)
-    and eps (k,), goes in the same pass: the image is (3, k) + x.shape[:-1]
-    and the factor (k,) + x.shape[:-1].  <x, p> is summed elementwise, so a
-    map rounds alike alone or stacked (a matmul does not).
+    The image q (x + c) + c is (3,) + x.shape[:-1], component first, and
+    the factor q = (1-|c|^2) / |x + c|^2 is x.shape[:-1].  1-|c|^2 is
+    formed as 4 eps / (1+eps)^2, which keeps its digits as eps -> 0.
     """
-    x = np.asarray(x, dtype=float)
-    lead = np.shape(eps) + (1,) * (x.ndim - 1)
-    eps = np.reshape(eps, lead)
-    p = [np.reshape(p[..., i], lead) for i in range(3)]
-    x = [x[..., i] for i in range(3)]
-    t = x[0] * p[0] + x[1] * p[1] + x[2] * p[2]
-    e2 = eps * eps
-    D = (1.0 + t) + e2 * (1.0 - t)
-    factor = 2.0 * eps / D
-    along = ((1.0 + t) - e2 * (1.0 - t)) / D
-    image = np.stack([factor * (xi - t * pi) + along * pi for xi, pi in zip(x, p)])
-    # guard against roundoff drifting off the sphere
-    image /= np.sqrt(image[0] ** 2 + image[1] ** 2 + image[2] ** 2)
-    return image, factor
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    c = ((1.0 - mp.eps) / (1.0 + mp.eps) * mp.p).reshape((3,) + (1,) * (x.ndim - 1))
+    d = x + c
+    q = 4.0 * mp.eps / (1.0 + mp.eps) ** 2 / (d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+    return q * d + c, q
 
 
 def boundary_map(mp, x):
     """Image of unit vectors x (..., 3) under the boundary action."""
-    return np.moveaxis(_boundary_action(mp.p, mp.eps, x)[0], 0, -1)
+    return np.moveaxis(_boundary_action(mp, x)[0], 0, -1)
 
 
 def conformal_factor(mp, x):
     """Conformal factor of the boundary action at unit vectors x."""
-    return _boundary_action(mp.p, mp.eps, x)[1]
+    return _boundary_action(mp, x)[1]
 
 
 def _resolution_check(eps_dilation, L):
@@ -179,10 +173,10 @@ def pullback_normalized(u, mp):
     v = (u o phi) * lambda_phi^{(n-1)/2}; the boundary volume of v
     equals that of u (change of variables), which the tests verify on
     the grid.  The image phi(x) and the factor lambda_phi(x) at the nodes
-    come from one pass that forms <x, p> and D once (see _boundary_action).
+    come from one pass (_boundary_action).
     """
     require_positive(u.values, "pulled-back field")
-    mapped, lam = _boundary_action(mp.p, mp.eps, u.grid.nodes())
+    mapped, lam = _boundary_action(mp, u.grid.nodes())
     comp = synth_at(u.coeffs, np.moveaxis(mapped, 0, -1))
     return BoundaryField(u.grid, values=comp * lam ** ((N - 1.0) / 2.0))
 
@@ -206,30 +200,23 @@ def _map_from_ball_point(b):
     return ConformalMap(p, delta)
 
 
-def _pulled_back_center(w, grid, mp):
-    """S(pullback_normalized(u, mp)) as mean(phi^{-1}(y) u(y)^{2#}), from w = u^{2#} on the nodes.
+def _center_jacobian(w, vol, grid, b):
+    """dS/db / vol of the change-of-variables centre S(b) = mean(w(y) T_b(y)), w = u^{2#} on the nodes.
 
     The change of variables y = phi(x) takes v^{2#} dmu(x) to u^{2#} dmu(y),
-    so this needs no synth_at; on the grid it holds to quadrature accuracy.
-    mp may also be a list of k maps: their centres, shape (3, k), come
-    from one pass over the nodes, each rounded as it is alone.
+    so S(b) is the centre of the pullback by the map of ball point b, whose
+    inverse is T_b(y) = k d/s - b with d = y - b, s = |d|^2, k = 1-|b|^2.
+    Its derivative is mean(w [2k d d^T/s^2 - 2 d b^T/s - (k/s + 1) I]):
+    one integrate of the 13 rows w d d^T/s^2, w d/s and w/s.
     """
-    inverse = [m.inverse() for m in (mp if isinstance(mp, list) else [mp])]
-    p, eps = np.array([m.p for m in inverse]), np.array([m.eps for m in inverse])
-    S = grid.integrate(_boundary_action(p, eps, grid.nodes())[0] * w)
-    return S if isinstance(mp, list) else S[:, 0]
-
-
-def _center_jacobian(w, vol, grid, b, h):
-    """Central differences in b, with step h, of the change-of-variables centre S(v_b) / vol(u).
-
-    The six maps of b +- h e_j go through _pulled_back_center in one pass;
-    a perturbed point that leaves the ball falls back to b.
-    """
-    ball = b + h * np.concatenate((np.eye(3), -np.eye(3)))
-    ball[np.linalg.norm(ball, axis=1) >= 1.0] = b
-    S = _pulled_back_center(w, grid, [_map_from_ball_point(c) for c in ball])
-    return (S[:, :3] - S[:, 3:]) / (vol * np.linalg.norm(ball[:3] - ball[3:], axis=1))
+    d = grid.nodes().transpose(2, 0, 1) - b[:, None, None]
+    inv_s = 1.0 / (d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+    ws = w * inv_s
+    wd = ws * d
+    rows = np.concatenate(((wd[:, None] * (d * inv_s)[None]).reshape((9,) + w.shape), wd, ws[None]))
+    M, m, a = np.split(grid.integrate(rows), [9, 12])
+    k = 1.0 - b @ b
+    return (2.0 * k * M.reshape(3, 3) - 2.0 * np.outer(m, b) - (k * a[0] + vol) * np.eye(3)) / vol
 
 
 def normalize(u, tol=1e-8, max_iter=100):
@@ -240,11 +227,9 @@ def normalize(u, tol=1e-8, max_iter=100):
     scale-invariant residual R(b) = S(v_b) / vol(v_b) of the pullback
     v_b, starting from b0 = R(u)/2, so a map that squeezes u's volume
     between the grid nodes cannot pass for centered.  The Jacobian is the
-    central difference of the change-of-variables form S(v_b) / vol(u)
-    (see _pulled_back_center), which costs no pullback: its six maps
-    b +- h e_j are stacked on a leading axis and mapped in one pass over
-    the nodes (_center_jacobian).  The residual, the line search and the
-    returned state use the true pullback.  Near the
+    closed-form derivative of the change-of-variables centre S(v_b) / vol(u)
+    (_center_jacobian), which costs no pullback.  The residual, the line
+    search and the returned state use the true pullback.  Near the
     constant field the map is not unique; if the solve stalls there the
     identity map is returned.
     """
@@ -261,12 +246,11 @@ def normalize(u, tol=1e-8, max_iter=100):
     if np.linalg.norm(b) >= 0.999:
         b = 0.999 * b / np.linalg.norm(b)
     R, mp, v = residual(b)
-    h = 1e-6
     for _ in range(max_iter):
         rnorm = float(np.linalg.norm(R))
         if rnorm <= tol:
             return NormalizedState(map=mp, v=v, residual=rnorm)
-        J = _center_jacobian(w, vol, u.grid, b, h)
+        J = _center_jacobian(w, vol, u.grid, b)
         try:
             d = np.linalg.solve(J, -R)
         except np.linalg.LinAlgError:

@@ -12,8 +12,11 @@ atom.  Grammar (whitespace and '*' between factors are ignored):
 
 A term with no atom is a constant.  Examples: "2 - z^2",
 "4 + 0.3x^2 + 0.6y^2 + 1.05z^2", "1.34 - 1.36 bump(8; 0,0,-1)",
-"2 + 0.5 legendre(1)".  Every number must be finite, and so must a
-bump's coef * k^2, the scale of its Hessian.
+"2 + 0.5 legendre(1)".  A coefficient in e-notation may carry a signed
+exponent ("1e-3 z").  Every number must be finite, and so must each
+term's bound on its value and derivatives, and the sum of the bounds:
+|coef| max(1, d^2) for a monomial of degree d, |coef| e^{2 max(0, -k)}
+max(1, k^2) for a bump and |coef| max(1, l^4) for legendre(l).
 
 Every term carries closed-form ambient gradient and Hessian, from which
 the surface gradient, surface Laplacian, and tangent Hessian follow:
@@ -76,6 +79,9 @@ class _Mono:
                     h[..., i, j] = self._derivative(pts, (i, j))
         return h
 
+    def bound(self):
+        return abs(self.coef) * max(1.0, sum(self.powers) ** 2)
+
     def __repr__(self):
         return f"{self.coef}*x^{self.powers[0]}y^{self.powers[1]}z^{self.powers[2]}"
 
@@ -103,6 +109,9 @@ class _Bump:
     def hess(self, pts):
         return (self.coef * self.k**2 * self._decay(pts))[..., None, None] * np.outer(self.p, self.p)
 
+    def bound(self):
+        return abs(self.coef) * np.exp(2.0 * max(0.0, -self.k)) * max(1.0, self.k * self.k)
+
     def __repr__(self):
         return f"{self.coef}*bump({self.k}; {self.p})"
 
@@ -129,6 +138,9 @@ class _Legendre:
         h[..., 2, 2] = self.coef * self._ddp(pts[..., 2])
         return h
 
+    def bound(self):
+        return abs(self.coef) * max(1.0, float(self.l) ** 4)
+
     def __repr__(self):
         return f"{self.coef}*P_{self.l}(z)"
 
@@ -151,6 +163,8 @@ def _split_terms(text):
             depth -= 1
             if depth < 0:
                 raise SpecParseError(f"unbalanced ')' in {text!r}")
+        elif ch in "+-" and re.search(r"[0-9.][eE]$", text[start:i]):
+            pass  # the sign of an exponent, as in 1e-3
         elif ch in "+-" and depth == 0 and i > start:
             frags.append((sign, text[start:i]))
             sign = 1.0 if ch == "+" else -1.0
@@ -204,8 +218,6 @@ def _parse_term(sign, frag, original):
                 raise SpecParseError(f"bump direction needs three components, got {args!r}")
             if not np.all(np.isfinite([k, *p])):
                 raise SpecParseError(f"bump arguments must be finite numbers, got {args!r}")
-            if not np.isfinite(coef * k * k):
-                raise SpecParseError(f"bump {args!r} with coefficient {coef:g}: its second derivative overflows")
             return _Bump(coef, k, p)
         try:
             l = int(args.strip())
@@ -226,6 +238,9 @@ def parse_f_spec(text):
     if not isinstance(text, str) or not text.strip():
         raise SpecParseError("function specification must be a nonempty string")
     terms = [_parse_term(sign, frag, text) for sign, frag in _split_terms(text.strip())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(sum(np.float64(t.bound()) for t in terms)):
+            raise SpecParseError(f"{text.strip()!r} overflows: a term's bound on its value and derivatives, or their sum, is not finite")
     return PrescribedFunction(terms, source=text.strip())
 
 

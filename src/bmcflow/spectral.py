@@ -156,27 +156,6 @@ def make_grid(L):
     return Grid(L=L, x=x, w=w, n_lon=2 * L + 2)
 
 
-def _order_stack(coeffs, L):
-    """(m, ..., 2, l) stack of the cosine c[..., l, L+m] and sine c[..., l, L-m] coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-2:] != (L + 1, 2 * L + 1):
-        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
-    by_order = coeffs.transpose(-1, *range(coeffs.ndim - 1))
-    stack = np.zeros((L + 1,) + coeffs.shape[:-2] + (2, L + 1))
-    stack[..., 0, :] = by_order[L:]
-    stack[1:, ..., 1, :] = by_order[L - 1::-1]
-    return stack
-
-
-def _legendre(stack, table):
-    """Legendre stage of synth_at: contract an (m, ..., 2, k) cosine/sine stack with an (m, j, k) table over k.
-
-    Batch axes sit after m, so one matmul per order serves the batch.
-    """
-    rows = stack.reshape(stack.shape[0], -1, stack.shape[-1])
-    return np.matmul(rows, table.transpose(0, 2, 1)).reshape(stack.shape[:-1] + table.shape[1:2])
-
-
 def analyze(values, grid):
     """Project a gridded field onto the real harmonic basis.
 
@@ -299,9 +278,9 @@ def synth_at(coeffs, points):
 
     points has shape (..., 3); the return matches points.shape[:-1].
     The cosine of the colatitude is z clipped to [-1, 1] and the
-    longitude is arctan2(y, x).  The Legendre stage of synthesize, run
-    against _fourier_table, gives each order's cosine and sine longitude
-    coefficients as trigonometric polynomials in theta; two matrix
+    longitude is arctan2(y, x).  One matrix product per order of the
+    coefficients with _fourier_table gives that order's cosine and sine
+    longitude coefficients as trigonometric polynomials in theta; two matrix
     products evaluate them at the points (even orders in cos k theta,
     odd in sin k theta), and one weighted sum adds cos m phi and sin m phi.
 
@@ -310,8 +289,14 @@ def synth_at(coeffs, points):
     round alike only for the same block of points, so a point's value can
     differ in the last bits depending on which block holds it.
     """
-    L = np.shape(coeffs)[0] - 1
-    by_order = _legendre(_order_stack(coeffs, L), _fourier_table(L))
+    coeffs = np.asarray(coeffs, dtype=float)
+    L = coeffs.shape[0] - 1
+    if coeffs.shape != (L + 1, 2 * L + 1):
+        raise ValueError(f"coeffs shape {coeffs.shape} does not match degree {L}")
+    stack = np.zeros((L + 1, 2, L + 1))          # [m, cos/sin, l]: c[l, L+m] and c[l, L-m]
+    stack[:, 0] = coeffs[:, L:].T
+    stack[1:, 1] = coeffs[:, L - 1::-1].T
+    by_order = stack @ _fourier_table(L).transpose(0, 2, 1)
     series = [by_order[parity::2].reshape(-1, L + 1) for parity in (0, 1)]
     flat = np.asarray(points, dtype=float).reshape(-1, 3)
     z = np.clip(flat[:, 2], -1.0, 1.0)

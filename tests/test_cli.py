@@ -498,11 +498,13 @@ def test_flow_run_rejects_non_finite_bubble_center(tmp_path, capsys):
     assert "bubble center" in err and "finite" in err
 
 
-@pytest.mark.parametrize("spec", ["1e400 + z", "2 + bump(nan;0,0,1)", "bump(1e200;0,0,1)"])
+@pytest.mark.parametrize("spec", ["1e400 + z", "2 + bump(nan;0,0,1)", "bump(1e200;0,0,1)", "1e308 x^2",
+                                  "1e308 + 1e308 z", "2 + bump(-400;0,0,1)"])
 def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
-    """morse check and flow run reject a non-finite number in f, or a bump
-    whose Hessian overflows, with exit 64 and a one-line message: no
-    traceback, no Infinity in JSON, no admissibility verdict."""
+    """morse check and flow run reject a non-finite number in f, or a term
+    or a sum of terms whose bound on value and derivatives overflows, with
+    exit 64 and a one-line message: no traceback, no NaN or Infinity in
+    JSON, no admissibility verdict."""
     assert main(["morse", "check", "--f", spec]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -514,6 +516,17 @@ def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,plain", [("2 - 1e-3 z", "2 - 0.001 z"), ("1E-3x", "0.001x"), ("1e+2", "100")])
+def test_f_spec_signed_exponent(capsys, spec, plain):
+    """A coefficient in e-notation with a signed exponent is one number, not
+    two terms: morse check prints byte for byte what the plain decimal gives."""
+    code = main(["morse", "check", "--f", spec])
+    got = capsys.readouterr()
+    assert main(["morse", "check", "--f", plain]) == code
+    want = capsys.readouterr()
+    assert got.out == want.out and got.err == want.err == ""
 
 
 def _package_installed():

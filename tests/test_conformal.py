@@ -2,6 +2,8 @@
 
 Validates:
 - conformal factor values at the fixed points and the identity map
+- the ball-point form of the boundary action against the chart formulas
+  for eps from 1e-7 to 1e7
 - the one-parameter group law and exact inversion
 - bubble closed forms: peak height, zonal coefficient decay, unit
   boundary volume, constant curvature
@@ -13,9 +15,10 @@ Validates:
 - the NormalizeError of a solve cut short names the map it stopped at
   and that map's residual
 - the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
-  Jacobian against the true pullback; the one-pass Jacobian against
-  per-map differences; a bound on the pullbacks a solve makes, and one
-  pass over the nodes per Jacobian
+  differences against the true pullback; the closed-form Jacobian against
+  per-map differences; a bound on the pullbacks a solve makes, one
+  Jacobian per Newton iteration and no pass over the nodes outside a
+  pullback
 - the cap integrals the flow's detector reads: a sharp bubble's flags
   and its one cluster, and no flag on the constant
 - pullback of a nonpositive field raises AdmissibilityError
@@ -36,7 +39,6 @@ from bmcflow.conformal import (
     _cap_kernel,
     _center_jacobian,
     _map_from_ball_point,
-    _pulled_back_center,
     boundary_map,
     bubble,
     bubble_cap_mass,
@@ -81,6 +83,20 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
+def pulled_back_center(w, g, mp):
+    """mean(phi^{-1}(y) w(y)), the change-of-variables form of S(pullback_normalized(u, mp)), w = u^{2#}."""
+    return g.integrate(np.moveaxis(boundary_map(mp.inverse(), g.nodes()), -1, 0) * w)
+
+
+def chart_action(p, eps, x):
+    """The module docstring's chart formulas: with t = <x, p> and D(t) = (1+t) + eps^2 (1-t),
+    phi(x) = (2 eps x_perp + ((1+t) - eps^2 (1-t)) p) / D and lambda(x) = 2 eps / D."""
+    t = x @ p
+    D = (1.0 + t) + eps**2 * (1.0 - t)
+    along = (1.0 + t) - eps**2 * (1.0 - t)
+    return (2.0 * eps * (x - t[:, None] * p) + along[:, None] * p) / D[:, None], 2.0 * eps / D
+
+
 def smooth_positive_coeffs(L, rng):
     """1 plus degrees 1..4, each a random coefficient vector of norm 0.1.
 
@@ -103,6 +119,28 @@ def test_conformal_factor_fixed_points():
     assert abs(conformal_factor(mp, S_POLE) - 1.0 / 0.3) < 1e-14
     eq = np.array([1.0, 0.0, 0.0])
     assert abs(conformal_factor(mp, eq) - 0.6 / 1.09) < 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-4, 0.3, 1.0, 3.0, 1e4, 1e7])
+def test_boundary_action_matches_chart_formula(eps):
+    """The ball-point form q (x + c) + c, q = (1-|c|^2) / |x + c|^2, equals
+    the chart form: the image to 1e-13 and the factor to 1e-12 relative.
+    Forming 1-|c|^2 as 1 - c.c instead of 4 eps / (1+eps)^2 loses 6e-10 of
+    the factor at eps = 1e-7.  Within 0.03 of a fixed point +-p, at eps far
+    from 1, the ball form carries the roundoff of |x| - 1 amplified by
+    1 / |x -+ p|^2: at |x - p|^2 = 2e-5 and eps = 1e4 the factor is off by
+    2.5e-11 (the chart form by 1.9e-12 in extended precision) and the image
+    by 1.6e-12.  There both gates are scaled by 1e-3 / |x -+ p|^2."""
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        mp = ConformalMap(random_unit(rng), eps)
+        x = rng.standard_normal((400, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        near = np.minimum(((x - mp.p) ** 2).sum(axis=1), ((x + mp.p) ** 2).sum(axis=1))
+        scale = np.maximum(1.0, 1e-3 / near)
+        image, factor = chart_action(mp.p, eps, x)
+        assert np.all(np.abs(boundary_map(mp, x) - image).max(axis=1) <= 1e-13 * scale)
+        assert np.all(np.abs(conformal_factor(mp, x) / factor - 1.0) <= 1e-12 * scale)
 
 
 def test_identity_map():
@@ -398,7 +436,7 @@ def test_degenerate_map_is_not_centered():
 def test_change_of_variables_center(p):
     """S(pullback_normalized(u, mp)) = mean(phi^{-1}(y) u(y)^{2#}) for the
     eps = 0.3 bubble at L = 31 and maps at its peak with eps in [0.3, 1],
-    and so do their central differences in b with normalize's step h.
+    and so do their central differences in b with step 1e-6.
     Measured: 3e-8 for S, 3.2e-6 for the Jacobian at eps = 0.3; that gap
     is the truncation of the bubble at L = 31 (0.7^32 ~ 1e-5) which the
     pullback's synth_at sees and the closed form does not (at L = 47 the
@@ -409,51 +447,61 @@ def test_change_of_variables_center(p):
     h = 1e-6
     for eps in (0.3, 0.5, 0.7, 1.0):
         mp = ConformalMap(p, eps)
-        assert np.abs(center_of_mass(pullback_normalized(u, mp))[0] - _pulled_back_center(w, g, mp)).max() < 1e-6
+        assert np.abs(center_of_mass(pullback_normalized(u, mp))[0] - pulled_back_center(w, g, mp)).max() < 1e-6
         b = (1.0 - eps) / (1.0 + eps) * p
         for db in h * np.eye(3):
             hi, lo = _map_from_ball_point(b + db), _map_from_ball_point(b - db)
             true = center_of_mass(pullback_normalized(u, hi))[0] - center_of_mass(pullback_normalized(u, lo))[0]
-            closed = _pulled_back_center(w, g, hi) - _pulled_back_center(w, g, lo)
+            closed = pulled_back_center(w, g, hi) - pulled_back_center(w, g, lo)
             assert np.abs(true - closed).max() / (2.0 * h) < 1e-5
 
 
 @pytest.mark.parametrize("b", [np.array([0.1, 0.2, -0.3]), np.array([0.0, 0.0, 0.5]), np.zeros(3),
                                np.array([0.0, 0.0, 1.0 - 5e-7])])
 def test_center_jacobian_matches_per_map_differences(b):
-    """The one-pass Jacobian equals the central differences of
-    _pulled_back_center taken one map at a time, to 1e-13, including the
-    fall-back to b of a perturbed point that leaves the ball (the last b)."""
+    """The closed-form Jacobian equals the central differences of the
+    change-of-variables centre taken one map at a time, to 1e-7 relative.
+    The step is 1e-6, or 1e-8 at the last b, which a 1e-6 step would take
+    out of the ball.  Measured: <= 8e-11, and 6.4e-9 at the last b."""
     g = make_grid(31)
     u = bubble_field(np.array([0.48, -0.6, 0.64]), 0.3, g)
     w = u.values ** TWO_SHARP
     vol = g.integrate(w)
-    h = 1e-6
+    h = 1e-6 if np.linalg.norm(b) + 1e-6 < 1.0 else 1e-8
     want = np.empty((3, 3))
     for j, db in enumerate(h * np.eye(3)):
-        hi, lo = b + db, b - db
-        hi = b if np.linalg.norm(hi) >= 1.0 else hi
-        lo = b if np.linalg.norm(lo) >= 1.0 else lo
-        S_hi, S_lo = (_pulled_back_center(w, g, _map_from_ball_point(c)) for c in (hi, lo))
-        want[:, j] = (S_hi - S_lo) / (vol * np.linalg.norm(hi - lo))
-    assert np.abs(_center_jacobian(w, vol, g, b, h) - want).max() <= 1e-13 * np.abs(want).max()
+        S_hi, S_lo = (pulled_back_center(w, g, _map_from_ball_point(c)) for c in (b + db, b - db))
+        want[:, j] = (S_hi - S_lo) / (2.0 * h * vol)
+    assert np.abs(_center_jacobian(w, vol, g, b) - want).max() <= 1e-7 * np.abs(want).max()
 
 
 def test_normalize_maps_the_nodes_once_per_jacobian(monkeypatch):
-    """Every pass over the nodes of a solve is one pullback (one map) or
-    one Jacobian (six maps at once): the solve opens with a pullback, and
-    each Newton iteration makes one six-map pass and then its line search."""
-    passes = []
-    action = conformal._boundary_action
+    """A solve maps the nodes (_boundary_action) only inside its pullbacks
+    and calls _center_jacobian once per Newton iteration: it opens with a
+    pullback, and each iteration makes one Jacobian and then its line search."""
+    events = []
+    action, pullback, jacobian = conformal._boundary_action, conformal.pullback_normalized, conformal._center_jacobian
 
-    def counted(p, eps, x):
-        passes.append(str(np.size(eps)))
-        return action(p, eps, x)
+    def counted_action(mp, x):
+        events.append("a")
+        return action(mp, x)
 
-    monkeypatch.setattr(conformal, "_boundary_action", counted)
+    def counted_pullback(u, mp):
+        events.append("(")
+        v = pullback(u, mp)
+        events.append(")")
+        return v
+
+    def counted_jacobian(*args):
+        events.append("J")
+        return jacobian(*args)
+
+    monkeypatch.setattr(conformal, "_boundary_action", counted_action)
+    monkeypatch.setattr(conformal, "pullback_normalized", counted_pullback)
+    monkeypatch.setattr(conformal, "_center_jacobian", counted_jacobian)
     g = make_grid(31)
     assert normalize(bubble_field(np.array([0.48, -0.6, 0.64]), 0.3, g)).residual <= 1e-8
-    assert re.fullmatch("1(61+)+", "".join(passes)), passes
+    assert re.fullmatch(r"\(a\)(J(\(a\))+)+", "".join(events)), events
 
 
 def test_normalize_makes_few_pullbacks(monkeypatch):

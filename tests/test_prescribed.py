@@ -2,7 +2,8 @@
 
 Validates:
 - parsing of monomial, bump, and Legendre terms with signs and powers
-- rejection of malformed specs, non-finite numbers and overflowing bumps
+- rejection of malformed specs, non-finite numbers and overflowing term
+  bounds
 - values, tangential gradients, surface Laplacians against closed forms
   and central finite differences
 - ambient Hessians of mixed monomials against central differences of
@@ -109,6 +110,11 @@ def test_legendre_values():
     "2 + bump(8; 0,0,1e400)",
     "bump(1e200; 0,0,1)",
     "1e300 bump(1e5; 0,0,1)",
+    # finite numbers whose term bound, or sum of term bounds, overflows
+    "1e308 x^2",
+    "1e308 + 1e308 z",
+    "2 + bump(-400; 0,0,1)",
+    "1e307 legendre(4)",
 ])
 def test_malformed_specs_rejected(bad):
     with pytest.raises(SpecParseError):
