@@ -289,12 +289,19 @@ def _cap_kernel(L, r):
     return mu
 
 
+@lru_cache(maxsize=8)
+def _cap_multipliers(L, radii):
+    """Read-only stack of the _cap_kernel of each radius in the tuple radii, shape (len(radii), L+1, 1)."""
+    multipliers = np.stack([_cap_kernel(L, r) for r in radii])[:, :, None]
+    multipliers.flags.writeable = False
+    return multipliers
+
+
 def cap_integrals(density, grid, radii):
     """Integral of a gridded density over the cap of each radius around every node.
 
     Shape (len(radii), n_lat, n_lon): spherical convolutions with the cap
     indicators, evaluated by their Funk-Hecke multipliers in one synthesis.
     """
-    multipliers = np.stack([_cap_kernel(grid.L, r) for r in radii])[:, :, None]
-    return synthesize(analyze(density, grid) * multipliers, grid)
+    return synthesize(analyze(density, grid) * _cap_multipliers(grid.L, tuple(radii)), grid)
 

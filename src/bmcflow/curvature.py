@@ -13,6 +13,7 @@ evolving boundary measure u^{2#} dmu.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,9 +72,13 @@ def weighted_mean_sign(grid, fv, weight=1.0):
     The sign is 0 when |mean(f w)| <= 1e-12 mean(|f| w); f may change
     sign, so its weighted mean can vanish exactly (f = z, w = 1), and
     quadrature then returns a few 1e-17 of either sign.  Every
-    admissibility test on an f-weighted volume goes through here.
+    admissibility test on an f-weighted volume goes through here.  The
+    weight must be nonnegative.
     """
-    m, m_abs = grid.integrate(np.stack((fv * weight, np.abs(fv) * weight)))
+    fw = np.empty((2,) + grid.shape)
+    np.multiply(fv, weight, out=fw[0])
+    np.abs(fw[0], out=fw[1])          # |f w| = |f| w bit for bit, since w >= 0
+    m, m_abs = grid.integrate(fw)
     if abs(m) <= _VANISHING_MEAN_REL * m_abs:
         return m, 0
     return m, 1 if m > 0.0 else -1
@@ -96,7 +101,15 @@ def volume(u):
 
 def mean_curvature_values(u_values, dtn_values):
     """H = u^{-(2#-1)} (a_n * DtN(u) + u) = (a_n * DtN(u) + u) / u^3 on the grid, from the values of u and of DtN(u)."""
-    return (A_N * dtn_values + u_values) / (u_values * u_values * u_values)
+    return _curvature(u_values, dtn_values, u_values * u_values)
+
+
+def _curvature(u_values, dtn_values, u2):
+    """mean_curvature_values with u^2 = u2 given."""
+    H = A_N * dtn_values
+    H += u_values
+    H /= u2 * u_values
+    return H
 
 
 def mean_curvature(u):
@@ -106,11 +119,18 @@ def mean_curvature(u):
     return BoundaryField(u.grid, values=H)
 
 
+@lru_cache(maxsize=8)
+def _energy_weights(L):
+    """Read-only column of the energy's degree weights a_n l + 1, l = 0..L, shape (L+1, 1)."""
+    weights = A_N * np.arange(L + 1, dtype=float)[:, None] + 1.0
+    weights.flags.writeable = False
+    return weights
+
+
 def total_energy(u):
     """Spectral form of the boundary energy: sum (a_n l + 1) c_{l,m}^2."""
     c = u.coeffs
-    ls = np.arange(c.shape[0], dtype=float)[:, None]
-    return float(np.sum((A_N * ls + 1.0) * c**2))
+    return float((_energy_weights(c.shape[0] - 1) * c**2).sum())
 
 
 def energy_functional(u, fv):
@@ -121,8 +141,23 @@ def energy_functional(u, fv):
     report keeps u^{2#} at the nodes, so its callers need not form it again.
     """
     require_positive(u.values, "conformal factor")
+    return _energy_report(u, fv, volume_density(u.values))
+
+
+def curvature_and_energy(u, dtn_values, fv):
+    """(H at the nodes, energy_functional(u, fv)) of a u whose node values the caller has found positive.
+
+    dtn_values holds DtN u at the nodes.  One u^2 serves both
+    H = (a_n DtN u + u) / (u^2 u) and u^{2#} = (u^2)^2; the results are
+    those of mean_curvature_values and energy_functional bit for bit.
+    """
+    u2 = u.values * u.values
+    return _curvature(u.values, dtn_values, u2), _energy_report(u, fv, u2 * u2)
+
+
+def _energy_report(u, fv, density):
+    """energy_functional without its positivity check, with density = u^{2#} at the nodes given."""
     E = total_energy(u)
-    density = volume_density(u.values)
     denom, sign = weighted_mean_sign(u.grid, fv, density)
     if sign <= 0:
         raise AdmissibilityError(

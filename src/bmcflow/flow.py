@@ -31,12 +31,13 @@ band limit, and at L = 63 a concentrated bubble runs with E_f monotone.
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .conformal import cap_integrals
-from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_functional, flow_bounds, mean_curvature_values,
-                        require_positive, volume_density)
+from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, flow_bounds, require_positive,
+                        volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -143,23 +144,36 @@ def _columns(config):
     return tuple(cols)
 
 
+@lru_cache(maxsize=8)
+def _value_and_dtn(L):
+    """Read-only multipliers (1, l) of shape (2, L+1, 1): one product with coefficients c gives the stack (c, DtN c).
+
+    The second is the degree column, which scales the argument of _phi.
+    """
+    ones = np.ones((L + 1, 1))
+    pair = np.stack((ones, dtn_apply(ones)))
+    pair.flags.writeable = False
+    return pair
+
+
 def _evaluate(coeffs, grid, f_values, project):
     """(u, DtN u, H, EnergyReport) of the state with harmonic coefficients coeffs; DtN u and H at the nodes.
 
-    One synthesis of (coeffs, A coeffs) serves u, DtN u and H.  With
-    project, coeffs, values and DtN u are first scaled by the constant
-    that gives u unit volume; u^{2#} is formed once for that constant and
-    once more, of the scaled u, in the EnergyReport.  A nonpositive node raises
-    AdmissibilityError with condition "positivity"; energy_functional
-    raises it when u lies outside the admissible set.
+    One synthesis of (coeffs, A coeffs) serves u, DtN u and H, and
+    positivity is checked once.  With project, coeffs, values and DtN u
+    are first scaled by the constant that gives u unit volume; u^{2#} is
+    formed once for that constant and once more, of the scaled u, from
+    the u^2 that H uses too.  A nonpositive node raises AdmissibilityError
+    with condition "positivity"; the report raises it when u lies outside
+    the admissible set.
     """
-    values, dtn = synthesize(np.stack((coeffs, dtn_apply(coeffs))), grid)
+    values, dtn = synthesize(coeffs * _value_and_dtn(grid.L), grid)
     require_positive(values, "conformal factor")
     if project:
         c = grid.integrate(volume_density(values)) ** (-1.0 / TWO_SHARP)
         coeffs, values, dtn = c * coeffs, c * values, c * dtn
     u = BoundaryField(grid, values=values, coeffs=coeffs)
-    return u, dtn, mean_curvature_values(values, dtn), energy_functional(u, f_values)
+    return (u, dtn, *curvature_and_energy(u, dtn, f_values))
 
 
 def init_state(u0, f, config):
@@ -219,7 +233,12 @@ def _phi(z):
 
 def _remainder(u, dtn_values, H_values, lam, f_values, kappa):
     """Coefficients of R(u) = -((n-1)/4)(H - lambda f) u + (kappa/2) DtN u: the rate less the stabilizer."""
-    return analyze(-(N - 1.0) / 4.0 * (H_values - lam * f_values) * u.values + 0.5 * kappa * dtn_values, u.grid)
+    rate = lam * f_values                 # formed in place: one node array, not five
+    np.subtract(H_values, rate, out=rate)
+    rate *= -(N - 1.0) / 4.0
+    rate *= u.values
+    rate += 0.5 * kappa * dtn_values
+    return analyze(rate, u.grid)
 
 
 def _cause(exc, where):
@@ -232,7 +251,7 @@ def _cause(exc, where):
 def _etd_rk2(state, config, dt, kappa, r_u):
     """One ETD-RK2 try of size dt: ((u, DtN u, H, EnergyReport) of the new state, err), or why it fails."""
     grid, fv = state.u.grid, state.f_values
-    e, phi1, phi2 = _phi(-0.5 * dt * kappa * np.arange(grid.L + 1.0)[:, None])
+    e, phi1, phi2 = _phi(-0.5 * dt * kappa * _value_and_dtn(grid.L)[1])
     a = e * state.u.coeffs + dt * phi1 * r_u
     try:
         stage, a_dtn, a_H, a_report = _evaluate(a, grid, fv, project=False)
@@ -306,23 +325,37 @@ def _record(traj, state, config, r, w, F2):
     2^{1/n}) should not be chosen closer to the theoretical threshold
     than that error.  Returns (flags over the nodes, the total mass
     integral |H|^n dmu_g, S = mean(x w)).
+
+    The seven integrands are written into one array: w, lambda f r w,
+    r^4 w, W and x w.  No node is flagged while the cap integrals of
+    some radius peak below the threshold, so the nodes are compared only
+    when every peak reaches it.
     """
-    u, rep = state.u, state.energy_report
-    lam_f = rep.lam * state.f_values
-    W = np.abs(state.H) ** N * w
-    r2 = r * r
-    moments = u.grid.integrate(np.stack([w, lam_f * r * w, r2 * r2 * w, W,
-                                         *(u.grid.nodes().transpose(2, 0, 1) * w)]))
+    u, rep, grid = state.u, state.energy_report, state.u.grid
+    fields = np.empty((7,) + grid.shape)
+    fields[0] = w
+    np.multiply(rep.lam * state.f_values, r, out=fields[1])
+    np.multiply(r, r, out=fields[2])
+    np.square(fields[2], out=fields[2])
+    np.abs(state.H, out=fields[3])
+    np.square(fields[3], out=fields[3])             # |H|^n for n = 2
+    fields[1:4] *= w
+    np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[4:])
+    moments = grid.integrate(fields)
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
     lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
-    caps = cap_integrals(W, u.grid, config.cap_radii)
+    caps = cap_integrals(fields[3], grid, config.cap_radii)
+    peaks = [float(cap.max()) for cap in caps]
     row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
            float(u.values.min()), float(u.values.max()),
            S[0], S[1], S[2], float(np.linalg.norm(S))]
-    row += [float(cap.max()) / OMEGA_N for cap in caps]
+    row += [peak / OMEGA_N for peak in peaks]
     row += [F2, lp4, -float(r.max())]
     traj.rows.append(row)
-    return np.all(caps >= config.tau**N * OMEGA_N, axis=0), OMEGA_N * mass, S
+    threshold = config.tau**N * OMEGA_N
+    if any(peak < threshold for peak in peaks):
+        return np.zeros(grid.shape, dtype=bool), OMEGA_N * mass, S
+    return np.all(caps >= threshold, axis=0), OMEGA_N * mass, S
 
 
 def run(state, config):

@@ -156,14 +156,15 @@ def index_count(points):
 def _mean_and_ratio(f, grid):
     """(mean f, max|f|, positive_mean, ratio, ratio_ok) for the simple-bubble condition.
 
-    positive_mean: mean f > 0 beyond roundoff; ratio = max|f| / mean f
-    (inf unless positive_mean); ratio_ok: positive_mean and ratio < 2^{1/n}.
+    positive_mean: mean f > 0 beyond roundoff; ratio = max|f| / mean f,
+    or None (JSON null) unless positive_mean; ratio_ok: positive_mean and
+    ratio < 2^{1/n}.
     """
     f_mean, sign = weighted_mean_sign(grid, f(grid.nodes()))
     fmin, fmax = f.extrema()
     f_absmax = max(abs(fmin), abs(fmax))
     positive_mean = sign > 0
-    ratio = f_absmax / f_mean if positive_mean else np.inf
+    ratio = f_absmax / f_mean if positive_mean else None
     return f_mean, f_absmax, positive_mean, ratio, positive_mean and ratio < 2.0 ** (1.0 / N)
 
 

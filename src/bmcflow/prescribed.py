@@ -39,6 +39,10 @@ from .errors import SpecParseError
 _EXTREMA_PROBE = 64
 # newton_critical accepts a seed still moving after its last step at this |grad_S f|.
 _GRAD_TOL = 1e-8
+# Largest degree of a monomial and of legendre(l).  A Legendre term costs
+# O(l) to build and to evaluate (legendre(10^9) would run for hours), and
+# a degree beyond a double or an index cannot be evaluated at all.
+_MAX_DEGREE = 10_000
 
 
 class _Mono:
@@ -181,6 +185,17 @@ def _split_terms(text):
     return frags
 
 
+def _degree(digits, what, frag):
+    """The integer written as digits, a degree in [0, _MAX_DEGREE]; SpecParseError otherwise."""
+    try:
+        value = int(digits)
+    except ValueError:  # not an integer, or more digits than int() converts
+        value = -1
+    if not 0 <= value <= _MAX_DEGREE:
+        raise SpecParseError(f"{what} in term {frag!r} must be an integer from 0 to {_MAX_DEGREE}")
+    return value
+
+
 def _parse_term(sign, frag, original):
     frag = frag.strip()
     if not frag:
@@ -219,17 +234,12 @@ def _parse_term(sign, frag, original):
             if not np.all(np.isfinite([k, *p])):
                 raise SpecParseError(f"bump arguments must be finite numbers, got {args!r}")
             return _Bump(coef, k, p)
-        try:
-            l = int(args.strip())
-        except ValueError as exc:
-            raise SpecParseError(f"legendre degree must be an integer, got {args!r}") from exc
-        if l < 0:
-            raise SpecParseError(f"legendre degree must be >= 0, got {l}")
-        return _Legendre(coef, l)
+        return _Legendre(coef, _degree(args.strip(), "legendre degree", frag))
     powers = [0, 0, 0]
     for cm in coords:
-        idx = "xyz".index(cm.group(1))
-        powers[idx] += int(cm.group(2) or 1)
+        powers["xyz".index(cm.group(1))] += _degree(cm.group(2) or "1", "power", frag)
+    if sum(powers) > _MAX_DEGREE:
+        raise SpecParseError(f"monomial degree in term {frag!r} must be at most {_MAX_DEGREE}")
     return _Mono(coef, powers)
 
 

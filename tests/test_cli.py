@@ -354,6 +354,19 @@ def test_morse_check_zero_mean_target(capsys):
     assert doc["conditions"]["simple_bubble_ratio"] is False
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("spec", ["x", "1E-3x", "2 + 0.5z"])
+def test_morse_check_prints_strict_json(capsys, spec):
+    """The ratio max|f| / mean f is null, not Infinity, when mean f is not
+    positive, so stdout parses as strict JSON."""
+    assert main(["morse", "check", "--f", spec, "--L", "8"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert (doc["ratio"] is None) == (not doc["conditions"]["positive_mean"])
+
+
 def test_morse_check_degenerate_without_sym(capsys):
     assert main(["morse", "check", "--f", "2 - z^2"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -499,12 +512,15 @@ def test_flow_run_rejects_non_finite_bubble_center(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["1e400 + z", "2 + bump(nan;0,0,1)", "bump(1e200;0,0,1)", "1e308 x^2",
-                                  "1e308 + 1e308 z", "2 + bump(-400;0,0,1)"])
+                                  "1e308 + 1e308 z", "2 + bump(-400;0,0,1)",
+                                  pytest.param("x^" + "9" * 400, id="x^<400 nines>"),
+                                  pytest.param("legendre(" + "9" * 100 + ")", id="legendre(<100 nines>)")])
 def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
-    """morse check and flow run reject a non-finite number in f, or a term
-    or a sum of terms whose bound on value and derivatives overflows, with
-    exit 64 and a one-line message: no traceback, no NaN or Infinity in
-    JSON, no admissibility verdict."""
+    """morse check and flow run reject a non-finite number in f, a term or
+    a sum of terms whose bound on value and derivatives overflows, or a
+    power or Legendre degree too large to evaluate, with exit 64 and a
+    one-line message: no traceback, no NaN or Infinity in JSON, no
+    admissibility verdict."""
     assert main(["morse", "check", "--f", spec]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""

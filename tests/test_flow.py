@@ -16,6 +16,9 @@ Validates:
 - CSV round-trip and the verdict document
 - a recorded row against the curvature layer's one-quantity functions,
   and the number of Legendre stages a recorded step costs
+- _evaluate's H and EnergyReport against mean_curvature_values and
+  energy_functional bit for bit, and the row's detector flags against
+  the cap integrals compared at every node
 - the ETD-RK2 step: second-order self-convergence at fixed dt, and a
   monotone E_f on a concentrated bubble at L = 63 with the defaults
 """
@@ -366,6 +369,54 @@ def test_row_matches_reference_functions():
     for name, value in want.items():
         assert abs(row[name] - value) <= 1e-14 * max(1.0, abs(value)), name
     assert row["Lp_res_p2"] == row["F2"]
+
+
+@pytest.mark.parametrize("spec", ["2 - z^2", "0.3 + z"])
+@pytest.mark.parametrize("project", [False, True])
+def test_evaluate_matches_one_quantity_functions(spec, project):
+    """_evaluate forms u^2 once for H and u^{2#} and checks positivity
+    once; its H and EnergyReport equal mean_curvature_values and
+    energy_functional of the same state bit for bit, for a projected and
+    an unprojected state and for a sign-changing f."""
+    g = make_grid(15)
+    coeffs = perturbed_constant(g, amp=0.2).coeffs * 1.3
+    fv = parse_f_spec(spec)(g.nodes())
+    u, dtn, H, report = flow._evaluate(coeffs, g, fv, project)
+    assert np.array_equal(H, curvature.mean_curvature_values(u.values, dtn))
+    want = curvature.energy_functional(u, fv)
+    for name in ("E", "denom", "E_f", "lam"):
+        assert getattr(report, name) == getattr(want, name), name
+    assert np.array_equal(report.density, want.density)
+    assert (abs(volume(u) - 1.0) < 1e-12) == project
+
+
+def _record_flags(state, tau):
+    """(flags _record returns, flags of the cap integrals compared at every node) for the state at tau."""
+    cfg = FlowConfig(tau=tau)
+    rep = state.energy_report
+    r, w = rep.lam * state.f_values - state.H, rep.density
+    traj = flow.Trajectory(columns=flow._columns(cfg))
+    flags, _, _ = flow._record(traj, state, cfg, r, w, state.u.grid.integrate(r * r * w))
+    caps = conformal.cap_integrals(np.abs(state.H) ** 2 * w, state.u.grid, cfg.cap_radii)
+    return flags, np.all(caps >= tau**2 * 4.0 * np.pi, axis=0), [float(cap.max()) for cap in caps]
+
+
+def test_record_flags_match_every_node_comparison():
+    """_record compares the nodes only when every radius's cap peak reaches
+    tau^n omega_n; its flags equal the comparison at every node when the
+    threshold lies below all peaks, at each peak, and between them."""
+    g = make_grid(31)
+    state = init_state(bubble_field(N_POLE, 0.2, g), parse_f_spec("2 + 0.5z"), FlowConfig())
+    _, _, peaks = _record_flags(state, 0.5)
+    fractions = sorted(p / (4.0 * np.pi) for p in peaks)
+    assert fractions[0] < fractions[-1] < 2.0
+    taus = [np.sqrt(0.5 * fractions[0]), *np.sqrt(fractions), np.sqrt(0.5 * (fractions[0] + fractions[1]))]
+    any_flagged = []
+    for tau in taus:
+        flags, want, _ = _record_flags(state, tau)
+        assert np.array_equal(flags, want), tau
+        any_flagged.append(bool(want.any()))
+    assert any_flagged[0] and not any_flagged[-1]
 
 
 def test_legendre_stages_per_recorded_step(monkeypatch):

@@ -1,10 +1,16 @@
 """Module boundaries of the package: no module imports another module's
-private (underscore) name; a helper two modules share is public; and
-every public name has a caller in the package or the benchmark."""
+private (underscore) name; a helper two modules share is public; every
+public name has a caller in the package or the benchmark; and every
+cached per-degree constant is read-only."""
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bmcflow import conformal, curvature, flow, spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bmcflow"
@@ -90,3 +96,28 @@ def test_every_public_name_has_a_caller():
     uncalled = [qualified for path in modules for qualified, name, node in _public_definitions(path, trees[path])
                 if refs[name] <= _references(node)[name]]
     assert modules and set(uncalled) == set(UNCALLED_ALLOWED), sorted(set(uncalled) ^ set(UNCALLED_ALLOWED))
+
+
+# Arguments for each lru_cache'd constant of the numerical modules; a new cache must be listed here.
+CACHED_CONSTANTS = {
+    "spectral._fourier_table": (8,),
+    "curvature._energy_weights": (8,),
+    "conformal._cap_kernel": (8, 0.2),
+    "conformal._cap_multipliers": (8, (0.1, 0.2, 0.5)),
+    "flow._value_and_dtn": (8,),
+}
+
+
+def test_cached_constants_read_only():
+    """A cached constant is shared by every caller in the process, so a
+    write into it would corrupt every later flow: each one is read-only."""
+    found = {f"{mod.__name__.rsplit('.', 1)[-1]}.{name}": fn
+             for mod in (spectral, conformal, curvature, flow)
+             for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+    assert set(found) == set(CACHED_CONSTANTS)
+    for name, args in CACHED_CONSTANTS.items():
+        value = found[name](*args)
+        assert value is found[name](*args), name
+        assert isinstance(value, np.ndarray) and not value.flags.writeable, name
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] = 1.0

@@ -115,6 +115,12 @@ def test_legendre_values():
     "1e308 + 1e308 z",
     "2 + bump(-400; 0,0,1)",
     "1e307 legendre(4)",
+    # powers and Legendre degrees too large to evaluate
+    pytest.param("x^" + "9" * 400, id="x^<400 nines>"),
+    pytest.param("legendre(" + "9" * 100 + ")", id="legendre(<100 nines>)"),
+    pytest.param("2 + x^" + "9" * 5000, id="2 + x^<5000 nines>"),
+    "x^5000 y^5001",
+    "legendre(-1)",
 ])
 def test_malformed_specs_rejected(bad):
     with pytest.raises(SpecParseError):
