@@ -189,22 +189,16 @@ def _run_experiment(config_path, out_dir):
     return _EXIT_CONCENTRATING if traj.verdict == "Concentrating" else _EXIT_OK
 
 
-def _run_experiment_entry(args):
-    return _run_experiment(*args)
-
-
 def cmd_flow_run(args):
     configs = args.config
     if len(configs) == 1:
         return _run_experiment(configs[0], args.out)
-    jobs = [(path, str(Path(args.out) / Path(path).stem)) for path in configs]
-    workers = max(1, min(args.jobs, len(jobs)))
+    outs = [str(Path(args.out) / Path(path).stem) for path in configs]
+    workers = max(1, min(args.jobs, len(configs)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_experiment_entry, jobs))
-    else:
-        codes = [_run_experiment(*job) for job in jobs]
-    return max(codes)
+            return max(pool.map(_run_experiment, configs, outs))
+    return max(map(_run_experiment, configs, outs))
 
 
 def cmd_morse_check(args):

@@ -276,23 +276,16 @@ def normalize(u, tol=1e-8, max_iter=100):
     raise NormalizeError(f"center-of-mass solve stalled at residual {rnorm:.3e}", best_map=mp, best_residual=rnorm)
 
 
-@lru_cache(maxsize=64)
-def _cap_kernel(L, r):
-    """Funk-Hecke multipliers 2 pi (P_{l-1} - P_{l+1})(cos r) / (2l+1) of the cap of radius r, read-only.
-
-    P_{-1} = P_0 = 1, and P_l is the m = 0 entry of the normalized Legendre rows over sqrt(2l+1).
-    """
-    zonal = [row[0, 0] for row in legendre_rows(L + 1, np.array([np.cos(r)]))]
-    P = np.concatenate(([1.0], np.array(zonal) / np.sqrt(2.0 * np.arange(L + 2) + 1.0)))
-    mu = 2.0 * np.pi * (P[:-2] - P[2:]) / (2.0 * np.arange(L + 1) + 1.0)
-    mu.flags.writeable = False
-    return mu
-
-
 @lru_cache(maxsize=8)
 def _cap_multipliers(L, radii):
-    """Read-only stack of the _cap_kernel of each radius in the tuple radii, shape (len(radii), L+1, 1)."""
-    multipliers = np.stack([_cap_kernel(L, r) for r in radii])[:, :, None]
+    """Read-only Funk-Hecke multipliers of the cap of each radius r in the tuple radii, shape (len(radii), L+1, 1).
+
+    They are 2 pi (P_{l-1} - P_{l+1})(cos r) / (2l+1), with P_{-1} = P_0 = 1 and P_l the m = 0 entry of
+    the normalized Legendre rows over sqrt(2l+1), from one pass over all radii.
+    """
+    zonal = np.stack([row[0] for row in legendre_rows(L + 1, np.cos(radii))], axis=-1)
+    P = np.concatenate((np.ones((len(radii), 1)), zonal / np.sqrt(2.0 * np.arange(L + 2) + 1.0)), axis=-1)
+    multipliers = (2.0 * np.pi * (P[:, :-2] - P[:, 2:]) / (2.0 * np.arange(L + 1) + 1.0))[:, :, None]
     multipliers.flags.writeable = False
     return multipliers
 

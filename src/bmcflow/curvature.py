@@ -60,10 +60,12 @@ class FlowBounds:
 
 
 def require_positive(values, what):
-    """Raise AdmissibilityError with condition "positivity" when a node value of the field is not positive."""
-    if values.min() <= 0.0:
+    """Least node value of the field as a float; AdmissibilityError with condition "positivity" if not positive."""
+    least = float(values.min())
+    if least <= 0.0:
         node = np.unravel_index(np.argmin(values), values.shape)
         raise AdmissibilityError(f"{what} is not positive at node {node}", condition="positivity")
+    return least
 
 
 def weighted_mean_sign(grid, fv, weight=1.0):
@@ -99,16 +101,11 @@ def volume(u):
     return u.grid.integrate(volume_density(u.values))
 
 
-def mean_curvature_values(u_values, dtn_values):
-    """H = u^{-(2#-1)} (a_n * DtN(u) + u) = (a_n * DtN(u) + u) / u^3 on the grid, from the values of u and of DtN(u)."""
-    return _curvature(u_values, dtn_values, u_values * u_values)
-
-
-def _curvature(u_values, dtn_values, u2):
-    """mean_curvature_values with u^2 = u2 given."""
+def mean_curvature_values(u_values, dtn_values, u2=None):
+    """H = u^{-(2#-1)} (a_n * DtN(u) + u) on the grid from the values of u and DtN(u), and of u^2 if u2 is given."""
     H = A_N * dtn_values
     H += u_values
-    H /= u2 * u_values
+    H /= (u_values * u_values if u2 is None else u2) * u_values
     return H
 
 
@@ -152,7 +149,7 @@ def curvature_and_energy(u, dtn_values, fv):
     those of mean_curvature_values and energy_functional bit for bit.
     """
     u2 = u.values * u.values
-    return _curvature(u.values, dtn_values, u2), _energy_report(u, fv, u2 * u2)
+    return mean_curvature_values(u.values, dtn_values, u2), _energy_report(u, fv, u2 * u2)
 
 
 def _energy_report(u, fv, density):

@@ -92,21 +92,30 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
-    t: float
+    """One flow state, evaluated once: u and every node field that the step, the verdict tests and the row read.
+
+    _evaluate fills the fields down to min_u; init_state and step set the
+    bounds and the clock.  lam_f = lambda f and r = lambda f - H are the
+    residual's node arrays.
+    """
     u: BoundaryField
     f_values: np.ndarray
-    H: np.ndarray              # mean curvature at the grid nodes
     dtn: np.ndarray            # DtN u at the grid nodes
+    H: np.ndarray              # mean curvature at the grid nodes
     energy_report: object
-    bounds: object
-    dt: float                  # the last accepted step (dt_max at t = 0)
-    dt_next: float             # the size step() tries first
+    lam_f: np.ndarray
+    r: np.ndarray
+    min_u: float
+    bounds: object = None
+    t: float = 0.0
+    dt: float = None           # the last accepted step (dt_max at t = 0)
+    dt_next: float = None      # the size step() tries first
     steps: int = 0
 
 
 @dataclass
 class Trajectory:
-    columns: tuple
+    columns: tuple = ()        # named by the row that _record builds
     rows: list = field(default_factory=list)
     verdict: str = ""
     reason: str = ""
@@ -136,14 +145,6 @@ class Trajectory:
         }
 
 
-def _columns(config):
-    cols = ["t", "dt", "lambda", "E", "E_f", "F2", "lambda_prime", "vol_err",
-            "min_u", "max_u", "S_x", "S_y", "S_z", "S_norm"]
-    cols += [f"capmass_r{r:g}" for r in config.cap_radii]
-    cols += ["Lp_res_p2", "Lp_res_p4", "min_H_minus_lambda_f"]
-    return tuple(cols)
-
-
 @lru_cache(maxsize=8)
 def _value_and_dtn(L):
     """Read-only multipliers (1, l) of shape (2, L+1, 1): one product with coefficients c gives the stack (c, DtN c).
@@ -157,23 +158,27 @@ def _value_and_dtn(L):
 
 
 def _evaluate(coeffs, grid, f_values, project):
-    """(u, DtN u, H, EnergyReport) of the state with harmonic coefficients coeffs; DtN u and H at the nodes.
+    """The FlowState, clock unset, of the state with harmonic coefficients coeffs.
 
     One synthesis of (coeffs, A coeffs) serves u, DtN u and H, and
-    positivity is checked once.  With project, coeffs, values and DtN u
-    are first scaled by the constant that gives u unit volume; u^{2#} is
-    formed once for that constant and once more, of the scaled u, from
-    the u^2 that H uses too.  A nonpositive node raises AdmissibilityError
-    with condition "positivity"; the report raises it when u lies outside
-    the admissible set.
+    positivity is checked once, which finds min u.  With project, coeffs,
+    values, DtN u and min u are first scaled by the constant c that gives
+    u unit volume (rounding is monotone, so c min u is the minimum of the
+    scaled values bit for bit); u^{2#} is formed once for c and once more,
+    of the scaled u, from the u^2 that H uses too.  A nonpositive node
+    raises AdmissibilityError with condition "positivity"; the report
+    raises it when u lies outside the admissible set.
     """
     values, dtn = synthesize(coeffs * _value_and_dtn(grid.L), grid)
-    require_positive(values, "conformal factor")
+    min_u = require_positive(values, "conformal factor")
     if project:
         c = grid.integrate(volume_density(values)) ** (-1.0 / TWO_SHARP)
-        coeffs, values, dtn = c * coeffs, c * values, c * dtn
+        coeffs, values, dtn, min_u = c * coeffs, c * values, c * dtn, c * min_u
     u = BoundaryField(grid, values=values, coeffs=coeffs)
-    return (u, dtn, *curvature_and_energy(u, dtn, f_values))
+    H, report = curvature_and_energy(u, dtn, f_values)
+    lam_f = report.lam * f_values
+    return FlowState(u=u, f_values=f_values, dtn=dtn, H=H, energy_report=report, lam_f=lam_f, r=lam_f - H,
+                     min_u=min_u)
 
 
 def init_state(u0, f, config):
@@ -190,23 +195,15 @@ def init_state(u0, f, config):
     if float(u0.values.min()) <= 0.0:
         raise AdmissibilityError("initial data is not positive", condition="positivity")
     try:
-        u, dtn, H, report = _evaluate(u0.coeffs, u0.grid, f_values, project=True)
+        state = _evaluate(u0.coeffs, u0.grid, f_values, project=True)
     except AdmissibilityError as exc:
         if exc.condition != "positivity":
             raise
         raise AdmissibilityError("initial data loses positivity under band-limit filtering",
                                  condition="positivity") from None
-    return FlowState(
-        t=0.0,
-        u=u,
-        f_values=f_values,
-        H=H,
-        dtn=dtn,
-        energy_report=report,
-        bounds=flow_bounds(u, f, H),
-        dt=config.dt_max,
-        dt_next=config.dt_max,
-    )
+    state.bounds = flow_bounds(state.u, f, state.H)
+    state.dt = state.dt_next = config.dt_max
+    return state
 
 
 def _phi(z):
@@ -231,14 +228,12 @@ def _phi(z):
     return np.exp(z), phi1, phi2
 
 
-def _remainder(u, dtn_values, H_values, lam, f_values, kappa):
-    """Coefficients of R(u) = -((n-1)/4)(H - lambda f) u + (kappa/2) DtN u: the rate less the stabilizer."""
-    rate = lam * f_values                 # formed in place: one node array, not five
-    np.subtract(H_values, rate, out=rate)
-    rate *= -(N - 1.0) / 4.0
-    rate *= u.values
-    rate += 0.5 * kappa * dtn_values
-    return analyze(rate, u.grid)
+def _remainder(state, kappa):
+    """Coefficients of R(u) = ((n-1)/4) r u + (kappa/2) DtN u, r = lambda f - H: the rate less the stabilizer."""
+    rate = state.r * ((N - 1.0) / 4.0)    # formed in place: two node arrays, not four
+    rate *= state.u.values
+    rate += 0.5 * kappa * state.dtn
+    return analyze(rate, state.u.grid)
 
 
 def _cause(exc, where):
@@ -249,31 +244,31 @@ def _cause(exc, where):
 
 
 def _etd_rk2(state, config, dt, kappa, r_u):
-    """One ETD-RK2 try of size dt: ((u, DtN u, H, EnergyReport) of the new state, err), or why it fails."""
+    """One ETD-RK2 try of size dt: (the FlowState of the new state, err), or why it fails."""
     grid, fv = state.u.grid, state.f_values
     e, phi1, phi2 = _phi(-0.5 * dt * kappa * _value_and_dtn(grid.L)[1])
     a = e * state.u.coeffs + dt * phi1 * r_u
     try:
-        stage, a_dtn, a_H, a_report = _evaluate(a, grid, fv, project=False)
+        stage = _evaluate(a, grid, fv, project=False)
     except AdmissibilityError as exc:
         return _cause(exc, " at the first stage")
-    correction = dt * phi2 * (_remainder(stage, a_dtn, a_H, a_report.lam, fv, kappa) - r_u)
+    correction = dt * phi2 * (_remainder(stage, kappa) - r_u)
     coeffs = a + correction
     err = float(np.linalg.norm(correction) / np.linalg.norm(coeffs))
     if err > STEP_TOL:
         return f"local error {err:.3e} above STEP_TOL = {STEP_TOL:g}"
     try:
-        u, dtn, H, report = _evaluate(coeffs, grid, fv, project=config.vol_project)
+        new = _evaluate(coeffs, grid, fv, project=config.vol_project)
     except AdmissibilityError as exc:
         return _cause(exc, "")
-    rise = report.E_f / state.energy_report.E_f - 1.0
+    rise = new.energy_report.E_f / state.energy_report.E_f - 1.0
     if rise > _EF_RISE_REL:
         return f"E_f rose by {rise:.3e} relative"
-    return (u, dtn, H, report), err
+    return new, err
 
 
 def step(state, config):
-    """One accepted ETD-RK2 step (Cox & Matthews 2002), in place.
+    """One accepted ETD-RK2 step (Cox & Matthews 2002), in place: state takes the new FlowState's fields.
 
     The stiff part of the rate, -((n-1)/4) a_n u^{2-2#} DtN u = -(1/2) u^-2 A u,
     is integrated exactly under the stabilizer Lc = -(kappa/2) A with
@@ -296,27 +291,26 @@ def step(state, config):
     next proposal is min(dt_max, 2 h, 0.9 sqrt(STEP_TOL/err) h).  An
     accepted first try costs two analyses and two two-field syntheses.
     """
-    u = state.u
-    kappa = float(u.values.min()) ** (2.0 - TWO_SHARP)
-    r_u = _remainder(u, state.dtn, state.H, state.energy_report.lam, state.f_values, kappa)
+    kappa = state.min_u ** (2.0 - TWO_SHARP)
+    r_u = _remainder(state, kappa)
     dt = min(max(state.dt_next, config.dt_min), config.t_end - state.t)
     while isinstance(result := _etd_rk2(state, config, dt, kappa, r_u), str):
         dt *= 0.5
         if dt < config.dt_min:
             raise FlowFailure(f"no step at or above dt_min = {config.dt_min:g} accepted: {result}")
-    (state.u, state.dtn, state.H, state.energy_report), err = result
-    state.t += dt
-    state.dt = dt
-    state.steps += 1
+    new, err = result
     growth = 2.0 if err == 0.0 else min(2.0, 0.9 * math.sqrt(STEP_TOL / err))
-    state.dt_next = min(config.dt_max, growth * dt)
+    vars(state).update(vars(new), bounds=state.bounds, t=state.t + dt, dt=dt,
+                       dt_next=min(config.dt_max, growth * dt), steps=state.steps + 1)
     return state
 
 
-def _record(traj, state, config, r, w, F2):
+def _record(traj, state, config, F2):
     """Append the row of the current state and run the cap-mass detector, both from one reduction.
 
-    r = lambda f - H and w = u^{2#} at the nodes, and F2 = mean(r^2 w), come
+    The row is built as ordered (name, value) pairs, which name the
+    trajectory's columns.  It reads r = lambda f - H, lambda f and min u
+    from the state, w = u^{2#} from its energy report, and F2 = mean(r^2 w)
     from run.  The detector's density is W = |H|^n w; a node is flagged
     when the integral of W over its cap is >= tau^n omega_n at every
     radius in cap_radii.  Cap integrals are spherical convolutions with
@@ -331,10 +325,10 @@ def _record(traj, state, config, r, w, F2):
     some radius peak below the threshold, so the nodes are compared only
     when every peak reaches it.
     """
-    u, rep, grid = state.u, state.energy_report, state.u.grid
+    rep, grid, r, w = state.energy_report, state.u.grid, state.r, state.energy_report.density
     fields = np.empty((7,) + grid.shape)
     fields[0] = w
-    np.multiply(rep.lam * state.f_values, r, out=fields[1])
+    np.multiply(state.lam_f, r, out=fields[1])
     np.multiply(r, r, out=fields[2])
     np.square(fields[2], out=fields[2])
     np.abs(state.H, out=fields[3])
@@ -343,15 +337,16 @@ def _record(traj, state, config, r, w, F2):
     np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[4:])
     moments = grid.integrate(fields)
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
-    lambda_prime = -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom
     caps = cap_integrals(fields[3], grid, config.cap_radii)
     peaks = [float(cap.max()) for cap in caps]
-    row = [state.t, state.dt, rep.lam, rep.E, rep.E_f, F2, lambda_prime, vol - 1.0,
-           float(u.values.min()), float(u.values.max()),
-           S[0], S[1], S[2], float(np.linalg.norm(S))]
-    row += [peak / OMEGA_N for peak in peaks]
-    row += [F2, lp4, -float(r.max())]
-    traj.rows.append(row)
+    row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
+           ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
+           ("min_u", state.min_u), ("max_u", float(state.u.values.max())),
+           ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
+    row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(config.cap_radii, peaks)]
+    row += [("Lp_res_p2", F2), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
+    traj.columns = tuple(name for name, _ in row)
+    traj.rows.append([value for _, value in row])
     threshold = config.tau**N * OMEGA_N
     if any(peak < threshold for peak in peaks):
         return np.zeros(grid.shape, dtype=bool), OMEGA_N * mass, S
@@ -368,11 +363,9 @@ def run(state, config):
     partial trajectory attached to the exception.
     """
     config.validate()
-    traj = Trajectory(columns=_columns(config), config=config, bounds=state.bounds)
+    traj = Trajectory(config=config, bounds=state.bounds)
     while True:
-        r = state.energy_report.lam * state.f_values - state.H
-        w = state.energy_report.density
-        F2 = state.u.grid.integrate(r**2 * w)
+        F2 = state.u.grid.integrate(state.r**2 * state.energy_report.density)
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
         if res < config.conv_tol:
             verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
@@ -382,7 +375,7 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            flags, mass, S = _record(traj, state, config, r, w, F2)
+            flags, mass, S = _record(traj, state, config, F2)
             if verdict is None and flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")

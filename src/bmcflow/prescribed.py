@@ -16,7 +16,10 @@ A term with no atom is a constant.  Examples: "2 - z^2",
 exponent ("1e-3 z").  Every number must be finite, and so must each
 term's bound on its value and derivatives, and the sum of the bounds:
 |coef| max(1, d^2) for a monomial of degree d, |coef| e^{2 max(0, -k)}
-max(1, k^2) for a bump and |coef| max(1, l^4) for legendre(l).
+max(1, k^2) for a bump and |coef| max(1, l^4) for legendre(l).  The
+Newton determinant and |grad_S f|^2 multiply two tangential derivatives,
+so the square of the summed bounds on those must be finite too; a
+bump's is |coef| e^{2 max(0, -k)} max(1, |k|), the others' the term bound.
 
 Every term carries closed-form ambient gradient and Hessian, from which
 the surface gradient, surface Laplacian, and tangent Hessian follow:
@@ -84,7 +87,8 @@ class _Mono:
         return h
 
     def bound(self):
-        return abs(self.coef) * max(1.0, sum(self.powers) ** 2)
+        b = abs(self.coef) * max(1.0, sum(self.powers) ** 2)
+        return b, b
 
     def __repr__(self):
         return f"{self.coef}*x^{self.powers[0]}y^{self.powers[1]}z^{self.powers[2]}"
@@ -114,7 +118,8 @@ class _Bump:
         return (self.coef * self.k**2 * self._decay(pts))[..., None, None] * np.outer(self.p, self.p)
 
     def bound(self):
-        return abs(self.coef) * np.exp(2.0 * max(0.0, -self.k)) * max(1.0, self.k * self.k)
+        scale = abs(self.coef) * np.exp(2.0 * max(0.0, -self.k))
+        return scale * max(1.0, self.k * self.k), scale * max(1.0, abs(self.k))
 
     def __repr__(self):
         return f"{self.coef}*bump({self.k}; {self.p})"
@@ -143,7 +148,8 @@ class _Legendre:
         return h
 
     def bound(self):
-        return abs(self.coef) * max(1.0, float(self.l) ** 4)
+        b = abs(self.coef) * max(1.0, float(self.l) ** 4)
+        return b, b
 
     def __repr__(self):
         return f"{self.coef}*P_{self.l}(z)"
@@ -249,8 +255,10 @@ def parse_f_spec(text):
         raise SpecParseError("function specification must be a nonempty string")
     terms = [_parse_term(sign, frag, text) for sign, frag in _split_terms(text.strip())]
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(sum(np.float64(t.bound()) for t in terms)):
-            raise SpecParseError(f"{text.strip()!r} overflows: a term's bound on its value and derivatives, or their sum, is not finite")
+        bound, tangential = np.sum([t.bound() for t in terms], axis=0, dtype=np.float64)
+        if not np.isfinite(bound) or not np.isfinite(tangential * tangential):
+            raise SpecParseError(f"{text.strip()!r} overflows: a bound on its value and derivatives, their sum, "
+                                 "or the square of the tangential ones, is not finite")
     return PrescribedFunction(terms, source=text.strip())
 
 

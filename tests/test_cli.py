@@ -304,8 +304,8 @@ def test_flow_run_jobs_clamped(tmp_path, monkeypatch, jobs, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     configs = [write_config(tmp_path / f"{name}.json") for name in ("a", "b")]
@@ -512,7 +512,7 @@ def test_flow_run_rejects_non_finite_bubble_center(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["1e400 + z", "2 + bump(nan;0,0,1)", "bump(1e200;0,0,1)", "1e308 x^2",
-                                  "1e308 + 1e308 z", "2 + bump(-400;0,0,1)",
+                                  "1e308 + 1e308 z", "2 + bump(-400;0,0,1)", "2 + bump(-300;0,0,1)",
                                   pytest.param("x^" + "9" * 400, id="x^<400 nines>"),
                                   pytest.param("legendre(" + "9" * 100 + ")", id="legendre(<100 nines>)")])
 def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
@@ -532,6 +532,17 @@ def test_non_finite_f_spec_exits_64(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_negative_bump_with_finite_tangential_products_checked(capsys):
+    """bump(-150) peaks at e^300 at the antipode; its tangential derivatives
+    are at most 150 e^300, whose square (about 1e265) is finite, so it
+    parses and morse check reports its maximum 2 + e^300 with no overflow
+    (Tier-1 turns any RuntimeWarning of the package into an error)."""
+    assert main(["morse", "check", "--f", "2 + bump(-150;0,0,1)", "--L", "8"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert doc["morse_ok"] is True and doc["warnings"] == []
+    assert doc["f_absmax"] == 2.0 + np.exp(300.0)
 
 
 @pytest.mark.parametrize("spec,plain", [("2 - 1e-3 z", "2 - 0.001 z"), ("1E-3x", "0.001x"), ("1e+2", "100")])

@@ -19,6 +19,9 @@ Validates:
 - _evaluate's H and EnergyReport against mean_curvature_values and
   energy_functional bit for bit, and the row's detector flags against
   the cap integrals compared at every node
+- the FlowState record: lambda f, lambda f - H and min u after
+  init_state and after a step, projected or not, and step updating and
+  returning the state it is given
 - the ETD-RK2 step: second-order self-convergence at fixed dt, and a
   monotone E_f on a concentrated bubble at L = 63 with the defaults
 """
@@ -381,8 +384,9 @@ def test_evaluate_matches_one_quantity_functions(spec, project):
     g = make_grid(15)
     coeffs = perturbed_constant(g, amp=0.2).coeffs * 1.3
     fv = parse_f_spec(spec)(g.nodes())
-    u, dtn, H, report = flow._evaluate(coeffs, g, fv, project)
-    assert np.array_equal(H, curvature.mean_curvature_values(u.values, dtn))
+    state = flow._evaluate(coeffs, g, fv, project)
+    u, report = state.u, state.energy_report
+    assert np.array_equal(state.H, curvature.mean_curvature_values(u.values, state.dtn))
     want = curvature.energy_functional(u, fv)
     for name in ("E", "denom", "E_f", "lam"):
         assert getattr(report, name) == getattr(want, name), name
@@ -390,13 +394,46 @@ def test_evaluate_matches_one_quantity_functions(spec, project):
     assert (abs(volume(u) - 1.0) < 1e-12) == project
 
 
+def _assert_record_fields(state):
+    lam_f = state.energy_report.lam * state.f_values
+    assert np.array_equal(state.lam_f, lam_f)
+    assert np.array_equal(state.r, lam_f - state.H)
+    assert state.min_u == float(state.u.values.min())
+
+
+@pytest.mark.parametrize("project", [True, False])
+def test_state_record_fields_match_their_definitions(project):
+    """The FlowState carries lambda f, r = lambda f - H and min u, equal bit
+    for bit to forming them from the state's own u, f, lambda and H, after
+    init_state and after a step, with and without volume projection (a
+    projected min u is c times the unscaled minimum, which must equal the
+    minimum of the scaled values)."""
+    g = make_grid(15)
+    cfg = FlowConfig(vol_project=project)
+    state = init_state(perturbed_constant(g, amp=0.2), parse_f_spec("2 - z^2"), cfg)
+    _assert_record_fields(state)
+    flow.step(state, cfg)
+    assert state.steps == 1
+    _assert_record_fields(state)
+
+
+def test_step_updates_and_returns_the_state_it_is_given():
+    """step(s, cfg) is s: a wrapper that holds the state it passed in (as
+    perfbench's E_f watch does) sees the new E_f and clock there."""
+    g = make_grid(15)
+    cfg = FlowConfig()
+    state = init_state(perturbed_constant(g), parse_f_spec("2 - z^2"), cfg)
+    before = state.energy_report.E_f
+    assert flow.step(state, cfg) is state
+    assert state.steps == 1 and state.t == state.dt > 0.0
+    assert state.energy_report.E_f != before
+
+
 def _record_flags(state, tau):
     """(flags _record returns, flags of the cap integrals compared at every node) for the state at tau."""
     cfg = FlowConfig(tau=tau)
-    rep = state.energy_report
-    r, w = rep.lam * state.f_values - state.H, rep.density
-    traj = flow.Trajectory(columns=flow._columns(cfg))
-    flags, _, _ = flow._record(traj, state, cfg, r, w, state.u.grid.integrate(r * r * w))
+    w = state.energy_report.density
+    flags, _, _ = flow._record(flow.Trajectory(), state, cfg, state.u.grid.integrate(state.r * state.r * w))
     caps = conformal.cap_integrals(np.abs(state.H) ** 2 * w, state.u.grid, cfg.cap_radii)
     return flags, np.all(caps >= tau**2 * 4.0 * np.pi, axis=0), [float(cap.max()) for cap in caps]
 

@@ -102,7 +102,6 @@ def test_every_public_name_has_a_caller():
 CACHED_CONSTANTS = {
     "spectral._fourier_table": (8,),
     "curvature._energy_weights": (8,),
-    "conformal._cap_kernel": (8, 0.2),
     "conformal._cap_multipliers": (8, (0.1, 0.2, 0.5)),
     "flow._value_and_dtn": (8,),
 }

@@ -114,6 +114,8 @@ def test_legendre_values():
     "1e308 x^2",
     "1e308 + 1e308 z",
     "2 + bump(-400; 0,0,1)",
+    # finite term bounds whose tangential products (Newton det, |grad f|^2) overflow
+    "2 + bump(-300; 0,0,1)",
     "1e307 legendre(4)",
     # powers and Legendre degrees too large to evaluate
     pytest.param("x^" + "9" * 400, id="x^<400 nines>"),
