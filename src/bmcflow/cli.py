@@ -4,7 +4,8 @@ Subcommands:
 
   flow run --config PATH [PATH ...] --out DIR [--jobs N]
       Run one experiment per JSON config; write trajectory.csv,
-      verdict.json, and (when requested) identities.json per run.
+      verdict.json, (when requested) identities.json, and (when the
+      flow tried a Newton finish) certificate.json per run.
       Exit 0 for Converged/HorizonReached, 2 for Concentrating,
       3 for scheme failures, 64 for unparseable input.
 
@@ -20,8 +21,8 @@ Subcommands:
 
   selftest [--quick]
       Build sanity suites (bubble curvature, Parseval, trace inequality,
-      conformal group law, pullback volume invariance) with a pass/fail
-      table; exit 0 iff all pass.
+      conformal group law, pullback volume invariance, Newton finish)
+      with a pass/fail table; exit 0 iff all pass.
 
 Experiment config schema (JSON):
 
@@ -55,7 +56,7 @@ from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_fiel
                         center_of_mass, unit_direction)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume, volume_density
 from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
-from .flow import FlowConfig, admits, check_identities, init_state, run
+from .flow import FlowConfig, admits, check_identities, init_state, newton_finish, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
 from .spectral import BoundaryField, make_grid
@@ -183,6 +184,9 @@ def _run_experiment(config_path, out_dir):
         return _EXIT_FAILURE
     if "identities" in exp["checks"] and len(traj.rows) >= 3:
         _write_json(out / "identities.json", check_identities(traj))
+    if "finish" in traj.info:
+        attempts = traj.info["finish"]
+        _write_json(out / "certificate.json", {"certified": attempts[-1]["certified"], "attempts": attempts})
     if "morse" in exp["checks"]:
         _write_json(out / "morse.json", check_conditions(f, grid))
     print(f"{traj.verdict}: {traj.reason} ({len(traj.rows)} rows) -> {out}")
@@ -326,6 +330,24 @@ def _suite_volume_invariance(L, rng):
     return worst < 1e-7, f"max vol dev {worst:.3e}"
 
 
+def _suite_newton_finish(L):
+    """The Newton finish certifies u = 1 for f = 1 from u = 1 + 0.05 Y_20 and refuses a bubble on 2 + 0.5z.
+
+    2 + 0.5z is Kazdan-Warner obstructed: no metric realizes it, so a
+    certificate there would be a false one.
+    """
+    grid, config = make_grid(L), FlowConfig()
+    coeffs = np.zeros((L + 1, 2 * L + 1))
+    coeffs[0, L], coeffs[2, L] = 1.0, 0.05
+    record, new = newton_finish(init_state(BoundaryField(grid, coeffs=coeffs), parse_f_spec("1"), config),
+                                config.conv_tol)
+    dev = float(np.abs(new.u.values - 1.0).max()) if new is not None else np.inf
+    bubble = init_state(bubble_field(np.array([0.3, -0.2, 0.9]), 0.8, grid), parse_f_spec("2 + 0.5z"), config)
+    refused = newton_finish(bubble, config.conv_tol)[1] is None
+    return dev <= 1e-12 and refused, (f"max |u* - 1| {dev:.3e} in {record['iterations']} iterations, "
+                                      f"bubble on 2 + 0.5z {'refused' if refused else 'CERTIFIED'}")
+
+
 def cmd_selftest(args):
     L = 8 if args.quick else 31
     n_fields = 20 if args.quick else 100
@@ -336,6 +358,7 @@ def cmd_selftest(args):
         ("trace_inequality", lambda: _suite_trace(L, rng, n_fields)),
         ("conformal_group_law", lambda: _suite_group_law(L, rng)),
         ("pullback_volume_invariance", lambda: _suite_volume_invariance(min(L, 15), rng)),
+        ("newton_finish", lambda: _suite_newton_finish(L)),
     ]
     all_ok = True
     for name, fn in suites:

@@ -19,9 +19,18 @@ run with its verdict:
   HorizonReached  t within dt_min of t_end; the last step is clipped to it
 
 A recorded step that no test ends may still end as Concentrating when
-the cap-mass detector flags a cluster.  A step that no try at or above
-dt_min makes acceptable raises FlowFailure with the partial trajectory
-attached and the last cause named; its verdict is Failed.
+the cap-mass detector flags a cluster.  Otherwise, once at least 3 rows
+are recorded, a recorded state with sqrt(F2) below h = 1e3 conv_tol and
+centre of mass |S| < 0.2 is handed off to newton_finish, which solves
+H = lambda f to roundoff by Newton-Krylov.  A certified solution ends
+the run as Converged ("Newton finish from residual ..."): the state
+takes its fields and keeps its clock, and the last row is the hand-off
+state, so the identity checks read the flow's own rows.  A refused
+attempt leaves the state as it was, h drops tenfold (at most three
+attempts before h reaches conv_tol) and the flow goes on.  Every
+attempt is recorded in Trajectory.info["finish"].  A step that no try
+at or above dt_min makes acceptable raises FlowFailure with the partial
+trajectory attached and the last cause named; its verdict is Failed.
 
 Explicit Euler needs dt below about 4 min(u)^2 / L for the DtN term;
 this scheme has no such bound, so the default dt_max is 0.05 at every
@@ -36,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .conformal import cap_integrals
-from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, flow_bounds, require_positive,
-                        volume_density)
+from .curvature import (A_N, N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, flow_bounds,
+                        require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -45,6 +54,16 @@ from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 STEP_TOL = 1e-4
 # Largest relative rise of E_f over an accepted step: roundoff, not a rise.
 _EF_RISE_REL = 1e-13
+# The Newton finish: tried on a recorded state with sqrt F2 below _HANDOFF conv_tol (ten times lower after
+# each refusal), at least _HANDOFF_ROWS rows (the identity checks need 3) and centre of mass |S| < _HANDOFF_S
+# (a concentrating run, |S| near 1, has no solution nearby); it must reach a residual _FINISH_TOL relative
+# within _FINISH_ITERS iterations and _FINISH_MATVECS matvecs.
+_HANDOFF = 1e3
+_HANDOFF_ROWS = 3
+_HANDOFF_S = 0.2
+_FINISH_TOL = 1e-12
+_FINISH_ITERS = 6
+_FINISH_MATVECS = 300
 
 
 # Types the FlowConfig annotations admit from JSON: bool is no number, a tuple is a list of numbers.
@@ -305,15 +324,126 @@ def step(state, config):
     return state
 
 
-def _record(traj, state, config, F2):
+def _f2(state):
+    """F2 = mean(r^2 u^{2#}) = ||lambda f - H||^2 in L2(dmu_g), the dissipation rate and the squared residual."""
+    return state.u.grid.integrate(state.r**2 * state.energy_report.density)
+
+
+def _gmres(apply, b, rtol, budget):
+    """(x, matvecs): GMRES (Saad & Schultz 1986) for apply(x) = b from x = 0, to |apply(x) - b| <= rtol |b|.
+
+    The Arnoldi basis is orthogonalized by classical Gram-Schmidt applied
+    twice, and Givens rotations keep the Hessenberg columns triangular, so
+    each step reads its residual norm off without a solve.  Every array
+    grows with the steps taken, none with the budget.  There is no
+    restart: x is None when budget matvecs do not reach rtol.
+    """
+    beta = float(np.linalg.norm(b))
+    V, cols, rotations, g = [b.ravel() / beta], [], [], [beta]
+    for k in range(budget):
+        w = apply(V[k].reshape(b.shape)).ravel()
+        basis = np.array(V)
+        col = basis @ w
+        w -= col @ basis
+        again = basis @ w
+        w -= again @ basis
+        col += again
+        sub = float(np.linalg.norm(w))
+        for j, (c, s) in enumerate(rotations):
+            col[j], col[j + 1] = c * col[j] + s * col[j + 1], c * col[j + 1] - s * col[j]
+        r = math.hypot(col[k], sub)
+        c, s = col[k] / r, sub / r
+        col[k] = r
+        rotations.append((c, s))
+        cols.append(col)
+        g[k], residual = c * g[k], -s * g[k]
+        g.append(residual)
+        if abs(residual) <= rtol * beta or sub == 0.0:
+            y = np.array(g[: k + 1])
+            for j in range(k, -1, -1):         # back substitution, column by column
+                y[j] /= cols[j][j]
+                y[:j] -= y[j] * cols[j][:j]
+            return (y @ basis).reshape(b.shape), k + 1
+        V.append(w / sub)
+    return None, budget
+
+
+def newton_finish(state, conv_tol):
+    """Newton-Krylov solve of H = lambda f near a converging state: (attempt record, FlowState of u* or None).
+
+    The flow's limit solves 2 A u + u = lambda f u^3.  At the state's
+    lambda, Newton (Knoll & Keyes 2004) on the coefficients c of u drives
+    R(c) = (2l+1) c - lambda analyze(f u^3) to zero.  Each step solves
+    J d = -R, with J v = (2l+1) v - 3 lambda analyze(f u^2 synthesize(v)),
+    by _gmres right-preconditioned by diag(2l+1) to the relative tolerance
+    min(1e-2, |R| / |(2l+1) c|); no matrix is formed.  A matvec costs one
+    synthesis and one analysis, and so does each iteration's new residual.
+    u* is refused unless |R| falls at every iteration and reaches
+    _FINISH_TOL |(2l+1) c| within _FINISH_ITERS iterations and
+    _FINISH_MATVECS matvecs, u* is positive and admissible at unit volume,
+    E_f(u*) <= E_f(state) up to _EF_RISE_REL, and sqrt F2(u*) < conv_tol.
+    The record says what was spent and reached, and why an attempt was
+    refused.  The state is not changed.
+    """
+    grid, fv, lam = state.u.grid, state.f_values, state.energy_report.lam
+    precond = A_N * _value_and_dtn(grid.L)[1] + 1.0     # 2l + 1
+    c, u = state.u.coeffs, state.u.values
+    record = {"certified": False, "reason": "", "iterations": 0, "matvecs": 0, "residual": None,
+              "max_du": None, "lambda": None, "E_f": None, "sqrt_F2": None}
+
+    def refuse(reason):
+        record["reason"] = reason
+        return record, None
+
+    def residual(c, u):
+        return precond * c - lam * analyze(fv * (u * u * u), grid)
+
+    scale = float(np.linalg.norm(precond * c))
+    R = residual(c, u)
+    res = record["residual"] = float(np.linalg.norm(R)) / scale
+    while res > _FINISH_TOL:
+        if record["iterations"] == _FINISH_ITERS:
+            return refuse(f"residual {res:.3e} after {_FINISH_ITERS} iterations")
+        fu2 = (3.0 * lam) * fv * (u * u)
+        y, spent = _gmres(lambda v: v - analyze(fu2 * synthesize(v / precond, grid), grid), -R,
+                          min(1e-2, res), _FINISH_MATVECS - record["matvecs"])
+        record["matvecs"] += spent
+        if y is None:
+            return refuse(f"GMRES did not converge within {_FINISH_MATVECS} matvecs")
+        c = c + y / precond
+        u = synthesize(c, grid)
+        R = residual(c, u)
+        record["iterations"] += 1
+        res, previous = float(np.linalg.norm(R)) / scale, res
+        record["residual"] = res
+        if not res < previous:
+            return refuse(f"residual rose from {previous:.3e} to {res:.3e} at iteration {record['iterations']}")
+    try:
+        new = _evaluate(c, grid, fv, project=True)
+    except AdmissibilityError as exc:
+        return refuse(_cause(exc, " at the Newton limit"))
+    rep, sqrt_f2 = new.energy_report, math.sqrt(_f2(new))
+    record.update({"max_du": float(np.abs(new.u.values - state.u.values).max()), "lambda": float(rep.lam),
+                   "E_f": float(rep.E_f), "sqrt_F2": sqrt_f2})
+    rise = rep.E_f / state.energy_report.E_f - 1.0
+    if rise > _EF_RISE_REL:
+        return refuse(f"E_f rose by {rise:.3e} relative")
+    if not sqrt_f2 < conv_tol:
+        return refuse(f"residual {sqrt_f2:.3e} of the Newton limit not below conv_tol")
+    record["certified"], record["reason"] = True, "certified"
+    return record, new
+
+
+def _record(traj, state, config, F2, max_u=None):
     """Append the row of the current state and run the cap-mass detector, both from one reduction.
 
     The row is built as ordered (name, value) pairs, which name the
     trajectory's columns.  It reads r = lambda f - H, lambda f and min u
     from the state, w = u^{2#} from its energy report, and F2 = mean(r^2 w)
-    from run.  The detector's density is W = |H|^n w; a node is flagged
-    when the integral of W over its cap is >= tau^n omega_n at every
-    radius in cap_radii.  Cap integrals are spherical convolutions with
+    and max u from run (max u is formed here when not given).  The
+    detector's density is W = |H|^n w; a node is flagged when the integral
+    of W over its cap is >= tau^n omega_n at every radius in cap_radii.
+    Cap integrals are spherical convolutions with
     the cap indicators, evaluated by Funk-Hecke multipliers, so they carry
     the truncation error of the band-limited density; tau (always below
     2^{1/n}) should not be chosen closer to the theoretical threshold
@@ -341,7 +471,8 @@ def _record(traj, state, config, F2):
     peaks = [float(cap.max()) for cap in caps]
     row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
            ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
-           ("min_u", state.min_u), ("max_u", float(state.u.values.max())),
+           ("min_u", state.min_u),
+           ("max_u", float(state.u.values.max()) if max_u is None else max_u),
            ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
     row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(config.cap_radii, peaks)]
     row += [("Lp_res_p2", F2), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
@@ -358,27 +489,40 @@ def run(state, config):
 
     The initial data and every accepted step pass the tests listed in
     the module docstring.  A step is recorded every record_every steps
-    and whenever a test ends the run; only then does the cap-mass
-    detector run.  Hard failures from step() propagate with the
-    partial trajectory attached to the exception.
+    and whenever a test ends the run; only then do the cap-mass detector
+    and the hand-off test of the Newton finish run.  Hard failures from
+    step() propagate with the partial trajectory attached to the
+    exception.
     """
     config.validate()
     traj = Trajectory(config=config, bounds=state.bounds)
+    handoff = _HANDOFF * config.conv_tol
     while True:
-        F2 = state.u.grid.integrate(state.r**2 * state.energy_report.density)
+        F2, max_u = _f2(state), float(state.u.values.max())
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
         if res < config.conv_tol:
             verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
                                     else f"residual {res:.3e} below conv_tol at {at}")
-        elif float(state.u.values.max()) > config.blowup_maxu:
+        elif max_u > config.blowup_maxu:
             verdict = "Concentrating", f"max u exceeded {config.blowup_maxu:g} at {at}"
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            flags, mass, S = _record(traj, state, config, F2)
+            flags, mass, S = _record(traj, state, config, F2, max_u)
             if verdict is None and flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")
+            elif (verdict is None and res < handoff and len(traj.rows) >= _HANDOFF_ROWS
+                  and np.linalg.norm(S) < _HANDOFF_S):
+                record, new = newton_finish(state, config.conv_tol)
+                traj.info.setdefault("finish", []).append({"t": state.t, "handoff_residual": float(res),
+                                                           **record})
+                if new is None:
+                    handoff *= 0.1
+                else:
+                    vars(state).update(vars(new), bounds=state.bounds, t=state.t, dt=state.dt,
+                                       dt_next=state.dt_next, steps=state.steps)
+                    verdict = "Converged", f"Newton finish from residual {res:.3e} at {at}"
         if verdict is not None:
             traj.verdict, traj.reason = verdict
             if traj.verdict == "Concentrating":
@@ -416,7 +560,12 @@ def _fd_derivative(t, y):
 
 
 def _masked_rel_err(approx, ref):
-    mask = np.abs(ref) > max(1e-12, 1e-3 * float(np.abs(ref).max(initial=0.0)))
+    """Largest |approx - ref| / |ref| where |ref| exceeds 1e-3 max|ref|; 0 where no sample does.
+
+    The mask is relative only, so rescaling f (which scales dE_f/dt and
+    lambda') masks the same samples.
+    """
+    mask = np.abs(ref) > 1e-3 * float(np.abs(ref).max(initial=0.0))
     if not mask.any():
         return 0.0
     return float(np.max(np.abs(approx[mask] - ref[mask]) / np.abs(ref[mask])))

@@ -5,12 +5,13 @@ Validates:
   scheme failure, 64 unparseable input (non-finite numbers in f too),
   1 for failed checks
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
-  morse.json) and the config echo
+  morse.json, certificate.json) and the config echo
 - byte-identical reruns of a seeded experiment
 - morse check with and without symmetry specs; its stdout is the
   check_conditions document, and extrema() is polished once per target
 - bubble probe diagnostics against closed forms
-- the selftest table, and its failure when the DtN is broken
+- the selftest table, and its failure when the DtN is broken or the
+  Newton finish cannot certify
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from bmcflow import cli, curvature, spectral
+from bmcflow import cli, curvature, flow, spectral
 from bmcflow.cli import main
 from bmcflow.flow import FlowConfig
 from bmcflow.morse import check_conditions
@@ -62,6 +63,16 @@ def test_selftest_negative_control(capsys, monkeypatch):
     assert "FAIL bubble_curvature" in out
 
 
+def test_selftest_newton_finish_suite(capsys, monkeypatch):
+    """The newton_finish suite certifies u = 1 for f = 1; with one Newton
+    iteration allowed it cannot, and the selftest fails."""
+    assert main(["selftest", "--quick"]) == 0
+    assert "ok   newton_finish" in capsys.readouterr().out
+    monkeypatch.setattr(flow, "_FINISH_ITERS", 1)
+    assert main(["selftest", "--quick"]) == 1
+    assert "FAIL newton_finish" in capsys.readouterr().out
+
+
 def test_flow_run_stationary(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json")
     out = tmp_path / "out"
@@ -94,6 +105,31 @@ def test_flow_run_horizon_writes_identities(tmp_path):
     assert rep["barrier_ok_config"] is True
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 11
+
+
+def test_flow_run_writes_certificate_of_newton_finish(tmp_path):
+    """A run that the Newton finish ends writes certificate.json next to its
+    trajectory: certified, with the attempt's cost and its limit."""
+    cfg = write_config(
+        tmp_path / "exp.json",
+        L=15,
+        f_spec="2 - z^2",
+        u0_spec={"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": 0.05}]},
+    )
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 0
+    assert run_dir_files(out) == ["certificate.json", "identities.json", "trajectory.csv", "verdict.json"]
+    with open(out / "verdict.json") as fh:
+        doc = json.load(fh)
+    assert doc["verdict"] == "Converged" and doc["reason"].startswith("Newton finish from residual")
+    with open(out / "certificate.json") as fh:
+        cert = json.load(fh)
+    assert cert["certified"] is True
+    (attempt,) = cert["attempts"]
+    assert attempt["residual"] <= 1e-12 and attempt["sqrt_F2"] < 1e-4
+    assert 0 < attempt["iterations"] <= 6 and attempt["matvecs"] <= 300
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert attempt["t"] == rows[-1, 0] and attempt["E_f"] <= rows[:, 4].min()
 
 
 def test_flow_run_morse_artifact(tmp_path):

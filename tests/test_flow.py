@@ -24,6 +24,12 @@ Validates:
   returning the state it is given
 - the ETD-RK2 step: second-order self-convergence at fixed dt, and a
   monotone E_f on a concentrated bubble at L = 63 with the defaults
+- the Newton finish: the same u* and E_f from two hand-off residuals,
+  u* unchanged by rescaling f, a refused attempt on the bump target
+  that leaves the run's outputs as they were, a refusal on an
+  obstructed target, and its transform count; its GMRES against a
+  dense solve
+- the identity oracle on a target rescaled by 1e30
 """
 
 import json
@@ -40,7 +46,7 @@ from bmcflow.flow import (
     init_state,
     run,
 )
-from bmcflow import conformal, curvature, flow, spectral
+from bmcflow import cli, conformal, curvature, flow, spectral
 from bmcflow.conformal import center_of_mass
 from bmcflow.curvature import lambda_prime, lp_residual, volume
 from bmcflow.prescribed import parse_f_spec
@@ -69,11 +75,17 @@ def ones_field(grid):
 
 
 @pytest.fixture(scope="module")
-def converged_run():
+def converged_flow():
+    """(final state, trajectory) of a default-config run that the Newton finish ends."""
     g = make_grid(15)
     cfg = FlowConfig()
     state = init_state(perturbed_constant(g), parse_f_spec("1"), cfg)
-    return run(state, cfg)
+    return state, run(state, cfg)
+
+
+@pytest.fixture(scope="module")
+def converged_run(converged_flow):
+    return converged_flow[1]
 
 
 def test_config_validation():
@@ -143,11 +155,16 @@ def test_column_layout(converged_run):
     assert converged_run.columns == EXPECTED_COLUMNS
 
 
-def test_convergence_verdict(converged_run):
-    traj = converged_run
+def test_convergence_verdict(converged_flow):
+    """The last row is the hand-off to the Newton finish, at a residual in
+    [conv_tol, 1e3 conv_tol); the final state's residual is below conv_tol."""
+    state, traj = converged_flow
+    tol = traj.config.conv_tol
     assert traj.verdict == "Converged"
-    assert len(traj.rows) > 100
-    assert np.sqrt(traj.column("F2")[-1]) < traj.config.conv_tol
+    assert traj.reason.startswith("Newton finish from residual")
+    assert len(traj.rows) >= 3
+    assert tol <= np.sqrt(traj.column("F2")[-1]) < 1e3 * tol
+    assert np.sqrt(lp_residual(state.u, state.f_values, state.energy_report.lam, 2)) < tol
 
 
 def test_normalized_energy_monotone(converged_run):
@@ -480,6 +497,19 @@ def test_legendre_stages_per_recorded_step(monkeypatch):
     assert state.steps == 20 and len(traj.rows) == 21
     assert calls == {"analyze": 2 * state.steps + len(traj.rows), "synthesize": 2 * state.steps + len(traj.rows)}
 
+    # A finished run adds its Newton attempt: one analysis of the hand-off's
+    # residual, one synthesis and one analysis per iteration and per GMRES
+    # matvec, and the synthesis that evaluates u*.
+    cfg = FlowConfig(dt_max=0.01)
+    state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
+    calls.update(analyze=0, synthesize=0)
+    traj = run(state, cfg)
+    (attempt,) = traj.info["finish"]
+    assert attempt["certified"] and attempt["matvecs"] > attempt["iterations"] > 0
+    newton = attempt["iterations"] + attempt["matvecs"]
+    flowing = 2 * state.steps + len(traj.rows)
+    assert calls == {"analyze": flowing + 1 + newton, "synthesize": flowing + newton + 1}
+
 
 def test_step_self_convergence_is_second_order():
     """At a fixed step h (dt_min = dt_max = h) the step is second
@@ -538,3 +568,113 @@ def test_phi_functions_match_extended_precision():
             want = (e, Decimal(1), Decimal("0.5")) if zk == 0.0 else (e, (e - 1) / d, (e - 1 - d) / (d * d))
             for value, ref in zip((g[k] for g in got), want):
                 assert abs(value - float(ref)) <= 1e-13 * abs(float(ref)) + 1e-300, (zk, value, ref)
+
+
+def _finished(spec, g, amp=0.05, **overrides):
+    """(final state, trajectory) of a zonal l = 2 perturbation of 1 on spec, run with the overrides."""
+    cfg = FlowConfig(**overrides)
+    state = init_state(perturbed_constant(g, l=2, m=0, amp=amp), parse_f_spec(spec), cfg)
+    return state, run(state, cfg)
+
+
+def test_newton_finish_is_independent_of_the_handoff():
+    """Handed off at sqrt F2 < 0.1 (conv_tol 1e-4) or < 1e-4 (conv_tol 1e-7),
+    the finish certifies the same u* to 1e-10 and E_f to 1e-12, and E_f(u*)
+    lies at or below every recorded E_f: it is the flow's limit."""
+    g = make_grid(15)
+    finals = []
+    for tol in (1e-4, 1e-7):
+        state, traj = _finished("2 - z^2", g, conv_tol=tol)
+        (attempt,) = traj.info["finish"]
+        assert traj.verdict == "Converged" and attempt["certified"]
+        assert attempt["residual"] <= 1e-12 and attempt["sqrt_F2"] < tol
+        assert tol <= attempt["handoff_residual"] < 1e3 * tol
+        assert state.min_u > 0.0 and abs(volume(state.u) - 1.0) <= 1e-12
+        assert state.energy_report.E_f <= traj.column("E_f").min()
+        assert attempt["E_f"] == state.energy_report.E_f
+        finals.append(state)
+    a, b = finals
+    assert float(np.abs(a.u.values - b.u.values).max()) <= 1e-10
+    assert abs(a.energy_report.E_f - b.energy_report.E_f) <= 1e-12
+
+
+def test_newton_finish_is_scale_invariant():
+    """Prescribing c f is prescribing f: for c = 1e-30 and 1e30 the finish
+    writes the u* of c = 1 in the same number of iterations, with E_f
+    scaled by c^{-1/2}."""
+    g = make_grid(15)
+    ref, ref_traj = _finished("2 - z^2", g)
+    for spec, c in (("2e-30 - 1e-30z^2", 1e-30), ("2e30 - 1e30z^2", 1e30)):
+        state, traj = _finished(spec, g)
+        assert traj.verdict == "Converged" and traj.info["finish"][-1]["certified"]
+        assert traj.info["finish"][-1]["iterations"] == ref_traj.info["finish"][-1]["iterations"]
+        assert float(np.abs(state.u.values - ref.u.values).max()) <= 1e-12
+        assert abs(state.energy_report.E_f * c**0.5 / ref.energy_report.E_f - 1.0) <= 1e-12
+
+
+def test_newton_finish_refused_on_the_bump_target(tmp_path, monkeypatch):
+    """The bump target from u = 1 (L = 31, t = 50) hands off once, at
+    t = 0.8, where the residual rises at the first Newton iteration; the
+    run goes on to HorizonReached, certificate.json says so, and the
+    trajectory is the one a run without the attempt records."""
+    doc = {"L": 31, "f_spec": "1.34 - 1.36bump(8; 0,0,-1)", "checks": ["identities"]}
+    cfg_path, out = tmp_path / "bump.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["flow", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "verdict.json") as fh:
+        assert json.load(fh)["verdict"] == "HorizonReached"
+    with open(out / "certificate.json") as fh:
+        cert = json.load(fh)
+    assert cert["certified"] is False
+    (attempt,) = cert["attempts"]
+    assert abs(attempt["t"] - 0.8) < 1e-9 and not attempt["certified"]
+    assert attempt["reason"].startswith("residual rose")
+
+    monkeypatch.setattr(flow, "newton_finish", lambda state, tol: ({"certified": False}, None))
+    skipped = tmp_path / "skipped"
+    assert cli.main(["flow", "run", "--config", str(cfg_path), "--out", str(skipped)]) == 0
+    for name in ("trajectory.csv", "verdict.json", "identities.json"):
+        assert (out / name).read_bytes() == (skipped / name).read_bytes()
+
+
+def test_gmres_matches_a_dense_solve():
+    """_gmres reaches its tolerance on a nonsymmetric 40 x 40 system and
+    agrees with a dense solve; short of its budget it returns None."""
+    rng = np.random.default_rng(5)
+    A = np.eye(40) + 0.3 * rng.standard_normal((40, 40)) / np.sqrt(40)
+    b = rng.standard_normal((5, 8))
+    x, matvecs = flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, 1e-12, 60)
+    assert 0 < matvecs <= 40
+    assert np.linalg.norm(A @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    assert np.allclose(x.ravel(), np.linalg.solve(A, b.ravel()), rtol=0.0, atol=1e-10)
+    assert flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, 1e-12, 3) == (None, 3)
+
+
+def test_newton_finish_refused_where_no_metric_exists():
+    """Newton must not invent a solution of the obstructed 2 + 0.5z: from
+    an eps = 0.5 bubble state the finish is refused."""
+    g = make_grid(15)
+    state = init_state(bubble_field(np.array([0.3, 0.0, 1.0]), 0.5, g), parse_f_spec("2 + 0.5z"), FlowConfig())
+    E_f, values = state.energy_report.E_f, state.u.values.copy()
+    record, new = flow.newton_finish(state, 1e-4)
+    assert new is None and not record["certified"] and record["reason"]
+    assert state.energy_report.E_f == E_f and np.array_equal(state.u.values, values)
+
+
+def test_identity_oracle_survives_a_rescaled_target():
+    """2 + 0.5z from an eps = 0.5 bubble (L = 15, t = 2): scaling f by
+    1e30 scales dE_f/dt and lambda' but must not mask their samples, so
+    both identity errors match c = 1's to 1e-8 relative.  The run's centre
+    of mass stays at |S| >= 0.63, so no Newton finish is tried."""
+    g = make_grid(15)
+    reports = []
+    for spec in ("2 + 0.5z", "2e30 + 5e29z"):
+        cfg = FlowConfig(t_end=2.0)
+        traj = run(init_state(bubble_field(np.array([0.3, 0.0, 1.0]), 0.5, g), parse_f_spec(spec), cfg), cfg)
+        assert traj.verdict == "HorizonReached" and "finish" not in traj.info
+        assert traj.column("S_norm").min() >= 0.63
+        reports.append(check_identities(traj))
+    ref, scaled = reports
+    for key in ("decay_rel_err", "lambda_prime_rel_err"):
+        assert ref[key] > 1e-3
+        assert abs(scaled[key] / ref[key] - 1.0) <= 1e-8, (key, ref[key], scaled[key])
