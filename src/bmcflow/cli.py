@@ -52,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import (ConformalMap, boundary_map, bubble_cap_mass, bubble_field, cap_integrals,
-                        center_of_mass, unit_direction)
+from .conformal import (CAP_RADII, ConformalMap, boundary_map, bubble_cap_mass, bubble_field,
+                        cap_integrals, center_of_mass, unit_direction)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume, volume_density
 from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
 from .flow import FlowConfig, admits, check_identities, init_state, newton_finish, run
@@ -243,8 +243,7 @@ def cmd_bubble_probe(args):
     u = bubble_field(p, args.eps, grid)
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
-    radii = (0.1, 0.2, 0.5)
-    caps = cap_integrals(volume_density(u.values), grid, radii)
+    caps = cap_integrals(volume_density(u.values), grid, CAP_RADII)
     doc = {
         "p": [float(v) for v in direction],
         "eps": args.eps,
@@ -254,8 +253,8 @@ def cmd_bubble_probe(args):
         "max_H_deviation": float(np.abs(H.values - 1.0).max()),
         "peak": float(u.values.max()),
         "peak_closed_form": ((2.0 - args.eps) / args.eps) ** ((N - 1.0) / 2.0),
-        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / OMEGA_N for r, cap in zip(radii, caps)},
-        "cap_mass_closed_form": {f"{r:g}": bubble_cap_mass(args.eps, r) for r in radii},
+        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / OMEGA_N for r, cap in zip(CAP_RADII, caps)},
+        "cap_mass_closed_form": {f"{r:g}": bubble_cap_mass(args.eps, r) for r in CAP_RADII},
         "center_of_mass_S": [float(v) for v in S],
         "Q": None if Q is None else [float(v) for v in Q],
     }

@@ -39,6 +39,8 @@ from .errors import NormalizeError
 from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
+# Radii of the caps on which the flow's detector and bubble probe measure concentration.
+CAP_RADII = (0.1, 0.2, 0.5)
 
 
 def unit_direction(p, what):
@@ -191,8 +193,6 @@ def center_of_mass(u):
 
 def _map_from_ball_point(b):
     norm = float(np.linalg.norm(b))
-    if norm >= 1.0:
-        raise ValueError("ball point must be interior")
     if norm < 1e-14:
         return ConformalMap(_NORTH, 1.0)
     p = b / norm
@@ -243,8 +243,6 @@ def normalize(u, tol=1e-8, max_iter=100):
         return center_of_mass(v)[0] / volume(v), mp, v
 
     b = R0 / 2.0
-    if np.linalg.norm(b) >= 0.999:
-        b = 0.999 * b / np.linalg.norm(b)
     R, mp, v = residual(b)
     for _ in range(max_iter):
         rnorm = float(np.linalg.norm(R))

@@ -223,8 +223,6 @@ def flow_bounds(u0, f, H0):
     fmin, fmax = f.extrema()
     fmin, fmax = min(fmin, float(fv.min())), max(fmax, float(fv.max()))
     f_absmax = max(abs(fmin), abs(fmax))
-    if fmax <= 0.0:
-        raise AdmissibilityError("max f must be positive", condition="positive maximum")
     report = energy_functional(u0, fv)
     vol = u0.grid.integrate(report.density)
     lambda1 = vol ** (-1.0 / N) / fmax

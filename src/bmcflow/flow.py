@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conformal import cap_integrals
+from .conformal import CAP_RADII, cap_integrals
 from .curvature import (A_N, N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, flow_bounds,
                         require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
@@ -64,6 +64,9 @@ _HANDOFF_S = 0.2
 _FINISH_TOL = 1e-12
 _FINISH_ITERS = 6
 _FINISH_MATVECS = 300
+# The cap-mass detector's threshold: a node is flagged when its cap of every radius in CAP_RADII carries
+# TAU^n omega_n of |H|^n dmu_g.  TAU must lie in (0, 2^(1/n)).
+TAU = 0.8
 
 
 # Types the FlowConfig annotations admit from JSON: bool is no number, a tuple is a list of numbers.
@@ -86,8 +89,6 @@ class FlowConfig:
     conv_tol: float = 1e-4
     blowup_maxu: float = 1e3
     record_every: int = 1
-    tau: float = 0.8
-    cap_radii: tuple = (0.1, 0.2, 0.5)
 
     def validate(self):
         for f in fields(self):
@@ -101,11 +102,6 @@ class FlowConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        tau_max = 2.0 ** (1.0 / N)
-        if not 0.0 < self.tau < tau_max:
-            raise ConfigError(f"tau must lie in (0, 2^(1/n)) = (0, {tau_max:.6g}), got {self.tau}")
-        if not self.cap_radii or not all(0.0 < r < np.pi for r in self.cap_radii):
-            raise ConfigError(f"cap_radii must list radii in (0, pi), got {self.cap_radii}")
         return self
 
 
@@ -138,7 +134,6 @@ class Trajectory:
     rows: list = field(default_factory=list)
     verdict: str = ""
     reason: str = ""
-    config: FlowConfig = None
     bounds: object = None
     info: dict = field(default_factory=dict)
 
@@ -434,21 +429,20 @@ def newton_finish(state, conv_tol):
     return record, new
 
 
-def _record(traj, state, config, F2, max_u=None):
+def _record(traj, state, F2, max_u):
     """Append the row of the current state and run the cap-mass detector, both from one reduction.
 
     The row is built as ordered (name, value) pairs, which name the
     trajectory's columns.  It reads r = lambda f - H, lambda f and min u
     from the state, w = u^{2#} from its energy report, and F2 = mean(r^2 w)
-    and max u from run (max u is formed here when not given).  The
-    detector's density is W = |H|^n w; a node is flagged when the integral
-    of W over its cap is >= tau^n omega_n at every radius in cap_radii.
-    Cap integrals are spherical convolutions with
-    the cap indicators, evaluated by Funk-Hecke multipliers, so they carry
-    the truncation error of the band-limited density; tau (always below
-    2^{1/n}) should not be chosen closer to the theoretical threshold
-    than that error.  Returns (flags over the nodes, the total mass
-    integral |H|^n dmu_g, S = mean(x w)).
+    and max u from run.  The detector's density is W = |H|^n w; a node is
+    flagged when the integral of W over its cap is >= TAU^n omega_n at
+    every radius in CAP_RADII.  Cap integrals are spherical convolutions
+    with the cap indicators, evaluated by Funk-Hecke multipliers, so they
+    carry the truncation error of the band-limited density; TAU (below
+    2^{1/n}) should not lie closer to the theoretical threshold than that
+    error.  Returns (flags over the nodes, the total mass integral
+    |H|^n dmu_g, S = mean(x w)).
 
     The seven integrands are written into one array: w, lambda f r w,
     r^4 w, W and x w.  No node is flagged while the cap integrals of
@@ -467,18 +461,18 @@ def _record(traj, state, config, F2, max_u=None):
     np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[4:])
     moments = grid.integrate(fields)
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
-    caps = cap_integrals(fields[3], grid, config.cap_radii)
+    caps = cap_integrals(fields[3], grid, CAP_RADII)
     peaks = [float(cap.max()) for cap in caps]
     row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
            ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
            ("min_u", state.min_u),
-           ("max_u", float(state.u.values.max()) if max_u is None else max_u),
+           ("max_u", max_u),
            ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
-    row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(config.cap_radii, peaks)]
+    row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(CAP_RADII, peaks)]
     row += [("Lp_res_p2", F2), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
     traj.columns = tuple(name for name, _ in row)
     traj.rows.append([value for _, value in row])
-    threshold = config.tau**N * OMEGA_N
+    threshold = TAU**N * OMEGA_N
     if any(peak < threshold for peak in peaks):
         return np.zeros(grid.shape, dtype=bool), OMEGA_N * mass, S
     return np.all(caps >= threshold, axis=0), OMEGA_N * mass, S
@@ -495,7 +489,7 @@ def run(state, config):
     exception.
     """
     config.validate()
-    traj = Trajectory(config=config, bounds=state.bounds)
+    traj = Trajectory(bounds=state.bounds)
     handoff = _HANDOFF * config.conv_tol
     while True:
         F2, max_u = _f2(state), float(state.u.values.max())
@@ -508,7 +502,7 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            flags, mass, S = _record(traj, state, config, F2, max_u)
+            flags, mass, S = _record(traj, state, F2, max_u)
             if verdict is None and flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")

@@ -35,6 +35,7 @@ from scipy.special import eval_legendre
 
 from bmcflow import conformal
 from bmcflow.conformal import (
+    CAP_RADII,
     ConformalMap,
     _cap_multipliers,
     _center_jacobian,
@@ -523,7 +524,7 @@ def _detector(u):
     """Cap integrals of u^4 (the detector's density |H|^2 u^4 where H = 1), the
     nodes flagged at tau = 0.8 and the clusters the flow reports for them."""
     g = u.grid
-    caps = cap_integrals(u.values**4, g, (0.1, 0.2, 0.5))
+    caps = cap_integrals(u.values**4, g, CAP_RADII)
     flags = np.all(caps >= 0.8**2 * 4.0 * np.pi, axis=0)
     return caps, flags, _concentration_info(flags, g, 0.0, np.zeros(3))
 

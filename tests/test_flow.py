@@ -8,7 +8,7 @@ Validates:
   constant target)
 - a full convergence run: monotone normalized energy, unit volume to
   projection accuracy, step-size rules, verdicts, and the recorded
-  diagnostic identities
+  diagnostic identities; a run that converges without a hand-off
 - concentration verdicts from the amplitude guard and from the
   cap-mass detector at t = 0, two clusters from glued antipodal
   bubbles, and the concentration block of a unit bubble against its
@@ -22,13 +22,16 @@ Validates:
 - the FlowState record: lambda f, lambda f - H and min u after
   init_state and after a step, projected or not, and step updating and
   returning the state it is given
-- the ETD-RK2 step: second-order self-convergence at fixed dt, and a
-  monotone E_f on a concentrated bubble at L = 63 with the defaults
+- the ETD-RK2 step: second-order self-convergence at fixed dt, a
+  monotone E_f on a concentrated bubble at L = 63 with the defaults, and
+  tries rejected for a nonpositive first stage and for a rise of E_f
 - the Newton finish: the same u* and E_f from two hand-off residuals,
   u* unchanged by rescaling f, a refused attempt on the bump target
-  that leaves the run's outputs as they were, a refusal on an
-  obstructed target, and its transform count; its GMRES against a
-  dense solve
+  that leaves the run's outputs as they were, refusals on an
+  obstructed target, at a saddle of higher E_f, at an aliased limit and
+  for an exhausted GMRES budget, and its transform count; its GMRES
+  against a dense solve
+- the detector's threshold TAU inside (0, 2^(1/n))
 - the identity oracle on a target rescaled by 1e30
 """
 
@@ -76,16 +79,16 @@ def ones_field(grid):
 
 @pytest.fixture(scope="module")
 def converged_flow():
-    """(final state, trajectory) of a default-config run that the Newton finish ends."""
+    """(config, final state, trajectory) of a default-config run that the Newton finish ends."""
     g = make_grid(15)
     cfg = FlowConfig()
     state = init_state(perturbed_constant(g), parse_f_spec("1"), cfg)
-    return state, run(state, cfg)
+    return cfg, state, run(state, cfg)
 
 
 @pytest.fixture(scope="module")
 def converged_run(converged_flow):
-    return converged_flow[1]
+    return converged_flow[2]
 
 
 def test_config_validation():
@@ -158,8 +161,8 @@ def test_column_layout(converged_run):
 def test_convergence_verdict(converged_flow):
     """The last row is the hand-off to the Newton finish, at a residual in
     [conv_tol, 1e3 conv_tol); the final state's residual is below conv_tol."""
-    state, traj = converged_flow
-    tol = traj.config.conv_tol
+    cfg, state, traj = converged_flow
+    tol = cfg.conv_tol
     assert traj.verdict == "Converged"
     assert traj.reason.startswith("Newton finish from residual")
     assert len(traj.rows) >= 3
@@ -176,9 +179,9 @@ def test_volume_projection_holds(converged_run):
     assert np.abs(converged_run.column("vol_err")).max() <= 1e-9
 
 
-def test_step_size_rules(converged_run):
-    dt = converged_run.column("dt")[1:]
-    cfg = converged_run.config
+def test_step_size_rules(converged_flow):
+    cfg, _, traj = converged_flow
+    dt = traj.column("dt")[1:]
     assert dt.max() <= cfg.dt_max + 1e-15
     assert dt.min() >= cfg.dt_min
     assert (dt[1:] <= 2.0 * dt[:-1] + 1e-15).all()
@@ -216,6 +219,24 @@ def test_identities_need_three_rows():
     traj = run(init_state(ones_field(g), parse_f_spec("1"), cfg), cfg)
     with pytest.raises(ValueError):
         check_identities(traj)
+
+
+def test_flow_converges_on_its_own_without_a_handoff():
+    """With one row at t = 0 and none until a verdict, no recorded state can
+    be handed to the Newton finish (it needs 3 rows), so the flow itself
+    ends the run once sqrt F2 < conv_tol, and the last row is that state."""
+    g = make_grid(15)
+    c = np.zeros((16, 31))
+    c[0, 15], c[2, 15], c[4, 15] = 1.0, 0.05, 0.03
+    cfg = FlowConfig(record_every=10**6)
+    state = init_state(BoundaryField(g, coeffs=c), parse_f_spec("2 - z^2"), cfg)
+    traj = run(state, cfg)
+    assert traj.verdict == "Converged"
+    assert traj.reason.startswith("residual ") and traj.reason.endswith(f"below conv_tol at t={state.t:.6g}")
+    assert "finish" not in traj.info
+    assert len(traj.rows) == 2 and traj.rows[-1][0] == state.t
+    assert 10.0 < state.t < 13.0
+    assert np.sqrt(traj.column("F2")[-1]) < cfg.conv_tol
 
 
 def test_horizon_verdict():
@@ -446,28 +467,35 @@ def test_step_updates_and_returns_the_state_it_is_given():
     assert state.energy_report.E_f != before
 
 
-def _record_flags(state, tau):
-    """(flags _record returns, flags of the cap integrals compared at every node) for the state at tau."""
-    cfg = FlowConfig(tau=tau)
+def _record_flags(state, tau, monkeypatch):
+    """(flags _record returns, flags of the cap integrals compared at every node) for the state at TAU = tau."""
+    monkeypatch.setattr(flow, "TAU", tau)
     w = state.energy_report.density
-    flags, _, _ = flow._record(flow.Trajectory(), state, cfg, state.u.grid.integrate(state.r * state.r * w))
-    caps = conformal.cap_integrals(np.abs(state.H) ** 2 * w, state.u.grid, cfg.cap_radii)
+    F2, max_u = state.u.grid.integrate(state.r * state.r * w), float(state.u.values.max())
+    flags, _, _ = flow._record(flow.Trajectory(), state, F2, max_u)
+    caps = conformal.cap_integrals(np.abs(state.H) ** 2 * w, state.u.grid, conformal.CAP_RADII)
     return flags, np.all(caps >= tau**2 * 4.0 * np.pi, axis=0), [float(cap.max()) for cap in caps]
 
 
-def test_record_flags_match_every_node_comparison():
+def test_detector_threshold_lies_in_its_range():
+    """Concentration is cap mass above TAU^n omega_n for one TAU in
+    (0, 2^(1/n)); TAU is a constant that no config validates."""
+    assert 0.0 < flow.TAU < 2.0 ** (1.0 / curvature.N)
+
+
+def test_record_flags_match_every_node_comparison(monkeypatch):
     """_record compares the nodes only when every radius's cap peak reaches
     tau^n omega_n; its flags equal the comparison at every node when the
     threshold lies below all peaks, at each peak, and between them."""
     g = make_grid(31)
     state = init_state(bubble_field(N_POLE, 0.2, g), parse_f_spec("2 + 0.5z"), FlowConfig())
-    _, _, peaks = _record_flags(state, 0.5)
+    _, _, peaks = _record_flags(state, 0.5, monkeypatch)
     fractions = sorted(p / (4.0 * np.pi) for p in peaks)
     assert fractions[0] < fractions[-1] < 2.0
     taus = [np.sqrt(0.5 * fractions[0]), *np.sqrt(fractions), np.sqrt(0.5 * (fractions[0] + fractions[1]))]
     any_flagged = []
     for tau in taus:
-        flags, want, _ = _record_flags(state, tau)
+        flags, want, _ = _record_flags(state, tau, monkeypatch)
         assert np.array_equal(flags, want), tau
         any_flagged.append(bool(want.any()))
     assert any_flagged[0] and not any_flagged[-1]
@@ -650,15 +678,99 @@ def test_gmres_matches_a_dense_solve():
     assert flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, 1e-12, 3) == (None, 3)
 
 
+def _refused(state, conv_tol=1e-4):
+    """newton_finish's record for a state it must refuse; the state is left as it was."""
+    E_f, values = state.energy_report.E_f, state.u.values.copy()
+    record, new = flow.newton_finish(state, conv_tol)
+    assert new is None and not record["certified"]
+    assert state.energy_report.E_f == E_f and np.array_equal(state.u.values, values)
+    return record
+
+
 def test_newton_finish_refused_where_no_metric_exists():
     """Newton must not invent a solution of the obstructed 2 + 0.5z: from
     an eps = 0.5 bubble state the finish is refused."""
     g = make_grid(15)
     state = init_state(bubble_field(np.array([0.3, 0.0, 1.0]), 0.5, g), parse_f_spec("2 + 0.5z"), FlowConfig())
-    E_f, values = state.energy_report.E_f, state.u.values.copy()
-    record, new = flow.newton_finish(state, 1e-4)
-    assert new is None and not record["certified"] and record["reason"]
-    assert state.energy_report.E_f == E_f and np.array_equal(state.u.values, values)
+    assert _refused(state)["reason"]
+
+
+def test_newton_finish_refuses_a_limit_that_raises_E_f():
+    """2 + xy at L = 8: from 1 + 0.05 Y20 + 0.03 Y40 Newton certifies a
+    solution of that symmetry.  It is a saddle: with 1e-3 Y11 added, the
+    flow passes near it and by t = 20 lies below its E_f.  Newton from
+    there returns to the same solution, which would raise E_f, so the
+    finish is refused."""
+    g = make_grid(8)
+    c = np.zeros((9, 17))
+    c[0, 8], c[2, 8], c[4, 8] = 1.0, 0.05, 0.03
+    saddle, _ = flow.newton_finish(init_state(BoundaryField(g, coeffs=c), parse_f_spec("2 + x*y"), FlowConfig()),
+                                   1e-4)
+    assert saddle["certified"]
+    c[1, 9] = 1e-3
+    cfg = FlowConfig(conv_tol=1e-12, record_every=10**6, t_end=20.0)
+    state = init_state(BoundaryField(g, coeffs=c), parse_f_spec("2 + x*y"), cfg)
+    assert run(state, cfg).verdict == "HorizonReached"
+    record = _refused(state)
+    assert record["reason"].startswith("E_f rose by ") and record["residual"] <= flow._FINISH_TOL
+    assert record["E_f"] > state.energy_report.E_f
+    assert abs(record["E_f"] - saddle["E_f"]) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_newton_finish_refuses_an_aliased_limit():
+    """Newton solves H = lambda f projected to degree L.  From an eps = 0.15
+    bubble at (1, 0, 0) on 2 - z^2, unresolved at L = 15, it reaches that
+    projection's root to roundoff, but H - lambda f at the nodes is still
+    of order 0.5 there, so the limit is not certified."""
+    g = make_grid(15)
+    state = init_state(bubble_field(np.array([1.0, 0.0, 0.0]), 0.15, g), parse_f_spec("2 - z^2"), FlowConfig())
+    record = _refused(state)
+    assert record["reason"].endswith("of the Newton limit not below conv_tol")
+    assert record["residual"] <= flow._FINISH_TOL and record["sqrt_F2"] > 0.1
+
+
+def test_newton_finish_refused_when_gmres_runs_out_of_matvecs():
+    """On the sign-changing legendre(2) + 0.05 from an eps = 0.75 bubble at
+    (0.53, 0.74, 0.38), L = 20, GMRES spends the whole budget of
+    _FINISH_MATVECS matvecs within a few Newton iterations without
+    reaching its tolerance, and the finish is refused."""
+    g = make_grid(20)
+    u0 = bubble_field(np.array([0.53, 0.74, 0.38]), 0.75, g)
+    record = _refused(init_state(u0, parse_f_spec("legendre(2) + 0.05"), FlowConfig()))
+    assert record["reason"] == f"GMRES did not converge within {flow._FINISH_MATVECS} matvecs"
+    assert record["matvecs"] == flow._FINISH_MATVECS and 1 <= record["iterations"] < flow._FINISH_ITERS
+
+
+def _try(state, dt):
+    """_etd_rk2's outcome for one try of size dt from state, with the default config and the step's stabilizer."""
+    kappa = state.min_u ** (2.0 - curvature.TWO_SHARP)
+    return flow._etd_rk2(state, FlowConfig(), dt, kappa, flow._remainder(state, kappa))
+
+
+def test_try_that_loses_positivity_at_the_first_stage_is_rejected():
+    """From an eps = 0.3 bubble at the north pole on 2 + 0.5z (L = 31), a
+    try of dt = 50 drives the first stage nonpositive."""
+    g = make_grid(31)
+    state = init_state(bubble_field(N_POLE, 0.3, g), parse_f_spec("2 + 0.5z"), FlowConfig())
+    assert _try(state, 50.0) == "positivity lost at the first stage"
+
+
+def test_try_that_raises_E_f_is_rejected():
+    """f = 1 from an eps = 0.4 bubble at (1, 0, 0), L = 15: a try of
+    dt_max = 0.05 is within STEP_TOL but raises E_f by 2e-9 relative, more
+    than roundoff, and is rejected.  dt = 0.01 lowers E_f, and step halves
+    to an accepted try below dt_max."""
+    g = make_grid(15)
+    cfg = FlowConfig()
+    state = init_state(bubble_field(np.array([1.0, 0.0, 0.0]), 0.4, g), parse_f_spec("1"), cfg)
+    E_f = state.energy_report.E_f
+    reason = _try(state, cfg.dt_max)
+    assert reason.startswith("E_f rose by ") and float(reason.split()[3]) > 1e-9
+    new, err = _try(state, 0.01)
+    assert err <= flow.STEP_TOL and new.energy_report.E_f < E_f
+    flow.step(state, cfg)
+    assert state.dt < cfg.dt_max and state.energy_report.E_f < E_f
 
 
 def test_identity_oracle_survives_a_rescaled_target():

@@ -102,7 +102,7 @@ def test_every_public_name_has_a_caller():
 CACHED_CONSTANTS = {
     "spectral._fourier_table": (8,),
     "curvature._energy_weights": (8,),
-    "conformal._cap_multipliers": (8, (0.1, 0.2, 0.5)),
+    "conformal._cap_multipliers": (8, conformal.CAP_RADII),
     "flow._value_and_dtn": (8,),
 }
 

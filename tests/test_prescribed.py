@@ -97,6 +97,13 @@ def test_legendre_values():
     "",
     "z^",
     "bump(8)",
+    # unbalanced parentheses, an empty term, and bump arguments that are not a number and a nonzero 3-vector
+    "2 + (z",
+    "2 + z)",
+    "2 +",
+    "bump(x; 0,0,1)",
+    "bump(1; 0,0)",
+    "2 + bump(1; 0,0,0)",
     # numbers that are not finite, and bumps whose Hessian scale coef * k^2 overflows
     "1e400 + z",
     "2 - 1e400 z^2",
