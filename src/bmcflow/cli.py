@@ -179,14 +179,14 @@ def _run_experiment(config_path, out_dir):
         traj = exc.trajectory
     traj.to_csv(out / "trajectory.csv")
     _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
+    if "finish" in traj.info:
+        attempts = traj.info["finish"]
+        _write_json(out / "certificate.json", {"certified": attempts[-1]["certified"], "attempts": attempts})
     if traj.verdict == "Failed":
         print(f"scheme failure: {traj.reason}", file=sys.stderr)
         return _EXIT_FAILURE
     if "identities" in exp["checks"] and len(traj.rows) >= 3:
         _write_json(out / "identities.json", check_identities(traj))
-    if "finish" in traj.info:
-        attempts = traj.info["finish"]
-        _write_json(out / "certificate.json", {"certified": attempts[-1]["certified"], "attempts": attempts})
     if "morse" in exp["checks"]:
         _write_json(out / "morse.json", check_conditions(f, grid))
     print(f"{traj.verdict}: {traj.reason} ({len(traj.rows)} rows) -> {out}")

@@ -20,13 +20,13 @@ run with its verdict:
 
 A recorded step that no test ends may still end as Concentrating when
 the cap-mass detector flags a cluster.  Otherwise, once at least 3 rows
-are recorded, a recorded state with sqrt(F2) below h = 1e3 conv_tol and
+are recorded, a recorded state with sqrt(F2) below h = 1e4 conv_tol and
 centre of mass |S| < 0.2 is handed off to newton_finish, which solves
 H = lambda f to roundoff by Newton-Krylov.  A certified solution ends
 the run as Converged ("Newton finish from residual ..."): the state
 takes its fields and keeps its clock, and the last row is the hand-off
 state, so the identity checks read the flow's own rows.  A refused
-attempt leaves the state as it was, h drops tenfold (at most three
+attempt leaves the state as it was, h drops tenfold (at most four
 attempts before h reaches conv_tol) and the flow goes on.  Every
 attempt is recorded in Trajectory.info["finish"].  A step that no try
 at or above dt_min makes acceptable raises FlowFailure with the partial
@@ -55,10 +55,10 @@ STEP_TOL = 1e-4
 # Largest relative rise of E_f over an accepted step: roundoff, not a rise.
 _EF_RISE_REL = 1e-13
 # The Newton finish: tried on a recorded state with sqrt F2 below _HANDOFF conv_tol (ten times lower after
-# each refusal), at least _HANDOFF_ROWS rows (the identity checks need 3) and centre of mass |S| < _HANDOFF_S
-# (a concentrating run, |S| near 1, has no solution nearby); it must reach a residual _FINISH_TOL relative
-# within _FINISH_ITERS iterations and _FINISH_MATVECS matvecs.
-_HANDOFF = 1e3
+# each refusal, which changes nothing else), at least _HANDOFF_ROWS rows (the identity checks need 3) and
+# centre of mass |S| < _HANDOFF_S (a concentrating run, |S| near 1, has no solution nearby); it must reach a
+# residual _FINISH_TOL relative within _FINISH_ITERS iterations and _FINISH_MATVECS matvecs.
+_HANDOFF = 1e4
 _HANDOFF_ROWS = 3
 _HANDOFF_S = 0.2
 _FINISH_TOL = 1e-12

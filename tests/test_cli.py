@@ -5,7 +5,7 @@ Validates:
   scheme failure, 64 unparseable input (non-finite numbers in f too),
   1 for failed checks
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
-  morse.json, certificate.json) and the config echo
+  morse.json, certificate.json, also of a failed run) and the config echo
 - byte-identical reruns of a seeded experiment
 - morse check with and without symmetry specs; its stdout is the
   check_conditions document, and extrema() is polished once per target
@@ -25,6 +25,7 @@ import pytest
 
 from bmcflow import cli, curvature, flow, spectral
 from bmcflow.cli import main
+from bmcflow.errors import FlowFailure
 from bmcflow.flow import FlowConfig
 from bmcflow.morse import check_conditions
 from bmcflow.prescribed import PrescribedFunction, parse_f_spec
@@ -201,6 +202,42 @@ def test_flow_run_scheme_failure_writes_run_files(tmp_path, capsys):
     assert doc["verdict"] == "Failed"
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
     assert doc["steps_recorded"] == len(rows) > 0
+
+
+def test_flow_run_scheme_failure_keeps_the_certificate(tmp_path, capsys, monkeypatch):
+    """A run that fails after a refused Newton finish still writes
+    certificate.json with that attempt, next to trajectory.csv and
+    verdict.json, and exits 3."""
+    attempts, step = [], flow.step
+
+    def refuse(state, conv_tol):
+        attempts.append(state.t)
+        return {"certified": False, "reason": "refused"}, None
+
+    def failing_step(state, config):
+        if attempts:
+            raise FlowFailure("no step at or above dt_min = 1e-07 accepted: stubbed")
+        return step(state, config)
+
+    monkeypatch.setattr(flow, "newton_finish", refuse)
+    monkeypatch.setattr(flow, "step", failing_step)
+    cfg = write_config(
+        tmp_path / "exp.json",
+        L=15,
+        f_spec="2 - z^2",
+        u0_spec={"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": 0.05}]},
+    )
+    out = tmp_path / "out"
+    assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 3
+    assert "scheme failure" in capsys.readouterr().err
+    assert run_dir_files(out) == ["certificate.json", "trajectory.csv", "verdict.json"]
+    with open(out / "verdict.json") as fh:
+        assert json.load(fh)["verdict"] == "Failed"
+    with open(out / "certificate.json") as fh:
+        cert = json.load(fh)
+    assert cert["certified"] is False
+    (attempt,) = cert["attempts"]
+    assert attempt["t"] == attempts[0] and attempt["reason"] == "refused"
 
 
 @pytest.mark.parametrize("L", [12, 14, 31])

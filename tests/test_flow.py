@@ -26,11 +26,13 @@ Validates:
   monotone E_f on a concentrated bubble at L = 63 with the defaults, and
   tries rejected for a nonpositive first stage and for a rise of E_f
 - the Newton finish: the same u* and E_f from two hand-off residuals,
-  u* unchanged by rescaling f, a refused attempt on the bump target
-  that leaves the run's outputs as they were, refusals on an
+  u* unchanged by rescaling f, refused attempts on the bump target and
+  on non-zonal data that leave the run's outputs as they were, a
+  hand-off at the third row that certifies the later limit, refusals on an
   obstructed target, at a saddle of higher E_f, at an aliased limit and
   for an exhausted GMRES budget, and its transform count; its GMRES
   against a dense solve
+- with the finish off, the terminal decay rate mu_+/4 of f = 1
 - the detector's threshold TAU inside (0, 2^(1/n))
 - the identity oracle on a target rescaled by 1e30
 """
@@ -160,13 +162,13 @@ def test_column_layout(converged_run):
 
 def test_convergence_verdict(converged_flow):
     """The last row is the hand-off to the Newton finish, at a residual in
-    [conv_tol, 1e3 conv_tol); the final state's residual is below conv_tol."""
+    [conv_tol, 1e4 conv_tol); the final state's residual is below conv_tol."""
     cfg, state, traj = converged_flow
     tol = cfg.conv_tol
     assert traj.verdict == "Converged"
     assert traj.reason.startswith("Newton finish from residual")
     assert len(traj.rows) >= 3
-    assert tol <= np.sqrt(traj.column("F2")[-1]) < 1e3 * tol
+    assert tol <= np.sqrt(traj.column("F2")[-1]) < 1e4 * tol
     assert np.sqrt(lp_residual(state.u, state.f_values, state.energy_report.lam, 2)) < tol
 
 
@@ -606,7 +608,7 @@ def _finished(spec, g, amp=0.05, **overrides):
 
 
 def test_newton_finish_is_independent_of_the_handoff():
-    """Handed off at sqrt F2 < 0.1 (conv_tol 1e-4) or < 1e-4 (conv_tol 1e-7),
+    """Handed off at sqrt F2 < 1 (conv_tol 1e-4) or < 1e-3 (conv_tol 1e-7),
     the finish certifies the same u* to 1e-10 and E_f to 1e-12, and E_f(u*)
     lies at or below every recorded E_f: it is the flow's limit."""
     g = make_grid(15)
@@ -616,7 +618,7 @@ def test_newton_finish_is_independent_of_the_handoff():
         (attempt,) = traj.info["finish"]
         assert traj.verdict == "Converged" and attempt["certified"]
         assert attempt["residual"] <= 1e-12 and attempt["sqrt_F2"] < tol
-        assert tol <= attempt["handoff_residual"] < 1e3 * tol
+        assert tol <= attempt["handoff_residual"] < 1e4 * tol
         assert state.min_u > 0.0 and abs(volume(state.u) - 1.0) <= 1e-12
         assert state.energy_report.E_f <= traj.column("E_f").min()
         assert attempt["E_f"] == state.energy_report.E_f
@@ -640,29 +642,103 @@ def test_newton_finish_is_scale_invariant():
         assert abs(state.energy_report.E_f * c**0.5 / ref.energy_report.E_f - 1.0) <= 1e-12
 
 
-def test_newton_finish_refused_on_the_bump_target(tmp_path, monkeypatch):
-    """The bump target from u = 1 (L = 31, t = 50) hands off once, at
-    t = 0.8, where the residual rises at the first Newton iteration; the
-    run goes on to HorizonReached, certificate.json says so, and the
-    trajectory is the one a run without the attempt records."""
-    doc = {"L": 31, "f_spec": "1.34 - 1.36bump(8; 0,0,-1)", "checks": ["identities"]}
-    cfg_path, out = tmp_path / "bump.json", tmp_path / "out"
+def _flow_run(tmp_path, name, doc):
+    """The output directory of `flow run` on the config doc; the run must exit 0."""
+    cfg_path, out = tmp_path / f"{name}.json", tmp_path / name
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["flow", "run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out
+
+
+def test_newton_finish_refused_on_the_bump_target(tmp_path, monkeypatch):
+    """The bump target from u = 1 (L = 31, t = 50) hands off twice, at
+    t = 0.1 and, with the threshold ten times lower, at t = 0.8; each time
+    the residual rises at the first Newton iteration.  The run goes on to
+    HorizonReached, certificate.json says so, and the trajectory is the
+    one a run without the attempts records."""
+    doc = {"L": 31, "f_spec": "1.34 - 1.36bump(8; 0,0,-1)", "checks": ["identities"]}
+    out = _flow_run(tmp_path, "out", doc)
     with open(out / "verdict.json") as fh:
         assert json.load(fh)["verdict"] == "HorizonReached"
     with open(out / "certificate.json") as fh:
         cert = json.load(fh)
     assert cert["certified"] is False
-    (attempt,) = cert["attempts"]
-    assert abs(attempt["t"] - 0.8) < 1e-9 and not attempt["certified"]
-    assert attempt["reason"].startswith("residual rose")
+    first, second = cert["attempts"]
+    assert abs(first["t"] - 0.1) < 1e-9 and abs(second["t"] - 0.8) < 1e-9
+    assert 0.1 <= first["handoff_residual"] < 1.0 and first["matvecs"] == 7
+    assert second["handoff_residual"] < 0.1
+    for attempt in (first, second):
+        assert not attempt["certified"] and attempt["reason"].startswith("residual rose")
 
     monkeypatch.setattr(flow, "newton_finish", lambda state, tol: ({"certified": False}, None))
-    skipped = tmp_path / "skipped"
-    assert cli.main(["flow", "run", "--config", str(cfg_path), "--out", str(skipped)]) == 0
+    skipped = _flow_run(tmp_path, "skipped", doc)
     for name in ("trajectory.csv", "verdict.json", "identities.json"):
         assert (out / name).read_bytes() == (skipped / name).read_bytes()
+
+
+def test_refused_first_handoff_changes_nothing_else(tmp_path, monkeypatch):
+    """2 - z^2 at L = 31 from a seeded non-zonal perturbation: the first
+    hand-off, at t ~ 0.055, is refused after 14 matvecs.  Everything
+    after it is the run whose first threshold is ten times lower: the
+    same trajectory, verdict and identities byte for byte, and the same
+    later attempts."""
+    doc = {"seed": 2, "L": 31, "f_spec": "2 - z^2", "checks": ["identities"],
+           "u0_spec": {"type": "perturbation", "random": {"lmax": 4, "amp": 0.03}}}
+    out = _flow_run(tmp_path, "early", doc)
+    monkeypatch.setattr(flow, "_HANDOFF", flow._HANDOFF / 10.0)
+    late = _flow_run(tmp_path, "late", doc)
+    for name in ("trajectory.csv", "verdict.json", "identities.json"):
+        assert (out / name).read_bytes() == (late / name).read_bytes()
+    with open(out / "certificate.json") as fh, open(late / "certificate.json") as gh:
+        attempts, later = json.load(fh)["attempts"], json.load(gh)["attempts"]
+    first = attempts[0]
+    assert not first["certified"] and abs(first["t"] - 0.055) < 1e-3 and first["matvecs"] == 14
+    assert attempts[1:] == later and later[-1]["certified"]
+
+
+@pytest.mark.parametrize("a2, a4", [(0.02, 0.02), (0.06, 0.06)])
+def test_handoff_at_the_third_row_certifies_the_later_limit(monkeypatch, a2, a4):
+    """At both ends of the converge benchmark's amplitude range, 1 + a2 Y20
+    + a4 Y40 on 2 - z^2 at L = 31 hands off at the third row and is
+    certified on that attempt; u* is the one certified from the threshold
+    ten times lower, to 1e-10, and so is E_f, to 1e-12."""
+    g = make_grid(31)
+    finals = []
+    for handoff in (flow._HANDOFF, flow._HANDOFF / 10.0):
+        monkeypatch.setattr(flow, "_HANDOFF", handoff)
+        c = np.zeros((32, 63))
+        c[0, 31], c[2, 31], c[4, 31] = 1.0, a2, a4
+        cfg = FlowConfig()
+        state = init_state(BoundaryField(g, coeffs=c), parse_f_spec("2 - z^2"), cfg)
+        traj = run(state, cfg)
+        assert traj.verdict == "Converged" and traj.info["finish"][-1]["certified"]
+        finals.append((state, traj))
+    (early, traj), (late, _) = finals
+    (attempt,) = traj.info["finish"]
+    assert len(traj.rows) == 3 and early.steps == 2
+    assert attempt["residual"] <= flow._FINISH_TOL and attempt["sqrt_F2"] < FlowConfig().conv_tol
+    assert float(np.abs(early.u.values - late.u.values).max()) <= 1e-10
+    assert abs(early.energy_report.E_f - late.energy_report.E_f) <= 1e-12
+
+
+@pytest.mark.parametrize("modes", [((2, 0, 0.05),), ((2, 1, 0.04), (3, -2, 0.03))])
+def test_terminal_rate_is_a_quarter_of_the_first_stable_eigenvalue(modes):
+    """With the finish off (conv_tol 1e-14: its first threshold is never
+    reached by t = 30), the flow of f = 1 at L = 31 decays to u = 1 at the
+    rate mu_+/4 of its slowest mode, mu_+ = 2l - 2 at l = 2: sqrt F2 fitted
+    over t in [12, 27] falls as exp(-t/2), to 2%."""
+    g = make_grid(31)
+    c = np.zeros((32, 63))
+    c[0, 31] = 1.0
+    for l, m, amp in modes:
+        c[l, 31 + m] += amp
+    cfg = FlowConfig(conv_tol=1e-14, t_end=30.0)
+    traj = run(init_state(BoundaryField(g, coeffs=c), parse_f_spec("1"), cfg), cfg)
+    assert traj.verdict == "HorizonReached" and "finish" not in traj.info
+    t, res = traj.column("t"), np.sqrt(traj.column("F2"))
+    window = (t >= 12.0) & (t <= 27.0)
+    rate = -np.polyfit(t[window], np.log(res[window]), 1)[0]
+    assert abs(rate / 0.5 - 1.0) <= 0.02
 
 
 def test_gmres_matches_a_dense_solve():
