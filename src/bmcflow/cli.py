@@ -55,8 +55,8 @@ import numpy as np
 from .conformal import (CAP_RADII, ConformalMap, boundary_map, bubble_cap_mass, bubble_field,
                         cap_integrals, center_of_mass, unit_direction)
 from .curvature import N, OMEGA_N, TWO_SHARP, mean_curvature, total_energy, volume, volume_density
-from .errors import AdmissibilityError, ConfigError, FlowFailure, SpecParseError
-from .flow import FlowConfig, admits, check_identities, init_state, newton_finish, run
+from .errors import AdmissibilityError, ConfigError, SpecParseError
+from .flow import MIN_ROWS, FlowConfig, admits, check_identities, init_state, newton_finish, run
 from .morse import check_conditions, check_symmetry
 from .prescribed import parse_f_spec
 from .spectral import BoundaryField, make_grid
@@ -173,10 +173,7 @@ def _run_experiment(config_path, out_dir):
         _write_json(out / "verdict.json",
                     {"verdict": "Failed", "reason": f"admissibility: {exc}", "experiment": echo})
         return _EXIT_FAILURE
-    try:
-        traj = run(state, cfg)
-    except FlowFailure as exc:
-        traj = exc.trajectory
+    traj = run(state, cfg)
     traj.to_csv(out / "trajectory.csv")
     _write_json(out / "verdict.json", {**traj.verdict_document(), "experiment": echo})
     if "finish" in traj.info:
@@ -185,7 +182,7 @@ def _run_experiment(config_path, out_dir):
     if traj.verdict == "Failed":
         print(f"scheme failure: {traj.reason}", file=sys.stderr)
         return _EXIT_FAILURE
-    if "identities" in exp["checks"] and len(traj.rows) >= 3:
+    if "identities" in exp["checks"] and len(traj.rows) >= MIN_ROWS:
         _write_json(out / "identities.json", check_identities(traj))
     if "morse" in exp["checks"]:
         _write_json(out / "morse.json", check_conditions(f, grid))

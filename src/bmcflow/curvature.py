@@ -202,8 +202,11 @@ def barrier_gamma(min_H0, lambda2, f_absmax, Lambda0):
     return min(min_H0 - l2m, -np.sqrt((4.0 / 3.0) * l2m**2 + (8.0 / 3.0) * Lambda0 * f_absmax))
 
 
-def flow_bounds(u0, f, H0):
-    """Frozen t=0 bounds for u0, its mean curvature H0 at the nodes and the closed-form target f.
+def flow_bounds(u0, f, fv, H0, report):
+    """Frozen t=0 bounds for u0 and the closed-form target f, from what evaluating u0 already found.
+
+    fv holds f at the nodes, H0 the mean curvature of u0 there, and report
+    is energy_functional(u0, fv).
 
     lambda1 = (max f)^{-1} vol^{-1/n},
     lambda2 = E_f[u0]^{n/(n-1)} vol^{-1/n},
@@ -215,7 +218,6 @@ def flow_bounds(u0, f, H0):
     mean(f) and E_f are grid quadratures of f at the nodes; max f and
     max|f| are f.extrema(), widened to cover the node values.
     """
-    fv = f(u0.grid.nodes())
     f_mean, sign = weighted_mean_sign(u0.grid, fv)
     if sign <= 0:
         raise AdmissibilityError(f"mean of f is {f_mean:.3e}, must be positive",
@@ -223,7 +225,6 @@ def flow_bounds(u0, f, H0):
     fmin, fmax = f.extrema()
     fmin, fmax = min(fmin, float(fv.min())), max(fmax, float(fv.max()))
     f_absmax = max(abs(fmin), abs(fmax))
-    report = energy_functional(u0, fv)
     vol = u0.grid.integrate(report.density)
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)

@@ -24,13 +24,10 @@ class AdmissibilityError(RuntimeError):
 class FlowFailure(RuntimeError):
     """Hard failure of the time integration (not a math verdict).
 
-    ``trajectory`` holds the rows recorded up to the failure so a run
-    can still be audited.
+    Raised by flow.step when no try at or above dt_min is acceptable;
+    flow.run ends the run there with the verdict Failed and the message
+    as its reason.
     """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class NotMorseError(RuntimeError):

@@ -19,18 +19,19 @@ run with its verdict:
   HorizonReached  t within dt_min of t_end; the last step is clipped to it
 
 A recorded step that no test ends may still end as Concentrating when
-the cap-mass detector flags a cluster.  Otherwise, once at least 3 rows
-are recorded, a recorded state with sqrt(F2) below h = 1e4 conv_tol and
-centre of mass |S| < 0.2 is handed off to newton_finish, which solves
-H = lambda f to roundoff by Newton-Krylov.  A certified solution ends
-the run as Converged ("Newton finish from residual ..."): the state
+the cap-mass detector flags a cluster.  Otherwise, once MIN_ROWS = 3
+rows are recorded, a recorded state with sqrt(F2) below h = 1e4 conv_tol
+and centre of mass |S| < 0.2 is handed off to newton_finish, which
+solves H = lambda f to roundoff by Newton-Krylov.  A certified solution
+ends the run as Converged ("Newton finish from residual ..."): the state
 takes its fields and keeps its clock, and the last row is the hand-off
 state, so the identity checks read the flow's own rows.  A refused
 attempt leaves the state as it was, h drops tenfold (at most four
 attempts before h reaches conv_tol) and the flow goes on.  Every
 attempt is recorded in Trajectory.info["finish"].  A step that no try
-at or above dt_min makes acceptable raises FlowFailure with the partial
-trajectory attached and the last cause named; its verdict is Failed.
+at or above dt_min makes acceptable ends the run as Failed, with the
+last cause named and the rows recorded so far kept.  run is the one
+place where a run ends: it returns the Trajectory with every verdict.
 
 Explicit Euler needs dt below about 4 min(u)^2 / L for the DtN term;
 this scheme has no such bound, so the default dt_max is 0.05 at every
@@ -54,15 +55,16 @@ from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 STEP_TOL = 1e-4
 # Largest relative rise of E_f over an accepted step: roundoff, not a rise.
 _EF_RISE_REL = 1e-13
+# Recorded rows that check_identities' three-point differences need; a run hands off to the Newton finish,
+# and `flow run` writes identities.json, only once this many are recorded.
+MIN_ROWS = 3
 # The Newton finish: tried on a recorded state with sqrt F2 below _HANDOFF conv_tol (ten times lower after
-# each refusal, which changes nothing else), at least _HANDOFF_ROWS rows (the identity checks need 3) and
-# centre of mass |S| < _HANDOFF_S (a concentrating run, |S| near 1, has no solution nearby); it must reach a
-# residual _FINISH_TOL relative within _FINISH_ITERS iterations and _FINISH_MATVECS matvecs.
+# each refusal, which changes nothing else), at least MIN_ROWS rows and centre of mass |S| < _HANDOFF_S (a
+# concentrating run, |S| near 1, has no solution nearby); it must reach a residual _FINISH_TOL relative
+# within _FINISH_MATVECS matvecs, its whole work budget.
 _HANDOFF = 1e4
-_HANDOFF_ROWS = 3
 _HANDOFF_S = 0.2
 _FINISH_TOL = 1e-12
-_FINISH_ITERS = 6
 _FINISH_MATVECS = 300
 # The cap-mass detector's threshold: a node is flagged when its cap of every radius in CAP_RADII carries
 # TAU^n omega_n of |H|^n dmu_g.  TAU must lie in (0, 2^(1/n)).
@@ -215,7 +217,7 @@ def init_state(u0, f, config):
             raise
         raise AdmissibilityError("initial data loses positivity under band-limit filtering",
                                  condition="positivity") from None
-    state.bounds = flow_bounds(state.u, f, state.H)
+    state.bounds = flow_bounds(state.u, f, state.f_values, state.H, state.energy_report)
     state.dt = state.dt_next = config.dt_max
     return state
 
@@ -374,8 +376,9 @@ def newton_finish(state, conv_tol):
     min(1e-2, |R| / |(2l+1) c|); no matrix is formed.  A matvec costs one
     synthesis and one analysis, and so does each iteration's new residual.
     u* is refused unless |R| falls at every iteration and reaches
-    _FINISH_TOL |(2l+1) c| within _FINISH_ITERS iterations and
-    _FINISH_MATVECS matvecs, u* is positive and admissible at unit volume,
+    _FINISH_TOL |(2l+1) c| within _FINISH_MATVECS matvecs (the solve is
+    bounded by contraction and this work budget, not by an iteration
+    count), u* is positive and admissible at unit volume,
     E_f(u*) <= E_f(state) up to _EF_RISE_REL, and sqrt F2(u*) < conv_tol.
     The record says what was spent and reached, and why an attempt was
     refused.  The state is not changed.
@@ -397,8 +400,6 @@ def newton_finish(state, conv_tol):
     R = residual(c, u)
     res = record["residual"] = float(np.linalg.norm(R)) / scale
     while res > _FINISH_TOL:
-        if record["iterations"] == _FINISH_ITERS:
-            return refuse(f"residual {res:.3e} after {_FINISH_ITERS} iterations")
         fu2 = (3.0 * lam) * fv * (u * u)
         y, spent = _gmres(lambda v: v - analyze(fu2 * synthesize(v / precond, grid), grid), -R,
                           min(1e-2, res), _FINISH_MATVECS - record["matvecs"])
@@ -479,14 +480,14 @@ def _record(traj, state, F2, max_u):
 
 
 def run(state, config):
-    """Advance until a verdict; returns the Trajectory.
+    """Advance until a verdict and return the Trajectory; every run ends here, Failed included.
 
     The initial data and every accepted step pass the tests listed in
     the module docstring.  A step is recorded every record_every steps
     and whenever a test ends the run; only then do the cap-mass detector
-    and the hand-off test of the Newton finish run.  Hard failures from
-    step() propagate with the partial trajectory attached to the
-    exception.
+    and the hand-off test of the Newton finish run.  When step() raises
+    FlowFailure, the run ends as Failed: the exception's message is the
+    reason, and the rows recorded so far are kept.
     """
     config.validate()
     traj = Trajectory(bounds=state.bounds)
@@ -506,7 +507,7 @@ def run(state, config):
             if verdict is None and flags.any():
                 verdict = "Concentrating", ("cap-mass detector flagged the initial data"
                                             if state.steps == 0 else f"cap-mass detector fired at {at}")
-            elif (verdict is None and res < handoff and len(traj.rows) >= _HANDOFF_ROWS
+            elif (verdict is None and res < handoff and len(traj.rows) >= MIN_ROWS
                   and np.linalg.norm(S) < _HANDOFF_S):
                 record, new = newton_finish(state, config.conv_tol)
                 traj.info.setdefault("finish", []).append({"t": state.t, "handoff_residual": float(res),
@@ -517,17 +518,16 @@ def run(state, config):
                     vars(state).update(vars(new), bounds=state.bounds, t=state.t, dt=state.dt,
                                        dt_next=state.dt_next, steps=state.steps)
                     verdict = "Converged", f"Newton finish from residual {res:.3e} at {at}"
-        if verdict is not None:
-            traj.verdict, traj.reason = verdict
-            if traj.verdict == "Concentrating":
-                traj.info["concentration"] = _concentration_info(flags, state.u.grid, mass, S)
-            return traj
-        try:
-            step(state, config)
-        except FlowFailure as exc:
-            exc.trajectory = traj
-            traj.verdict, traj.reason = "Failed", str(exc)
-            raise
+        if verdict is None:
+            try:
+                step(state, config)
+                continue
+            except FlowFailure as exc:
+                verdict = "Failed", str(exc)
+        traj.verdict, traj.reason = verdict
+        if traj.verdict == "Concentrating":
+            traj.info["concentration"] = _concentration_info(flags, state.u.grid, mass, S)
+        return traj
 
 
 def _concentration_info(flags, grid, total_mass, S):
@@ -576,8 +576,8 @@ def check_identities(traj):
         the Lambda0 of the frozen bounds and with the observed sup|lambda'|;
     (e) sup F2 over the run (reported, no threshold).
     """
-    if len(traj.rows) < 3:
-        raise ValueError(f"need at least 3 recorded samples, got {len(traj.rows)}")
+    if len(traj.rows) < MIN_ROWS:
+        raise ValueError(f"need at least {MIN_ROWS} recorded samples, got {len(traj.rows)}")
     t, lam, E, E_f, F2, lamp, min_barrier = (traj.column(name) for name in (
         "t", "lambda", "E", "E_f", "F2", "lambda_prime", "min_H_minus_lambda_f"))
     denom = E / lam

@@ -65,11 +65,11 @@ def test_selftest_negative_control(capsys, monkeypatch):
 
 
 def test_selftest_newton_finish_suite(capsys, monkeypatch):
-    """The newton_finish suite certifies u = 1 for f = 1; with one Newton
-    iteration allowed it cannot, and the selftest fails."""
+    """The newton_finish suite certifies u = 1 for f = 1; with a budget of
+    10 GMRES matvecs it cannot, and the selftest fails."""
     assert main(["selftest", "--quick"]) == 0
     assert "ok   newton_finish" in capsys.readouterr().out
-    monkeypatch.setattr(flow, "_FINISH_ITERS", 1)
+    monkeypatch.setattr(flow, "_FINISH_MATVECS", 10)
     assert main(["selftest", "--quick"]) == 1
     assert "FAIL newton_finish" in capsys.readouterr().out
 

@@ -170,7 +170,8 @@ def test_flow_bounds_closed_forms():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("2 - z^2")
-    b = flow_bounds(u, f, mean_curvature(u).values)
+    fv = f(g.nodes())
+    b = flow_bounds(u, f, fv, mean_curvature(u).values, energy_functional(u, fv))
     assert abs(b.lambda1 - 0.5) < 1e-12
     assert abs(b.lambda2 - 0.6) < 1e-12
     assert abs(b.gamma - (-7.433258594542055)) < 1e-12
@@ -198,7 +199,8 @@ def test_flow_bounds_negative_sigma_flagged():
     g = make_grid(15)
     u = constant_field(g)
     f = parse_f_spec("1 + 0.9z")
-    b = flow_bounds(u, f, mean_curvature(u).values)
+    fv = f(g.nodes())
+    b = flow_bounds(u, f, fv, mean_curvature(u).values, energy_functional(u, fv))
     assert b.sigma < 0.0
     assert not b.condition_ii_ok
 
@@ -214,7 +216,7 @@ def test_inadmissible_rejections():
         with pytest.raises(AdmissibilityError):
             energy_functional(u, z)
         with pytest.raises(AdmissibilityError):
-            flow_bounds(u, f, mean_curvature(u).values)
+            flow_bounds(u, f, z, mean_curvature(u).values, None)    # raises before it reads a report
         with pytest.raises(AdmissibilityError):
             lambda_prime(u, z, 1.0)
         assert check_conditions(f, g)["conditions"]["positive_mean"] is False

@@ -24,11 +24,13 @@ Validates:
   returning the state it is given
 - the ETD-RK2 step: second-order self-convergence at fixed dt, a
   monotone E_f on a concentrated bubble at L = 63 with the defaults, and
-  tries rejected for a nonpositive first stage and for a rise of E_f
+  tries rejected for a nonpositive first stage and for a rise of E_f;
+  run returning a Failed trajectory when no try is acceptable
 - the Newton finish: the same u* and E_f from two hand-off residuals,
   u* unchanged by rescaling f, refused attempts on the bump target and
   on non-zonal data that leave the run's outputs as they were, a
-  hand-off at the third row that certifies the later limit, refusals on an
+  hand-off at the third row that certifies the later limit, also where
+  Newton needs a 7th iteration, refusals on an
   obstructed target, at a saddle of higher E_f, at an aliased limit and
   for an exhausted GMRES budget, and its transform count; its GMRES
   against a dense solve
@@ -721,6 +723,31 @@ def test_handoff_at_the_third_row_certifies_the_later_limit(monkeypatch, a2, a4)
     assert abs(early.energy_report.E_f - late.energy_report.E_f) <= 1e-12
 
 
+def test_contracting_first_attempt_is_certified_without_an_iteration_cap(monkeypatch):
+    """2 - z^2 at L = 31 from the seed-8 random perturbation (lmax 4, amp
+    0.03): the first hand-off, at the third row (t ~ 0.025), still
+    contracts at its 6th Newton iteration and reaches the tolerance at the
+    7th.  It is certified after 2 flow steps, and u* is the limit
+    certified from the threshold ten times lower, after 51 steps, to 1e-10,
+    and so is E_f, to 1e-12."""
+    g = make_grid(31)
+    spec = {"type": "perturbation", "random": {"lmax": 4, "amp": 0.03}}
+    finals = []
+    for handoff in (flow._HANDOFF, flow._HANDOFF / 10.0):
+        monkeypatch.setattr(flow, "_HANDOFF", handoff)
+        cfg = FlowConfig()
+        state = init_state(cli._build_u0(spec, g, np.random.default_rng(8)), parse_f_spec("2 - z^2"), cfg)
+        traj = run(state, cfg)
+        (attempt,) = traj.info["finish"]
+        assert traj.verdict == "Converged" and attempt["certified"]
+        finals.append((state, attempt))
+    (early, attempt), (late, _) = finals
+    assert early.steps == 2 and abs(attempt["t"] - 0.025) < 1e-3 and attempt["iterations"] == 7
+    assert attempt["residual"] <= flow._FINISH_TOL and late.steps == 51
+    assert float(np.abs(early.u.values - late.u.values).max()) <= 1e-10
+    assert abs(early.energy_report.E_f - late.energy_report.E_f) <= 1e-12
+
+
 @pytest.mark.parametrize("modes", [((2, 0, 0.05),), ((2, 1, 0.04), (3, -2, 0.03))])
 def test_terminal_rate_is_a_quarter_of_the_first_stable_eigenvalue(modes):
     """With the finish off (conv_tol 1e-14: its first threshold is never
@@ -815,7 +842,22 @@ def test_newton_finish_refused_when_gmres_runs_out_of_matvecs():
     u0 = bubble_field(np.array([0.53, 0.74, 0.38]), 0.75, g)
     record = _refused(init_state(u0, parse_f_spec("legendre(2) + 0.05"), FlowConfig()))
     assert record["reason"] == f"GMRES did not converge within {flow._FINISH_MATVECS} matvecs"
-    assert record["matvecs"] == flow._FINISH_MATVECS and 1 <= record["iterations"] < flow._FINISH_ITERS
+    assert record["matvecs"] == flow._FINISH_MATVECS and record["iterations"] >= 1
+
+
+def test_run_returns_a_failed_trajectory():
+    """With dt pinned at 3.0 on 2 - z^2 from 1 + 0.3 Y10 (L = 15), no try
+    of the first step is acceptable: run raises nothing and returns the
+    trajectory as Failed, with the initial row recorded and the last
+    cause, the local error, as its reason."""
+    g = make_grid(15)
+    cfg = FlowConfig(dt_min=3.0, dt_max=3.0)
+    state = init_state(perturbed_constant(g, l=1, m=0, amp=0.3), parse_f_spec("2 - z^2"), cfg)
+    traj = run(state, cfg)
+    assert traj.verdict == "Failed" and state.steps == 0
+    assert traj.reason.startswith("no step at or above dt_min = 3 accepted: local error ")
+    assert traj.reason.endswith(f"above STEP_TOL = {flow.STEP_TOL:g}")
+    assert len(traj.rows) == 1 and traj.rows[0][0] == 0.0
 
 
 def _try(state, dt):

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports another module's
 private (underscore) name; a helper two modules share is public; every
-public name has a caller in the package or the benchmark; and every
-cached per-degree constant is read-only."""
+public name has a caller in the package or the benchmark; every private
+name is read in the package; and every cached per-degree constant is
+read-only."""
 
 import ast
 from collections import Counter
@@ -19,6 +20,8 @@ SRC = ROOT / "src" / "bmcflow"
 UNCALLED_ALLOWED = {
     "conformal.bubble": "the map-generated reference that tests compare bubble_field's closed form against",
     "conformal.ConformalMap.width": "the concentration parameter acceptance check c10 reads off a recentering map",
+    "curvature.energy_functional": "the reference that test_evaluate_matches_one_quantity_functions compares "
+                                   "_evaluate's energy report against",
     "curvature.lambda_prime": "the reference that test_row_matches_reference_functions compares _record's row against",
     "curvature.lp_residual": "the reference that test_row_matches_reference_functions compares _record's row against",
 }
@@ -96,6 +99,58 @@ def test_every_public_name_has_a_caller():
     uncalled = [qualified for path in modules for qualified, name, node in _public_definitions(path, trees[path])
                 if refs[name] <= _references(node)[name]]
     assert modules and set(uncalled) == set(UNCALLED_ALLOWED), sorted(set(uncalled) ^ set(UNCALLED_ALLOWED))
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(path, tree):
+    """(qualified name, name, node) of the private module-level functions, classes and constants, and of the
+    private methods of the module-level classes; a dunder is not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield f"{path.stem}.{node.name}", node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_private(name.id):
+                        yield f"{path.stem}.{name.id}", name.id, node
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                yield f"{path.stem}.{node.name}.{item.name}", item.name, item
+
+
+def test_every_private_name_is_read():
+    """A private function, class, constant or method is read in src/bmcflow
+    outside its own definition: one that nothing reads, such as the limit
+    of a deleted check, is dead code."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unread = [qualified for path, tree in trees.items() for qualified, name, node in _private_definitions(path, tree)
+              if refs[name] <= _references(node)[name]]
+    assert trees and not unread, unread
+
+
+def test_private_definitions_find_constants_and_methods():
+    """The scan lists private constants (also in a tuple target), functions,
+    classes and methods, and passes over dunders and public names."""
+    tree = ast.parse(
+        "_LIMIT = 6\n"
+        "_A, B = 1, 2\n"
+        "__version__ = '0'\n"
+        "def _helper():\n"
+        "    pass\n"
+        "class _Term:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def _derivative(self):\n"
+        "        pass\n"
+        "    def value(self):\n"
+        "        pass\n"
+    )
+    names = [qualified for qualified, _, _ in _private_definitions(Path("mod.py"), tree)]
+    assert names == ["mod._LIMIT", "mod._A", "mod._helper", "mod._Term", "mod._Term._derivative"]
 
 
 # Arguments for each lru_cache'd constant of the numerical modules; a new cache must be listed here.
