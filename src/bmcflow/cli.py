@@ -279,16 +279,21 @@ def _suite_parseval(L, rng):
     return err < 1e-10, f"rel err {err:.3e}"
 
 
+def _smooth_field(grid, rng, lmax, amp):
+    """1 + sum over 1 <= l <= min(lmax, L) of amp Y_l-modes with standard normal weights / (1 + l)^2, drawn l by l."""
+    L = grid.L
+    coeffs = np.zeros((L + 1, 2 * L + 1))
+    coeffs[0, L] = 1.0
+    for l in range(1, min(lmax, L) + 1):
+        coeffs[l, L - l:L + l + 1] = amp * rng.standard_normal(2 * l + 1) / (1 + l) ** 2
+    return BoundaryField(grid, coeffs=coeffs)
+
+
 def _suite_trace(L, rng, n_fields):
     grid = make_grid(L)
     worst = np.inf
     for _ in range(n_fields):
-        coeffs = np.zeros((L + 1, 2 * L + 1))
-        lmax = min(6, L)
-        for l in range(1, lmax + 1):
-            coeffs[l, L - l:L + l + 1] = 0.1 * rng.standard_normal(2 * l + 1) / (1 + l) ** 2
-        coeffs[0, L] = 1.0
-        u = BoundaryField(grid, coeffs=coeffs)
+        u = _smooth_field(grid, rng, 6, 0.1)
         if u.values.min() <= 0:
             continue
         margin = total_energy(u) - volume(u) ** (2.0 / TWO_SHARP)
@@ -309,13 +314,7 @@ def _suite_group_law(L, rng):
 
 def _suite_volume_invariance(L, rng):
     from .conformal import pullback_normalized
-    grid = make_grid(L)
-    coeffs = np.zeros((L + 1, 2 * L + 1))
-    coeffs[0, L] = 1.0
-    lmax = min(4, L)
-    for l in range(1, lmax + 1):
-        coeffs[l, L - l:L + l + 1] = 0.05 * rng.standard_normal(2 * l + 1) / (1 + l) ** 2
-    u = BoundaryField(grid, coeffs=coeffs)
+    u = _smooth_field(make_grid(L), rng, 4, 0.05)
     worst = 0.0
     for _ in range(3):
         axis = rng.standard_normal(3)

@@ -41,6 +41,9 @@ from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesiz
 _NORTH = np.array([0.0, 0.0, 1.0])
 # Radii of the caps on which the flow's detector and bubble probe measure concentration.
 CAP_RADII = (0.1, 0.2, 0.5)
+# normalize accepts a map at residual |S(v)| / vol(v) <= _NORMALIZE_TOL, within at most _NORMALIZE_ITERS Newton steps.
+_NORMALIZE_TOL = 1e-8
+_NORMALIZE_ITERS = 100
 
 
 def unit_direction(p, what):
@@ -219,7 +222,7 @@ def _center_jacobian(w, vol, grid, b):
     return (2.0 * k * M.reshape(3, 3) - 2.0 * np.outer(m, b) - (k * a[0] + vol) * np.eye(3)) / vol
 
 
-def normalize(u, tol=1e-8, max_iter=100):
+def normalize(u):
     """Find the Moebius dilation whose volume-preserving pullback of u
     has zero center of mass.
 
@@ -244,9 +247,9 @@ def normalize(u, tol=1e-8, max_iter=100):
 
     b = R0 / 2.0
     R, mp, v = residual(b)
-    for _ in range(max_iter):
+    for _ in range(_NORMALIZE_ITERS):
         rnorm = float(np.linalg.norm(R))
-        if rnorm <= tol:
+        if rnorm <= _NORMALIZE_TOL:
             return NormalizedState(map=mp, v=v, residual=rnorm)
         J = _center_jacobian(w, vol, u.grid, b)
         try:
@@ -267,7 +270,7 @@ def normalize(u, tol=1e-8, max_iter=100):
         if not stepped:
             break
     rnorm = float(np.linalg.norm(R))
-    if rnorm <= tol:
+    if rnorm <= _NORMALIZE_TOL:
         return NormalizedState(map=mp, v=v, residual=rnorm)
     if float(np.linalg.norm(R0)) <= 1e-8:
         return NormalizedState(map=ConformalMap(_NORTH, 1.0), v=u, residual=float(np.linalg.norm(R0)))

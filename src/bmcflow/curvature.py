@@ -86,6 +86,19 @@ def weighted_mean_sign(grid, fv, weight=1.0):
     return m, 1 if m > 0.0 else -1
 
 
+def target_report(f, grid, fv):
+    """(mean f, its sign, max f, max|f|, condition (ii)) of the closed-form target f, whose node values are fv.
+
+    The mean and its sign are weighted_mean_sign's; max f and max|f| are f.extrema() widened to cover fv,
+    so max|f| >= max fv >= mean f.  Condition (ii), the simple-bubble bound, is sign 1 and max|f| < 2^{1/n} mean f.
+    """
+    f_mean, sign = weighted_mean_sign(grid, fv)
+    fmin, fmax = f.extrema()
+    fmin, fmax = min(fmin, float(fv.min())), max(fmax, float(fv.max()))
+    f_absmax = max(abs(fmin), abs(fmax))
+    return f_mean, sign, fmax, f_absmax, bool(sign > 0 and f_absmax < 2.0 ** (1.0 / N) * f_mean)
+
+
 def volume_density(u_values):
     """u^{2#} = (u^2)^2, the density of dmu_g, from the values of u.
 
@@ -117,7 +130,7 @@ def mean_curvature(u):
 
 
 @lru_cache(maxsize=8)
-def _energy_weights(L):
+def energy_weights(L):
     """Read-only column of the energy's degree weights a_n l + 1, l = 0..L, shape (L+1, 1)."""
     weights = A_N * np.arange(L + 1, dtype=float)[:, None] + 1.0
     weights.flags.writeable = False
@@ -127,7 +140,7 @@ def _energy_weights(L):
 def total_energy(u):
     """Spectral form of the boundary energy: sum (a_n l + 1) c_{l,m}^2."""
     c = u.coeffs
-    return float((_energy_weights(c.shape[0] - 1) * c**2).sum())
+    return float((energy_weights(c.shape[0] - 1) * c**2).sum())
 
 
 def energy_functional(u, fv):
@@ -215,16 +228,13 @@ def flow_bounds(u0, f, fv, H0, report):
     sigma   = (2^{1/n} mean(f)/max|f| - 1)/2,
     beta    = (1+sigma)^{(n-1)/n} mean(f)^{(1-n)/n}.
 
-    mean(f) and E_f are grid quadratures of f at the nodes; max f and
-    max|f| are f.extrema(), widened to cover the node values.
+    mean(f), max f, max|f| and condition_ii_ok are target_report's, as in `morse check`, and E_f is a
+    grid quadrature.  mean(f) must be positive, so max|f| >= mean(f) > 0 and sigma > -1/2.
     """
-    f_mean, sign = weighted_mean_sign(u0.grid, fv)
+    f_mean, sign, fmax, f_absmax, condition_ii = target_report(f, u0.grid, fv)
     if sign <= 0:
         raise AdmissibilityError(f"mean of f is {f_mean:.3e}, must be positive",
                                  condition="positive mean")
-    fmin, fmax = f.extrema()
-    fmin, fmax = min(fmin, float(fv.min())), max(fmax, float(fv.max()))
-    f_absmax = max(abs(fmin), abs(fmax))
     vol = u0.grid.integrate(report.density)
     lambda1 = vol ** (-1.0 / N) / fmax
     lambda2 = report.E_f ** (N / (N - 1.0)) * vol ** (-1.0 / N)
@@ -232,7 +242,7 @@ def flow_bounds(u0, f, fv, H0, report):
     gamma = barrier_gamma(min_H0, lambda2, f_absmax, LAMBDA0)
     c_star = -lambda2 * f_absmax + gamma
     sigma = 0.5 * (2.0 ** (1.0 / N) * f_mean / f_absmax - 1.0)
-    beta = (1.0 + sigma) ** ((N - 1.0) / N) * f_mean ** ((1.0 - N) / N) if sigma > -1.0 else np.nan
+    beta = (1.0 + sigma) ** ((N - 1.0) / N) * f_mean ** ((1.0 - N) / N)
     return FlowBounds(
         lambda1=lambda1,
         lambda2=lambda2,
@@ -241,7 +251,7 @@ def flow_bounds(u0, f, fv, H0, report):
         c_star=c_star,
         sigma=sigma,
         beta=beta,
-        condition_ii_ok=bool(sigma > 0.0),
+        condition_ii_ok=condition_ii,
         f_mean=f_mean,
         f_max=fmax,
         f_absmax=f_absmax,

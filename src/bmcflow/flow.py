@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conformal import CAP_RADII, cap_integrals
-from .curvature import (A_N, N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, flow_bounds,
+from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, energy_weights, flow_bounds,
                         require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
@@ -384,7 +384,7 @@ def newton_finish(state, conv_tol):
     refused.  The state is not changed.
     """
     grid, fv, lam = state.u.grid, state.f_values, state.energy_report.lam
-    precond = A_N * _value_and_dtn(grid.L)[1] + 1.0     # 2l + 1
+    precond = energy_weights(grid.L)     # the energy's weights 2l + 1
     c, u = state.u.coeffs, state.u.values
     record = {"certified": False, "reason": "", "iterations": 0, "matvecs": 0, "residual": None,
               "max_du": None, "lambda": None, "E_f": None, "sqrt_F2": None}

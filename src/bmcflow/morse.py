@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import N, weighted_mean_sign
+from .curvature import N, target_report
 from .errors import NotMorseError, SpecParseError
 from .prescribed import probe_lattice
 
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
+_CIRCLE_SAMPLES = 8192
 
 
 @dataclass
@@ -153,34 +154,21 @@ def index_count(points):
     return {"sum": int(total), "holds": total != (-1) ** N}
 
 
-def _mean_and_ratio(f, grid):
-    """(mean f, max|f|, positive_mean, ratio, ratio_ok) for the simple-bubble condition.
-
-    positive_mean: mean f > 0 beyond roundoff; ratio = max|f| / mean f,
-    or None (JSON null) unless positive_mean; ratio_ok: positive_mean and
-    ratio < 2^{1/n}.
-    """
-    f_mean, sign = weighted_mean_sign(grid, f(grid.nodes()))
-    fmin, fmax = f.extrema()
-    f_absmax = max(abs(fmin), abs(fmax))
-    positive_mean = sign > 0
-    ratio = f_absmax / f_mean if positive_mean else None
-    return f_mean, f_absmax, positive_mean, ratio, positive_mean and ratio < 2.0 ** (1.0 / N)
-
-
 def check_conditions(f, grid):
     """Full solvability report for the Morse-theoretic criteria, as the `morse check` document.
 
     Conditions: positive_mean (mean f > 0, roundoff of a vanishing mean
-    counting as 0, see curvature.weighted_mean_sign); simple_bubble_ratio
-    (max|f| / mean f < 2^{1/n}); clean_critical_laplacian (surface
+    counting as 0) and simple_bubble_ratio (condition (ii): positive_mean and max|f| < 2^{1/n} mean f),
+    both from curvature.target_report as flow_bounds takes them, so f_mean
+    and f_absmax are those of verdict.json; clean_critical_laplacian (surface
     Laplacian bounded away from 0 at every critical point, tolerance
     1e-8); k_system_unsolvable.  criteria_hold is their conjunction.
     The signed-count variant is reported alongside as index_count.  A
     target that is not Morse gets its failure, m = [], conditions None
     and no k_system entry.
     """
-    f_mean, f_absmax, positive_mean, ratio, ratio_ok = _mean_and_ratio(f, grid)
+    f_mean, sign, _, f_absmax, ratio_ok = target_report(f, grid, f(grid.nodes()))
+    ratio = f_absmax / f_mean if sign > 0 else None
     doc = {"morse_ok": False, "failure": "", "f_mean": f_mean, "f_absmax": f_absmax, "ratio": ratio, "m": [],
            "index_sum": 0, "conditions": None, "criteria_hold": False, "warnings": [], "points": []}
     try:
@@ -192,15 +180,14 @@ def check_conditions(f, grid):
     kv = solve_k_system(m, N)
     isum = index_count(points)
     conditions = {
-        "positive_mean": bool(positive_mean),
-        "simple_bubble_ratio": bool(ratio_ok),
+        "positive_mean": sign > 0,
+        "simple_bubble_ratio": ratio_ok,
         "clean_critical_laplacian": bool(all(abs(cp.laplacian) > _DEGENERATE_TOL for cp in points)),
         "k_system_unsolvable": bool(not kv.solvable),
         "index_count": bool(isum["holds"]),
     }
     criteria = (
-        conditions["positive_mean"]
-        and conditions["simple_bubble_ratio"]
+        conditions["simple_bubble_ratio"]
         and conditions["clean_critical_laplacian"]
         and conditions["k_system_unsolvable"]
     )
@@ -257,7 +244,7 @@ def _generator_matrix(kind, axis, k):
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
-def _circle_max(f, axis_vec, n_samples=8192):
+def _circle_max(f, axis_vec):
     """Maximize f over the great circle orthogonal to axis_vec."""
     a = axis_vec
     v1 = np.cross(a, [0.0, 0.0, 1.0])
@@ -265,12 +252,12 @@ def _circle_max(f, axis_vec, n_samples=8192):
         v1 = np.cross(a, [1.0, 0.0, 0.0])
     v1 /= np.linalg.norm(v1)
     v2 = np.cross(a, v1)
-    t = np.linspace(0, 2 * np.pi, n_samples, endpoint=False)
+    t = np.linspace(0, 2 * np.pi, _CIRCLE_SAMPLES, endpoint=False)
     circ = np.outer(np.cos(t), v1) + np.outer(np.sin(t), v2)
     vals = f(circ)
     order = np.argsort(vals)[::-1]
     best_val, maximizers = -np.inf, []
-    dt = 2 * np.pi / n_samples
+    dt = 2 * np.pi / _CIRCLE_SAMPLES
     for idx in order[:8]:
         # parabolic polish through the three neighboring samples
         tm, t0, tp = t[idx] - dt, t[idx], t[idx] + dt
@@ -295,15 +282,15 @@ def check_symmetry(f, sym_spec, grid):
     for mirrors, the axis poles for rotations), max f over Sigma, and
     two criteria: invariant_criteria (max_Sigma f <= mean f, or Sigma
     empty) and fixed_set_max_criteria (some maximizer y of f on Sigma
-    has surface Laplacian > 0).  Both also require invariance and the
-    positive-mean and ratio conditions.
+    has surface Laplacian > 0).  Both also require invariance and
+    condition (ii), as check_conditions reports it.
     """
     kind, axis, k = parse_sym_spec(sym_spec)
     theta = _generator_matrix(kind, axis, k)
     nodes = grid.nodes().reshape(-1, 3)
     deviation = float(np.max(np.abs(f(nodes @ theta.T) - f(nodes))))
     invariant = deviation <= 1e-8
-    f_mean, f_absmax, positive_mean, _, ratio_ok = _mean_and_ratio(f, grid)
+    f_mean, sign, _, f_absmax, ratio_ok = target_report(f, grid, f(grid.nodes()))
 
     a = _AXES[axis]
     if kind == "mirror":
@@ -318,7 +305,7 @@ def check_symmetry(f, sym_spec, grid):
     thm_fixed_set_mean = {
         "sigma_empty": False,
         "max_sigma_le_mean": bool(max_sigma <= f_mean),
-        "applies": bool(invariant and positive_mean and ratio_ok and max_sigma <= f_mean),
+        "applies": bool(invariant and ratio_ok and max_sigma <= f_mean),
     }
     witness = None
     for y in maximizers:
@@ -327,7 +314,7 @@ def check_symmetry(f, sym_spec, grid):
             break
     thm_fixed_set_max = {
         "witness": None if witness is None else [float(v) for v in witness],
-        "applies": bool(invariant and positive_mean and ratio_ok and witness is not None),
+        "applies": bool(invariant and ratio_ok and witness is not None),
     }
     return {
         "kind": kind,
@@ -340,7 +327,7 @@ def check_symmetry(f, sym_spec, grid):
         "f_mean": float(f_mean),
         "f_absmax": float(f_absmax),
         "ratio_ok": bool(ratio_ok),
-        "positive_mean": bool(positive_mean),
+        "positive_mean": sign > 0,
         "invariant_criteria": thm_fixed_set_mean,
         "fixed_set_max_criteria": thm_fixed_set_max,
     }

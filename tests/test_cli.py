@@ -9,6 +9,8 @@ Validates:
 - byte-identical reruns of a seeded experiment
 - morse check with and without symmetry specs; its stdout is the
   check_conditions document, and extrema() is polished once per target
+- one max|f| and one simple-bubble verdict in verdict.json, morse.json
+  and the --sym report, also where a node value exceeds extrema()
 - bubble probe diagnostics against closed forms
 - the selftest table, and its failure when the DtN is broken or the
   Newton finish cannot certify
@@ -508,6 +510,36 @@ def test_flow_run_with_morse_polishes_extrema_once(tmp_path, monkeypatch):
                        checks=["identities", "morse"])
     assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == [ELLIPSOID]
+
+
+def spike_spec():
+    """A target with a bump of width about 0.01 rad at the grid node [10, 5] of L = 31, which the extrema
+    lattice misses: the node value 1.5493 exceeds extrema()'s max 1.3862, and the grid's mean f is 1.0004."""
+    p = make_grid(31).nodes()[10, 5]
+    return f"1 + 0.1z + 0.6bump(10000; {','.join(repr(float(v)) for v in p)})"
+
+
+def test_flow_run_reports_one_max_of_f(tmp_path):
+    """verdict.json's bounds and morse.json take max|f| and the simple-bubble
+    condition from one report, widened to f's node values: the spike breaks
+    max|f| < 2^{1/n} mean f in both files."""
+    spec = spike_spec()
+    cfg = write_config(tmp_path / "exp.json", L=31, f_spec=spec, flow={"t_end": 0.2},
+                       checks=["identities", "morse"])
+    main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")])
+    bounds = json.loads((tmp_path / "out" / "verdict.json").read_text())["bounds"]
+    morse = json.loads((tmp_path / "out" / "morse.json").read_text())
+    assert bounds["f_absmax"] == morse["f_absmax"] == float(parse_f_spec(spec)(make_grid(31).nodes()).max())
+    assert morse["f_absmax"] > 2.0 ** 0.5 * morse["f_mean"]
+    assert bounds["condition_ii_ok"] is morse["conditions"]["simple_bubble_ratio"] is False
+
+
+def test_morse_check_sym_ratio_reads_node_values(capsys):
+    """The --sym report's ratio_ok is the same condition (ii) as flow_bounds':
+    false on the spike, whose node value breaks the simple-bubble bound."""
+    assert main(["morse", "check", "--f", spike_spec(), "--sym", "mirror(z)"]) == 1
+    sym = json.loads(capsys.readouterr().out)["symmetry"]
+    assert sym["positive_mean"] is True and sym["ratio_ok"] is False
 
 
 def test_bubble_probe(capsys):

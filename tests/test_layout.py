@@ -1,10 +1,11 @@
 """Module boundaries of the package: no module imports another module's
 private (underscore) name; a helper two modules share is public; every
 public name has a caller in the package or the benchmark; every private
-name is read in the package; and every cached per-degree constant is
-read-only."""
+name is read in the package; every parameter default is passed by some
+caller; and every cached per-degree constant is read-only."""
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -153,10 +154,101 @@ def test_private_definitions_find_constants_and_methods():
     assert names == ["mod._LIMIT", "mod._A", "mod._helper", "mod._Term", "mod._Term._derivative"]
 
 
+def _defaulted_parameters(module, tree):
+    """(qualified parameter name, callee name, position, parameter name) of every parameter with a default.
+
+    Functions and methods at any depth count.  The callee is the name a
+    call uses, the class name for __init__.  position is the index among
+    the positional arguments of a call, self or cls left out; it is None
+    for a keyword-only parameter.
+    """
+    def visit(node, prefix, in_class):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}{item.name}.", True)
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = prefix.rstrip(".").rsplit(".", 1)[-1] if item.name == "__init__" else item.name
+                args = item.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield f"{prefix}{item.name}.{arg.arg}", callee, i - bound, arg.arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{item.name}.{arg.arg}", callee, None, arg.arg
+                yield from visit(item, f"{prefix}{item.name}.", False)
+
+    yield from visit(tree, f"{module}.", False)
+
+
+def _unpassed_defaults(defining, calling, exempt=()):
+    """Qualified names of the defaulted parameters in the (module, tree) pairs of defining that no call in
+    the calling trees passes, by keyword or by position.  A call matches by the bare or attribute name of
+    its callee; one with *args passes every position and one with **kwargs every keyword.  The parameters
+    of a function or class whose qualified name is in exempt are not listed."""
+    most_args, keywords = Counter(), {}
+    for tree in calling:
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            most_args[name] = max(most_args[name], math.inf if starred else len(call.args))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)    # None for **kwargs
+    return [qualified for module, tree in defining
+            for qualified, callee, position, name in _defaulted_parameters(module, tree)
+            if qualified.rsplit(".", 1)[0] not in exempt
+            and not (position is not None and most_args[callee] > position)
+            and not keywords.get(callee, set()) & {name, None}]
+
+
+def test_unpassed_defaults_scan():
+    """Keyword, positional, *args and **kwargs calls pass a default; a method's
+    position leaves self out, a static method's does not; a constructor is
+    called by its class name."""
+    source = ast.parse(
+        "def solve(u, tol=1e-8, max_iter=100, *, verbose=False):\n"
+        "    def inner(x, scale=2.0):\n"
+        "        return x\n"
+        "    return inner(u)\n"
+        "class Term:\n"
+        "    def __init__(self, coef, power=1):\n"
+        "        pass\n"
+        "    def value(self, x, cached=True):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def parse(text, strict=True):\n"
+        "        pass\n"
+        "class Config:\n"
+        "    def __init__(self, dt=0.1, every=1):\n"
+        "        pass\n"
+        "def unused(a, b=1):\n"
+        "    pass\n"
+        "def spread(a, b=1):\n"
+        "    pass\n"
+    )
+    calls = ast.parse("solve(u, 1e-6, verbose=True)\nTerm(1.0, 2).value(x, False)\nTerm.parse(s)\n"
+                      "Config(**fields)\nspread(*args)\n")
+    assert _unpassed_defaults([("mod", source)], [source, calls], exempt={"mod.unused"}) == [
+        "mod.solve.max_iter", "mod.solve.inner.scale", "mod.Term.parse.strict"]
+    assert "mod.unused.b" in _unpassed_defaults([("mod", source)], [source, calls])
+
+
+def test_every_default_is_passed():
+    """Each parameter with a default, of any function, method or constructor in
+    src/bmcflow, is passed by some call in src/bmcflow or perfbench/: a default
+    that every caller takes is a constant, not a parameter.  The functions of
+    UNCALLED_ALLOWED, which only tests call, are exempt."""
+    modules = sorted(SRC.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in modules + sorted(ROOT.glob("perfbench/*.py"))}
+    defining = [(p.stem, trees[p]) for p in modules]
+    unpassed = _unpassed_defaults(defining, trees.values(), exempt=set(UNCALLED_ALLOWED))
+    assert modules and not unpassed, unpassed
+
+
 # Arguments for each lru_cache'd constant of the numerical modules; a new cache must be listed here.
 CACHED_CONSTANTS = {
     "spectral._fourier_table": (8,),
-    "curvature._energy_weights": (8,),
+    "curvature.energy_weights": (8,),
     "conformal._cap_multipliers": (8, conformal.CAP_RADII),
     "flow._value_and_dtn": (8,),
 }
@@ -164,10 +256,11 @@ CACHED_CONSTANTS = {
 
 def test_cached_constants_read_only():
     """A cached constant is shared by every caller in the process, so a
-    write into it would corrupt every later flow: each one is read-only."""
+    write into it would corrupt every later flow: each one is read-only.
+    It is listed under the module that defines it, not one that imports it."""
     found = {f"{mod.__name__.rsplit('.', 1)[-1]}.{name}": fn
              for mod in (spectral, conformal, curvature, flow)
-             for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+             for name, fn in vars(mod).items() if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__}
     assert set(found) == set(CACHED_CONSTANTS)
     for name, args in CACHED_CONSTANTS.items():
         value = found[name](*args)
