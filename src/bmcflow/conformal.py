@@ -90,52 +90,17 @@ class NormalizedState:
     residual: float
 
 
-def _boundary_action(mp, x):
+def boundary_action(mp, x):
     """Image and conformal factor of mp at unit vectors x (..., 3), through its ball point c.
 
-    The image q (x + c) + c is (3,) + x.shape[:-1], component first, and
-    the factor q = (1-|c|^2) / |x + c|^2 is x.shape[:-1].  1-|c|^2 is
-    formed as 4 eps / (1+eps)^2, which keeps its digits as eps -> 0.
+    The image q (x + c) + c has the shape of x and the factor
+    q = (1-|c|^2) / |x + c|^2 the shape x.shape[:-1].  1-|c|^2 is formed
+    as 4 eps / (1+eps)^2, which keeps its digits as eps -> 0.
     """
-    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
-    c = ((1.0 - mp.eps) / (1.0 + mp.eps) * mp.p).reshape((3,) + (1,) * (x.ndim - 1))
-    d = x + c
-    q = 4.0 * mp.eps / (1.0 + mp.eps) ** 2 / (d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    return q * d + c, q
-
-
-def boundary_map(mp, x):
-    """Image of unit vectors x (..., 3) under the boundary action."""
-    return np.moveaxis(_boundary_action(mp, x)[0], 0, -1)
-
-
-def conformal_factor(mp, x):
-    """Conformal factor of the boundary action at unit vectors x."""
-    return _boundary_action(mp, x)[1]
-
-
-def _resolution_check(eps_dilation, L):
-    ratio = abs(1.0 - eps_dilation) / (1.0 + eps_dilation)
-    tail = ratio ** (L + 1)
-    if tail > 1e-3:
-        warnings.warn(
-            f"bubble with dilation {eps_dilation:.4g} is unresolved at degree {L}: "
-            f"leading truncated zonal coefficient ~{tail:.2e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def bubble(mp, grid):
-    """Bubble profile generated by the inverse of mp, as a gridded field.
-
-    The field is the conformal factor of mp.inverse() raised to
-    (n-1)/2; for eps < 1 it peaks at p.  Unit boundary volume holds
-    exactly in the continuum and to quadrature accuracy on the grid.
-    """
-    _resolution_check(mp.eps, grid.L)
-    lam = conformal_factor(mp.inverse(), grid.nodes())
-    return BoundaryField(grid, values=lam ** ((N - 1.0) / 2.0))
+    c = (1.0 - mp.eps) / (1.0 + mp.eps) * mp.p
+    d = np.asarray(x, dtype=float) + c
+    q = 4.0 * mp.eps / (1.0 + mp.eps) ** 2 / (d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
+    return q[..., None] * d + c, q
 
 
 def bubble_field(p, eps, grid):
@@ -147,7 +112,11 @@ def bubble_field(p, eps, grid):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"concentration parameter must be in (0, 1], got {eps}")
     p = unit_direction(p, "bubble center")
-    _resolution_check(eps / (2.0 - eps), grid.L)
+    delta = eps / (2.0 - eps)
+    tail = (abs(1.0 - delta) / (1.0 + delta)) ** (grid.L + 1)
+    if tail > 1e-3:
+        warnings.warn(f"bubble with dilation {delta:.4g} is unresolved at degree {grid.L}: "
+                      f"leading truncated zonal coefficient ~{tail:.2e}", RuntimeWarning, stacklevel=2)
     dist = np.linalg.norm(grid.nodes() - (1.0 - eps) * p, axis=-1)
     k = (N - 1.0) / 2.0
     values = (eps * (2.0 - eps)) ** k / dist ** (N - 1.0)
@@ -178,11 +147,11 @@ def pullback_normalized(u, mp):
     v = (u o phi) * lambda_phi^{(n-1)/2}; the boundary volume of v
     equals that of u (change of variables), which the tests verify on
     the grid.  The image phi(x) and the factor lambda_phi(x) at the nodes
-    come from one pass (_boundary_action).
+    come from one pass (boundary_action).
     """
     require_positive(u.values, "pulled-back field")
-    mapped, lam = _boundary_action(mp, u.grid.nodes())
-    comp = synth_at(u.coeffs, np.moveaxis(mapped, 0, -1))
+    mapped, lam = boundary_action(mp, u.grid.nodes())
+    comp = synth_at(u.coeffs, mapped)
     return BoundaryField(u.grid, values=comp * lam ** ((N - 1.0) / 2.0))
 
 

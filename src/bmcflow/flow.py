@@ -470,7 +470,7 @@ def _record(traj, state, F2, max_u):
            ("max_u", max_u),
            ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
     row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(CAP_RADII, peaks)]
-    row += [("Lp_res_p2", F2), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
+    row += [("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
     traj.columns = tuple(name for name, _ in row)
     traj.rows.append([value for _, value in row])
     threshold = TAU**N * OMEGA_N

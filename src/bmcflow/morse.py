@@ -64,9 +64,10 @@ def find_critical_points(f, grid, collect_warnings=None):
     added explicitly), all refined by one f.newton_critical call; in
     seed order, a refined point closer than 1e-6 geodesic to one already
     located merges into it, the one with the smaller gradient kept.
-    Hessians, values and Laplacians of the located points are evaluated
-    in one batch.  Raises NotMorseError for constant f or a degenerate
-    tangent Hessian at a located point (the first, in seed order).
+    Tangent Hessians and values of the located points are evaluated in
+    one batch; each Laplacian is its Hessian's trace.  Raises
+    NotMorseError for constant f or a degenerate tangent Hessian at a
+    located point (the first, in seed order).
     """
     pts = _probe_points(grid.L)
     g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
@@ -112,7 +113,7 @@ def find_critical_points(f, grid, collect_warnings=None):
     points = [
         CriticalPoint(location=x, value=float(v), laplacian=float(lap), index=int(np.sum(e < 0)),
                       hessian_eigs=tuple(e))
-        for x, v, lap, e in zip(loc, f(loc), f.lap_sphere(loc), eigs)
+        for x, v, lap, e in zip(loc, f(loc), np.trace(H, axis1=-2, axis2=-1), eigs)
     ]
     points.sort(key=lambda cp: tuple(np.round(cp.location, 9)))
     return points
@@ -282,8 +283,9 @@ def check_symmetry(f, sym_spec, grid):
     for mirrors, the axis poles for rotations), max f over Sigma, and
     two criteria: invariant_criteria (max_Sigma f <= mean f, or Sigma
     empty) and fixed_set_max_criteria (some maximizer y of f on Sigma
-    has surface Laplacian > 0).  Both also require invariance and
-    condition (ii), as check_conditions reports it.
+    has surface Laplacian, the trace of its tangent Hessian, > 0).  Both
+    also require invariance and condition (ii), as check_conditions
+    reports it.
     """
     kind, axis, k = parse_sym_spec(sym_spec)
     theta = _generator_matrix(kind, axis, k)
@@ -309,7 +311,7 @@ def check_symmetry(f, sym_spec, grid):
     }
     witness = None
     for y in maximizers:
-        if float(f.lap_sphere(y)) > 0.0:
+        if float(np.trace(f.tangent_hessian(y)[0])) > 0.0:
             witness = y
             break
     thm_fixed_set_max = {

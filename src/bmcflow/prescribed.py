@@ -22,11 +22,12 @@ so the square of the summed bounds on those must be finite too; a
 bump's is |coef| e^{2 max(0, -k)} max(1, |k|), the others' the term bound.
 
 Every term carries closed-form ambient gradient and Hessian, from which
-the surface gradient, surface Laplacian, and tangent Hessian follow:
+the surface gradient and tangent Hessian follow, and from the tangent
+Hessian the surface Laplacian (its trace, n = 2):
 
     grad_S f = (I - x x^T) grad F
-    lap_S  f = tr(hess F) - x^T hess F x - n * (x . grad F)
     Hess_S f(v, w) = v^T hess F w - (x . grad F) <v, w>   (v, w tangent)
+    lap_S  f = tr Hess_S f = tr(hess F) - x^T hess F x - n (x . grad F)
 """
 
 import re
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .curvature import N
+from .conformal import unit_direction
 from .errors import SpecParseError
 
 # extrema scans a lattice of this many colatitudes by twice as many longitudes.
@@ -98,11 +99,10 @@ class _Bump:
     def __init__(self, coef, k, p):
         self.coef = float(coef)
         self.k = float(k)
-        p = np.asarray(p, dtype=float)
-        norm = np.linalg.norm(p)
-        if norm == 0:
-            raise SpecParseError("bump direction must be a nonzero vector")
-        self.p = p / norm
+        try:
+            self.p = unit_direction(p, "bump direction")
+        except ValueError as exc:
+            raise SpecParseError(str(exc)) from exc
 
     def _decay(self, pts):
         # an elementwise dot, so a point rounds alike alone or stacked (a matmul does not)
@@ -296,16 +296,6 @@ class PrescribedFunction:
         g = self.ambient_grad(pts)
         radial = np.sum(pts * g, axis=-1, keepdims=True)
         return g - radial * pts
-
-    def lap_sphere(self, pts):
-        """Surface Laplacian at unit vectors."""
-        pts = np.asarray(pts, dtype=float)
-        g = self.ambient_grad(pts)
-        h = self.ambient_hess(pts)
-        tr = np.trace(h, axis1=-2, axis2=-1)
-        rad2 = np.einsum("...i,...ij,...j->...", pts, h, pts)
-        rad1 = np.sum(pts * g, axis=-1)
-        return tr - rad2 - N * rad1
 
     def tangent_hessian(self, x):
         """2x2 Hessians in orthonormal tangent bases at unit vectors x (..., 3).

@@ -178,7 +178,7 @@ def test_c08_symmetric_target_convergence(run_quadric_target):
     f = parse_f_spec("2 - z^2")
     sym = check_symmetry(f, "rotation(z, 5)", make_grid(31))
     hyp = sym["ratio_ok"] and sym["positive_mean"]
-    pole_lap = float(f.lap_sphere(N_POLE[None, :])[0])
+    pole_lap = float(np.trace(f.tangent_hessian(N_POLE)[0]))
     res = float(np.sqrt(lp_residual(state.u, state.f_values, state.energy_report.lam, 2)))
     elapsed = run_quadric_target["seconds"]
     ok = (traj.verdict == "Converged" and hyp and pole_lap > 0.0

@@ -336,11 +336,18 @@ def test_u0_spec_type_error_names_the_field(tmp_path, capsys, u0_spec, name):
 
 
 def test_flow_run_unreadable_config(tmp_path, capsys):
+    """A config that is not JSON, is missing, or whose root is not an object exits 64."""
     bad = tmp_path / "nope.json"
     bad.write_text("{not json")
     assert main(["flow", "run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 64
     missing = tmp_path / "missing.json"
     assert main(["flow", "run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 64
+    capsys.readouterr()
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["flow", "run", "--config", str(listed), "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "root must be a JSON object" in err
 
 
 def test_flow_run_multiple_configs(tmp_path):
@@ -462,6 +469,7 @@ def test_morse_check_symmetry_not_applying(capsys):
 
 def test_morse_check_usage_errors(capsys):
     assert main(["morse", "check", "--f", "2 - q"]) == 64
+    assert main(["morse", "check", "--f", "1 + bump(2; 0,0,0)"]) == 64
     assert main(["morse", "check", "--f", "2 - z^2", "--sym", "twist(z)"]) == 64
     capsys.readouterr()
     for L in ("3", "86"):
@@ -646,10 +654,14 @@ def test_negative_bump_with_finite_tangential_products_checked(capsys):
     assert doc["f_absmax"] == 2.0 + np.exp(300.0)
 
 
-@pytest.mark.parametrize("spec,plain", [("2 - 1e-3 z", "2 - 0.001 z"), ("1E-3x", "0.001x"), ("1e+2", "100")])
+@pytest.mark.parametrize("spec,plain", [("2 - 1e-3 z", "2 - 0.001 z"), ("1E-3x", "0.001x"), ("1e+2", "100"),
+                                        ("1 + bump(2; 1e200,1e200,0)", "1 + bump(2; 1,1,0)"),
+                                        ("1 + bump(2; 1e-320,1e-320,0)", "1 + bump(2; 1,1,0)")])
 def test_f_spec_signed_exponent(capsys, spec, plain):
     """A coefficient in e-notation with a signed exponent is one number, not
-    two terms: morse check prints byte for byte what the plain decimal gives."""
+    two terms, and a bump direction whose norm overflows or underflows is
+    the direction it points in: morse check prints byte for byte what the
+    plain decimal gives."""
     code = main(["morse", "check", "--f", spec])
     got = capsys.readouterr()
     assert main(["morse", "check", "--f", plain]) == code

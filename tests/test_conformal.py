@@ -1,12 +1,13 @@
 """Tests for Moebius dilations, bubbles, recentering, and the detector.
 
 Validates:
-- conformal factor values at the fixed points and the identity map
-- the ball-point form of the boundary action against the chart formulas
-  for eps from 1e-7 to 1e7
+- boundary_action: the conformal factor at the fixed points, the
+  identity map, and the ball-point form of image and factor against the
+  chart formulas for eps from 1e-7 to 1e7
 - the one-parameter group law and exact inversion
-- bubble closed forms: peak height, zonal coefficient decay, unit
-  boundary volume, constant curvature
+- bubble closed forms: the factor of the generating map's inverse (from
+  boundary_action), peak height, zonal coefficient decay, unit boundary
+  volume, constant curvature; eps outside (0, 1] is rejected
 - the closed-form cap mass against a hand antiderivative
 - center-of-mass values against a closed-form loop integral
 - volume and energy invariance of the weighted pullback
@@ -18,7 +19,7 @@ Validates:
   differences against the true pullback; the closed-form Jacobian against
   per-map differences; a bound on the pullbacks a solve makes, one
   Jacobian per Newton iteration and no pass over the nodes outside a
-  pullback
+  pullback; the line search halving a Newton step that leaves the ball
 - the cap integrals the flow's detector reads: a sharp bubble's flags
   and its one cluster, and no flag on the constant
 - pullback of a nonpositive field raises AdmissibilityError
@@ -40,13 +41,11 @@ from bmcflow.conformal import (
     _cap_multipliers,
     _center_jacobian,
     _map_from_ball_point,
-    boundary_map,
-    bubble,
+    boundary_action,
     bubble_cap_mass,
     bubble_field,
     cap_integrals,
     center_of_mass,
-    conformal_factor,
     normalize,
     pullback_normalized,
 )
@@ -86,7 +85,7 @@ def random_unit(rng):
 
 def pulled_back_center(w, g, mp):
     """mean(phi^{-1}(y) w(y)), the change-of-variables form of S(pullback_normalized(u, mp)), w = u^{2#}."""
-    return g.integrate(np.moveaxis(boundary_map(mp.inverse(), g.nodes()), -1, 0) * w)
+    return g.integrate(np.moveaxis(boundary_action(mp.inverse(), g.nodes())[0], -1, 0) * w)
 
 
 def chart_action(p, eps, x):
@@ -112,14 +111,14 @@ def smooth_positive_coeffs(L, rng):
     return c
 
 
-def test_conformal_factor_fixed_points():
+def test_factor_at_fixed_points():
     """The factor is eps at p, 1/eps at -p, and 2eps/(1+eps^2) on the
     orthogonal circle."""
     mp = ConformalMap(N_POLE, 0.3)
-    assert abs(conformal_factor(mp, N_POLE) - 0.3) < 1e-14
-    assert abs(conformal_factor(mp, S_POLE) - 1.0 / 0.3) < 1e-14
+    assert abs(boundary_action(mp, N_POLE)[1] - 0.3) < 1e-14
+    assert abs(boundary_action(mp, S_POLE)[1] - 1.0 / 0.3) < 1e-14
     eq = np.array([1.0, 0.0, 0.0])
-    assert abs(conformal_factor(mp, eq) - 0.6 / 1.09) < 1e-14
+    assert abs(boundary_action(mp, eq)[1] - 0.6 / 1.09) < 1e-14
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 0.3, 1.0, 3.0, 1e4, 1e7])
@@ -140,22 +139,24 @@ def test_boundary_action_matches_chart_formula(eps):
         near = np.minimum(((x - mp.p) ** 2).sum(axis=1), ((x + mp.p) ** 2).sum(axis=1))
         scale = np.maximum(1.0, 1e-3 / near)
         image, factor = chart_action(mp.p, eps, x)
-        assert np.all(np.abs(boundary_map(mp, x) - image).max(axis=1) <= 1e-13 * scale)
-        assert np.all(np.abs(conformal_factor(mp, x) / factor - 1.0) <= 1e-12 * scale)
+        mapped, q = boundary_action(mp, x)
+        assert np.all(np.abs(mapped - image).max(axis=1) <= 1e-13 * scale)
+        assert np.all(np.abs(q / factor - 1.0) <= 1e-12 * scale)
 
 
 def test_identity_map():
     mp = ConformalMap(N_POLE, 1.0)
     rng = np.random.default_rng(0)
     pts = np.array([random_unit(rng) for _ in range(50)])
-    assert np.abs(boundary_map(mp, pts) - pts).max() < 1e-14
-    assert np.abs(conformal_factor(mp, pts) - 1.0).max() < 1e-14
+    mapped, q = boundary_action(mp, pts)
+    assert np.abs(mapped - pts).max() < 1e-14
+    assert np.abs(q - 1.0).max() < 1e-14
 
 
 def test_fixed_points_of_map():
     mp = ConformalMap(np.array([1.0, 2.0, -1.0]), 0.45)
     for x in (mp.p, -mp.p):
-        assert np.abs(boundary_map(mp, x) - x).max() < 1e-14
+        assert np.abs(boundary_action(mp, x)[0] - x).max() < 1e-14
 
 
 def test_group_law_same_axis():
@@ -166,17 +167,18 @@ def test_group_law_same_axis():
     a = ConformalMap(N_POLE, 0.5)
     b = ConformalMap(N_POLE, 0.4)
     c = ConformalMap(N_POLE, 0.2)
-    composed = boundary_map(b, boundary_map(a, pts))
-    assert np.abs(composed - boundary_map(c, pts)).max() < 1e-10
-    lam = conformal_factor(b, boundary_map(a, pts)) * conformal_factor(a, pts)
-    assert np.abs(lam - conformal_factor(c, pts)).max() < 1e-10
+    mapped_a, lam_a = boundary_action(a, pts)
+    composed, lam_b = boundary_action(b, mapped_a)
+    mapped_c, lam_c = boundary_action(c, pts)
+    assert np.abs(composed - mapped_c).max() < 1e-10
+    assert np.abs(lam_b * lam_a - lam_c).max() < 1e-10
 
 
 def test_inverse_map():
     mp = ConformalMap(np.array([0.3, -0.2, 0.8]), 0.37)
     rng = np.random.default_rng(2)
     pts = np.array([random_unit(rng) for _ in range(200)])
-    back = boundary_map(mp.inverse(), boundary_map(mp, pts))
+    back = boundary_action(mp.inverse(), boundary_action(mp, pts)[0])[0]
     assert np.abs(back - pts).max() < 1e-12
 
 
@@ -198,10 +200,13 @@ def test_width_matches_concentration_parameter():
 
 
 def test_bubble_field_closed_form_and_map_form_agree():
+    """The closed form is the conformal factor, to the power (n-1)/2, of the
+    inverse of the generating map ConformalMap(p, eps/(2-eps))."""
     g = make_grid(31)
-    u1 = bubble_field(N_POLE, 0.4, g)
-    u2 = bubble(ConformalMap(N_POLE, 0.4 / 1.6), g)
-    assert np.abs(u1.values - u2.values).max() < 1e-12
+    eps = 0.4
+    u = bubble_field(N_POLE, eps, g)
+    want = boundary_action(ConformalMap(N_POLE, (2.0 - eps) / eps), g.nodes())[1] ** 0.5
+    assert np.abs(u.values - want).max() < 1e-12
 
 
 def test_bubble_peak_value():
@@ -244,6 +249,8 @@ def test_bubble_eps_validation():
     for bad in (0.0, -0.1, 1.2):
         with pytest.raises(ValueError):
             bubble_field(N_POLE, bad, g)
+        with pytest.raises(ValueError):
+            bubble_cap_mass(bad, 0.5)
 
 
 def test_bubble_center_validation():
@@ -478,11 +485,11 @@ def test_center_jacobian_matches_per_map_differences(b):
 
 
 def test_normalize_maps_the_nodes_once_per_jacobian(monkeypatch):
-    """A solve maps the nodes (_boundary_action) only inside its pullbacks
+    """A solve maps the nodes (boundary_action) only inside its pullbacks
     and calls _center_jacobian once per Newton iteration: it opens with a
     pullback, and each iteration makes one Jacobian and then its line search."""
     events = []
-    action, pullback, jacobian = conformal._boundary_action, conformal.pullback_normalized, conformal._center_jacobian
+    action, pullback, jacobian = conformal.boundary_action, conformal.pullback_normalized, conformal._center_jacobian
 
     def counted_action(mp, x):
         events.append("a")
@@ -498,7 +505,7 @@ def test_normalize_maps_the_nodes_once_per_jacobian(monkeypatch):
         events.append("J")
         return jacobian(*args)
 
-    monkeypatch.setattr(conformal, "_boundary_action", counted_action)
+    monkeypatch.setattr(conformal, "boundary_action", counted_action)
     monkeypatch.setattr(conformal, "pullback_normalized", counted_pullback)
     monkeypatch.setattr(conformal, "_center_jacobian", counted_jacobian)
     g = make_grid(31)
@@ -519,6 +526,34 @@ def test_normalize_makes_few_pullbacks(monkeypatch):
     g = make_grid(31)
     assert normalize(bubble_field(N_POLE, 0.4, g)).residual <= 1e-8
     assert 1 <= len(calls) <= 8
+
+
+def test_normalize_halves_a_step_that_leaves_the_ball(monkeypatch):
+    """The solve for an eps = 0.15 bubble at (0.3, -0.2, 0.9), unresolved at
+    L = 8, meets a Newton step that leaves the ball, takes half of it, and
+    still ends at residual <= 1e-8.  Each iteration's ball point comes from
+    its Jacobian call and its Newton step from np.linalg.solve."""
+    points, newton = [], []
+    jacobian, solve = conformal._center_jacobian, np.linalg.solve
+
+    def counted_jacobian(w, vol, grid, b):
+        points.append(b)
+        return jacobian(w, vol, grid, b)
+
+    def counted_solve(J, rhs):
+        newton.append(solve(J, rhs))
+        return newton[-1]
+
+    monkeypatch.setattr(conformal, "_center_jacobian", counted_jacobian)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    g = make_grid(8)
+    with pytest.warns(RuntimeWarning, match="unresolved"):
+        u = bubble_field(np.array([0.3, -0.2, 0.9]), 0.15, g)
+    assert normalize(u).residual <= 1e-8
+    fractions = [np.linalg.norm(b1 - b0) / np.linalg.norm(d) for b0, b1, d in zip(points, points[1:], newton)]
+    halved = [k for k, t in enumerate(fractions) if abs(t - 0.5) < 1e-9]
+    assert halved, fractions
+    assert all(np.linalg.norm(points[k] + newton[k]) >= 1.0 - 1e-12 for k in halved)
 
 
 def _detector(u):

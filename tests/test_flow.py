@@ -65,7 +65,7 @@ EXPECTED_COLUMNS = (
     "t", "dt", "lambda", "E", "E_f", "F2", "lambda_prime", "vol_err",
     "min_u", "max_u", "S_x", "S_y", "S_z", "S_norm",
     "capmass_r0.1", "capmass_r0.2", "capmass_r0.5",
-    "Lp_res_p2", "Lp_res_p4", "min_H_minus_lambda_f",
+    "Lp_res_p4", "min_H_minus_lambda_f",
 )
 
 
@@ -413,7 +413,6 @@ def test_row_matches_reference_functions():
     }
     for name, value in want.items():
         assert abs(row[name] - value) <= 1e-14 * max(1.0, abs(value)), name
-    assert row["Lp_res_p2"] == row["F2"]
 
 
 @pytest.mark.parametrize("spec", ["2 - z^2", "0.3 + z"])

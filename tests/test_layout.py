@@ -19,7 +19,8 @@ SRC = ROOT / "src" / "bmcflow"
 
 # Public names kept without a caller in src/bmcflow or perfbench/, each with the reason.
 UNCALLED_ALLOWED = {
-    "conformal.bubble": "the map-generated reference that tests compare bubble_field's closed form against",
+    "conformal.ConformalMap.inverse": "the inverse map that tests compose with boundary_action to check "
+                                      "inversion and the change of variables of normalize's Jacobian",
     "conformal.ConformalMap.width": "the concentration parameter acceptance check c10 reads off a recentering map",
     "curvature.energy_functional": "the reference that test_evaluate_matches_one_quantity_functions compares "
                                    "_evaluate's energy report against",
