@@ -27,6 +27,8 @@ from .prescribed import probe_lattice
 
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
+_MERGE_COS = np.cos(2.0 * _MERGE_TOL)  # every pair within _MERGE_TOL has its Gram entry above this
+_MERGE_BLOCK = 64  # Gram rows formed at once, so the merge's memory is linear in the points
 _CIRCLE_SAMPLES = 8192
 
 
@@ -52,22 +54,41 @@ class KVerdict:
 
 
 def _probe_points(L):
-    """Rectangular probe lattice (denser than the spectral grid) plus poles."""
+    """Rectangular probe lattice, 4L colatitudes by 8L longitudes, denser than the spectral grid."""
     n_th, n_ph = 4 * L, 8 * L
     return probe_lattice((np.arange(n_th) + 0.5) * np.pi / n_th, 2.0 * np.pi * np.arange(n_ph) / n_ph)
+
+
+def _merge(xs, gns):
+    """Indices of the refined unit vectors xs (k, 3) that are located, in the seed order of their leaders.
+
+    A point's leader is the first point, in seed order, within _MERGE_TOL
+    geodesic of it (itself at the latest); the points of one leader merge
+    into the one of least |grad| gns, the first on ties.  The Gram
+    entries, _MERGE_BLOCK rows at a time, only pick the candidate pairs;
+    their geodesic is arccos of the dot product.
+    """
+    lead = np.empty(len(xs), dtype=np.intp)
+    for start in range(0, len(xs), _MERGE_BLOCK):
+        dots = xs[start:start + _MERGE_BLOCK] @ xs[:start + _MERGE_BLOCK].T
+        near = dots > _MERGE_COS
+        near[near] = np.arccos(np.clip(dots[near], -1.0, 1.0)) < _MERGE_TOL
+        lead[start:start + _MERGE_BLOCK] = np.argmax(near, axis=1)
+    order = np.lexsort((gns, lead))
+    return order[np.diff(lead[order], prepend=-1) != 0]
 
 
 def find_critical_points(f, grid, collect_warnings=None):
     """Locate all critical points of f by probe-lattice seeding + Newton.
 
-    Seeds are local minima of |grad f|^2 on a 4L x 8L lattice (poles
-    added explicitly), all refined by one f.newton_critical call; in
-    seed order, a refined point closer than 1e-6 geodesic to one already
-    located merges into it, the one with the smaller gradient kept.
-    Tangent Hessians and values of the located points are evaluated in
-    one batch; each Laplacian is its Hessian's trace.  Raises
-    NotMorseError for constant f or a degenerate tangent Hessian at a
-    located point (the first, in seed order).
+    Seeds are the lattice points where |grad f|^2 is <= its eight
+    neighbours (periodic in longitude), plus the two poles, all refined
+    by one f.newton_critical call and merged by _merge: each joins the
+    first point in seed order within 1e-6 geodesic, located at the one
+    of least gradient.  Tangent Hessians and values of the located
+    points are evaluated in one batch; each Laplacian is its Hessian's
+    trace.  Raises NotMorseError for constant f or a degenerate tangent
+    Hessian at a located point (the first, in that order).
     """
     pts = _probe_points(grid.L)
     g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
@@ -75,32 +96,17 @@ def find_critical_points(f, grid, collect_warnings=None):
     if g2.max() < 1e-18 and fvals.max() - fvals.min() < 1e-14:
         raise NotMorseError("function is constant: not Morse")
 
-    neighborhood_min = np.ones_like(g2, dtype=bool)
-    for dth, dph in [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
-        shifted = np.roll(g2, dph, axis=1)
-        if dth == -1:
-            cmp = np.full_like(g2, np.inf)
-            cmp[1:, :] = shifted[:-1, :]
-        elif dth == 1:
-            cmp = np.full_like(g2, np.inf)
-            cmp[:-1, :] = shifted[1:, :]
-        else:
-            cmp = shifted
-        neighborhood_min &= g2 <= cmp
-    seeds = np.concatenate([pts[neighborhood_min], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-
+    (n_th, n_ph), minima = g2.shape, np.ones(g2.shape, dtype=bool)
+    pad = np.full((n_th + 2, n_ph + 2), np.inf)
+    pad[1:-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = g2, g2[:, -1], g2[:, 0]
+    for a, b in np.ndindex(3, 3):  # the centre too, which only NaN fails
+        minima &= g2 <= pad[a:a + n_th, b:b + n_ph]
+    seeds = np.concatenate([pts[minima], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     xs, ok = f.newton_critical(seeds)
-    gns = np.linalg.norm(f.grad_sphere(xs), axis=-1)
     if collect_warnings is not None:
         collect_warnings.extend(f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok])
-    loc, loc_gn = np.empty((0, 3)), []
-    for x, gn in zip(xs[ok], gns[ok]):
-        near = np.flatnonzero(np.arccos(np.clip(loc @ x, -1.0, 1.0)) < _MERGE_TOL)
-        if not near.size:
-            loc = np.vstack([loc, x])
-            loc_gn.append(gn)
-        elif gn < loc_gn[near[0]]:
-            loc[near[0]], loc_gn[near[0]] = x, gn
+    xs = xs[ok]
+    loc = xs[_merge(xs, np.linalg.norm(f.grad_sphere(xs), axis=-1))]
 
     H, _ = f.tangent_hessian(loc)
     eigs = np.linalg.eigvalsh(H)
@@ -289,10 +295,10 @@ def check_symmetry(f, sym_spec, grid):
     """
     kind, axis, k = parse_sym_spec(sym_spec)
     theta = _generator_matrix(kind, axis, k)
-    nodes = grid.nodes().reshape(-1, 3)
-    deviation = float(np.max(np.abs(f(nodes @ theta.T) - f(nodes))))
+    fv = f(grid.nodes())
+    deviation = float(np.max(np.abs(f(grid.nodes() @ theta.T) - fv)))
     invariant = deviation <= 1e-8
-    f_mean, sign, _, f_absmax, ratio_ok = target_report(f, grid, f(grid.nodes()))
+    f_mean, sign, _, f_absmax, ratio_ok = target_report(f, grid, fv)
 
     a = _AXES[axis]
     if kind == "mirror":

@@ -54,37 +54,35 @@ class _Mono:
         self.coef = float(coef)
         self.powers = tuple(int(p) for p in powers)
 
-    def _derivative(self, pts, axes):
-        """coef * prod_k x_k^{p_k} differentiated once along each axis in axes, by the power rule.
+    def _derivative(self, xyz, axes):
+        """coef * prod_k x_k^{p_k} at component-first points xyz (3, ...), differentiated along each axis in axes.
 
-        Callers skip the axes that differentiate a power away: that derivative is 0.
+        Callers skip the axes that differentiate a power away (that derivative is 0); with no power left it is c.
         """
         c, exps = self.coef, list(self.powers)
         for k in axes:
             c *= exps[k]
             exps[k] -= 1
-        out = np.full(pts.shape[:-1], c)
+        out = c
         for k, e in enumerate(exps):
             if e:
-                out = out * pts[..., k] ** e
+                out = out * xyz[k] ** e
         return out
 
-    def value(self, pts):
-        return self._derivative(pts, ())
+    def value(self, xyz):
+        return self._derivative(xyz, ())
 
-    def grad(self, pts):
-        g = np.zeros(pts.shape)
+    def add_grad(self, xyz, acc):
         for i, a in enumerate(self.powers):
             if a:
-                g[..., i] = self._derivative(pts, (i,))
-        return g
+                acc[i] += self._derivative(xyz, (i,))
 
     def hess(self, pts):
         h = np.zeros(pts.shape[:-1] + (3, 3))
         for i in range(3):
             for j in range(3):
                 if self.powers[i] and self.powers[j] > (i == j):
-                    h[..., i, j] = self._derivative(pts, (i, j))
+                    h.T[j, i] = self._derivative(pts.T, (i, j))
         return h
 
     def bound(self):
@@ -104,18 +102,18 @@ class _Bump:
         except ValueError as exc:
             raise SpecParseError(str(exc)) from exc
 
-    def _decay(self, pts):
+    def _decay(self, xyz):
         # an elementwise dot, so a point rounds alike alone or stacked (a matmul does not)
-        return np.exp(-self.k * (1.0 - np.sum(pts * self.p, axis=-1)))
+        return np.exp(-self.k * (1.0 - _dot3(xyz, self.p)))
 
-    def value(self, pts):
-        return self.coef * self._decay(pts)
+    def value(self, xyz):
+        return self.coef * self._decay(xyz)
 
-    def grad(self, pts):
-        return (self.coef * self.k * self._decay(pts))[..., None] * self.p
+    def add_grad(self, xyz, acc):
+        acc += np.multiply.outer(self.p, self.coef * self.k * self._decay(xyz))
 
     def hess(self, pts):
-        return (self.coef * self.k**2 * self._decay(pts))[..., None, None] * np.outer(self.p, self.p)
+        return (self.coef * self.k**2 * self._decay(pts.T).T)[..., None, None] * np.outer(self.p, self.p)
 
     def bound(self):
         scale = abs(self.coef) * np.exp(2.0 * max(0.0, -self.k))
@@ -134,13 +132,11 @@ class _Legendre:
         self._dp = base.deriv()
         self._ddp = base.deriv(2)
 
-    def value(self, pts):
-        return self.coef * self._p(pts[..., 2])
+    def value(self, xyz):
+        return self.coef * self._p(xyz[2])
 
-    def grad(self, pts):
-        g = np.zeros(pts.shape)
-        g[..., 2] = self.coef * self._dp(pts[..., 2])
-        return g
+    def add_grad(self, xyz, acc):
+        acc[2] += self.coef * self._dp(xyz[2])
 
     def hess(self, pts):
         h = np.zeros(pts.shape[:-1] + (3, 3))
@@ -270,17 +266,18 @@ class PrescribedFunction:
         self.source = source
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
+        xyz = np.asarray(pts, dtype=float).T
+        out = np.zeros_like(xyz[0])
         for t in self.terms:
-            out = out + t.value(pts)
-        return out
+            out = out + t.value(xyz)
+        return out.T
 
     def ambient_grad(self, pts):
+        """grad F at points (..., 3), laid out as pts: each term adds its gradient into the one (3, ...) view g.T."""
         pts = np.asarray(pts, dtype=float)
-        g = np.zeros(pts.shape)
+        g = np.zeros_like(pts)
         for t in self.terms:
-            g = g + t.grad(pts)
+            t.add_grad(pts.T, g.T)
         return g
 
     def ambient_hess(self, pts):
@@ -291,11 +288,12 @@ class PrescribedFunction:
         return h
 
     def grad_sphere(self, pts):
-        """Tangential gradient (I - x x^T) grad F at unit vectors."""
+        """Tangential gradient (I - x x^T) grad F at unit vectors, laid out as ambient_grad."""
         pts = np.asarray(pts, dtype=float)
         g = self.ambient_grad(pts)
-        radial = np.sum(pts * g, axis=-1, keepdims=True)
-        return g - radial * pts
+        gT = g.T
+        gT -= _dot3(pts.T, gT) * pts.T
+        return g
 
     def tangent_hessian(self, x):
         """2x2 Hessians in orthonormal tangent bases at unit vectors x (..., 3).
@@ -305,7 +303,7 @@ class PrescribedFunction:
         """
         x = np.asarray(x, dtype=float)
         basis = _tangent_basis(x)
-        radial = np.sum(x * self.ambient_grad(x), axis=-1)[..., None, None]
+        radial = _dot3(x.T, self.ambient_grad(x).T).T[..., None, None]
         H = basis @ self.ambient_hess(x) @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
         return H, basis
 
@@ -346,10 +344,10 @@ class PrescribedFunction:
 
     @cached_property
     def _extrema(self):
-        pts = probe_lattice(np.linspace(0, np.pi, _EXTREMA_PROBE),
-                            np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False)).reshape(-1, 3)
-        vals = self(pts)
-        x, _ = self.newton_critical(pts[[np.argmin(vals), np.argmax(vals)]])
+        lattice = probe_lattice(np.linspace(0, np.pi, _EXTREMA_PROBE),
+                                np.linspace(0, 2 * np.pi, 2 * _EXTREMA_PROBE, endpoint=False))
+        vals = self(lattice)
+        x, _ = self.newton_critical(lattice[np.unravel_index([np.argmin(vals), np.argmax(vals)], vals.shape)])
         vmin, vmax = self(x)
         return min(float(vmin), float(vals.min())), max(float(vmax), float(vals.max()))
 
@@ -358,14 +356,19 @@ class PrescribedFunction:
 
 
 def probe_lattice(theta, phi):
-    """Unit vectors at every (colatitude, longitude) pair, shape (len(theta), len(phi), 3).
+    """Unit vectors at every (colatitude, longitude) pair, shape (len(theta), len(phi), 3), stored component-first.
 
-    Outer products of the 1-D sines and cosines: the same values, bit for
-    bit, as taking sin and cos over the meshgrid of theta and phi.
+    As in Grid.nodes, each coordinate [..., i] is contiguous.  Outer products of the 1-D sines and
+    cosines: the same values, bit for bit, as taking sin and cos over the meshgrid of theta and phi.
     """
     sin_theta = np.sin(theta)[:, None]
-    return np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)[:, None]),
-                    axis=-1)
+    return np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi),
+                                        np.cos(theta)[:, None])).transpose(1, 2, 0)
+
+
+def _dot3(a, b):
+    """a . b over the leading axis of component-first stacks (3, ...), added as np.sum adds a trailing axis of 3."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def _tangent_basis(x):

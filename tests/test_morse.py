@@ -9,6 +9,8 @@ Validates:
 - Poincare-Hopf: the signed count of all critical points is chi(S^2) = 2
 - the batched Newton refinement: bit for bit the same as one seed at a
   time, and batched (a bound on Hessian calls)
+- the seeds and the loop-free merge: bit for bit the points, warnings
+  and failures of a sequential merge, one refined point at a time
 - the extrema of non-axial targets against their extreme critical values
 - axis-symmetry parsing, invariance detection, and the two symmetric
   existence criteria
@@ -20,6 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from bmcflow.errors import NotMorseError, SpecParseError
 from bmcflow.morse import (
+    _DEGENERATE_TOL,
+    _MERGE_TOL,
+    _probe_points,
     check_conditions,
     check_symmetry,
     counts_mi,
@@ -32,6 +37,8 @@ from bmcflow.prescribed import PrescribedFunction, parse_f_spec
 from bmcflow.spectral import make_grid
 
 ELLIPSOID = "4 + 0.3x^2 + 0.6y^2 + 1.05z^2"
+POINCARE_HOPF_TARGETS = [ELLIPSOID, "2 + 0.5z", "1.34 - 1.36bump(8; 0,0,-1)", "3 + x y z + 0.2x^3",
+                         "1 + 0.3legendre(3) + 0.1x^2 y", "1 + bump(5; 1,1,0) + bump(5; -1,0,1)"]
 
 
 def test_ellipsoid_critical_points():
@@ -158,8 +165,7 @@ def test_critical_points_shift_invariant():
 
 
 @pytest.mark.parametrize("L", [16, 31])
-@pytest.mark.parametrize("spec", [ELLIPSOID, "2 + 0.5z", "1.34 - 1.36bump(8; 0,0,-1)", "3 + x y z + 0.2x^3",
-                                  "1 + 0.3legendre(3) + 0.1x^2 y", "1 + bump(5; 1,1,0) + bump(5; -1,0,1)"])
+@pytest.mark.parametrize("spec", POINCARE_HOPF_TARGETS)
 def test_poincare_hopf(spec, L):
     """Sum of (-1)^index over all critical points of a Morse function on
     S^2 is its Euler characteristic 2, so no point is lost or doubled."""
@@ -216,6 +222,73 @@ def test_newton_refinement_is_batched(spec, monkeypatch):
     except NotMorseError:
         assert spec == "2 - z^2"
     assert 1 <= len(calls) <= 10
+
+
+def _sequential_critical_points(f, grid):
+    """(warnings, points) or the NotMorseError message: np.roll seeds, refined points merged one at a time.
+
+    The refined points are merged in seed order: a point within 1e-6
+    geodesic of a point already located replaces it if its gradient is
+    smaller, and is located anew otherwise.
+    """
+    pts = _probe_points(grid.L)
+    g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
+    neighborhood_min = np.ones_like(g2, dtype=bool)
+    for dth, dph in [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
+        shifted = np.roll(g2, dph, axis=1)
+        if dth == -1:
+            cmp = np.full_like(g2, np.inf)
+            cmp[1:, :] = shifted[:-1, :]
+        elif dth == 1:
+            cmp = np.full_like(g2, np.inf)
+            cmp[:-1, :] = shifted[1:, :]
+        else:
+            cmp = shifted
+        neighborhood_min &= g2 <= cmp
+    seeds = np.concatenate([pts[neighborhood_min], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    xs, ok = f.newton_critical(seeds)
+    gns = np.linalg.norm(f.grad_sphere(xs), axis=-1)
+    warnings = [f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok]]
+    loc, loc_gn = np.empty((0, 3)), []
+    for x, gn in zip(xs[ok], gns[ok]):
+        near = np.flatnonzero(np.arccos(np.clip(loc @ x, -1.0, 1.0)) < _MERGE_TOL)
+        if not near.size:
+            loc = np.vstack([loc, x])
+            loc_gn.append(gn)
+        elif gn < loc_gn[near[0]]:
+            loc[near[0]], loc_gn[near[0]] = x, gn
+    H, _ = f.tangent_hessian(loc)
+    eigs = np.linalg.eigvalsh(H)
+    degenerate = np.flatnonzero(np.any(np.abs(eigs) < _DEGENERATE_TOL, axis=-1))
+    if degenerate.size:
+        i = degenerate[0]
+        return f"degenerate critical point at {np.round(loc[i], 6)} (tangent eigenvalues {eigs[i]}): not Morse"
+    points = sorted(zip(loc, f(loc), np.trace(H, axis1=-2, axis2=-1), eigs), key=lambda p: tuple(np.round(p[0], 9)))
+    return warnings, [(x.tobytes(), float(v), float(lap), int(np.sum(e < 0)), tuple(e)) for x, v, lap, e in points]
+
+
+@pytest.mark.parametrize("L", [8, 16, 31, 63])
+@pytest.mark.parametrize("spec", POINCARE_HOPF_TARGETS + ["2 - z^2", "2 + bump(-40; 0.3,0.2,1)"])
+def test_merge_matches_sequential_reference(spec, L):
+    """Seeds from one padded array and the blocked Gram-matrix merge give
+    the points, warnings and failure of the roll-based seeds and the
+    sequential merge bit for bit: on the Poincare-Hopf targets, on the
+    critical equator of 2 - z^2 (at L = 31 the ~130 seeds by each pole
+    merge into one point each, and the failure names [1, 0, -0]) and on
+    the far-from-unit-scale bump, whose Newton warnings it keeps."""
+    f, grid = parse_f_spec(spec), make_grid(L)
+    want = _sequential_critical_points(f, grid)
+    warnings = []
+    try:
+        points = find_critical_points(f, grid, collect_warnings=warnings)
+    except NotMorseError as exc:
+        assert str(exc) == want
+        assert spec == "2 - z^2" and str(exc).startswith("degenerate critical point at ")
+        assert L != 31 or str(exc).startswith("degenerate critical point at [ 1.  0. -0.] ")
+        return
+    got = [(cp.location.tobytes(), cp.value, cp.laplacian, cp.index, cp.hessian_eigs) for cp in points]
+    assert (warnings, got) == want
+    assert bool(warnings) == spec.startswith("2 + bump(-40")
 
 
 def test_constant_rejected():
@@ -302,6 +375,22 @@ def test_non_invariant_target_flagged():
     assert out["deviation"] > 1e-3
     assert not out["invariant_criteria"]["applies"]
     assert not out["fixed_set_max_criteria"]["applies"]
+
+
+def test_symmetry_evaluates_f_at_the_nodes_once(monkeypatch):
+    """The deviation and the target report share one evaluation of f at
+    the grid nodes; the rotated nodes are the only other grid-sized call."""
+    grid, sizes = make_grid(31), []
+    call = PrescribedFunction.__call__
+
+    def counted(self, pts):
+        sizes.append(np.size(pts))
+        return call(self, pts)
+
+    monkeypatch.setattr(PrescribedFunction, "__call__", counted)
+    out = check_symmetry(parse_f_spec("2 - z^2"), "rotation(z, 5)", grid)
+    assert out["invariant"]
+    assert sizes.count(grid.nodes().size) == 2
 
 
 def test_mirror_symmetric_bump_pair():

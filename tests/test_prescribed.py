@@ -12,12 +12,16 @@ Validates:
 - the tangent basis and Hessian of a stack of points, bit for bit
   against one point at a time
 - the probe lattices of extrema and morse, bit for bit against sin and
-  cos taken over the meshgrid
+  cos taken over the meshgrid, stored component-first
+- values, gradients and tangent Hessians of every term kind, bit for bit
+  against the per-term (..., 3) formulas, on row-major stacks,
+  component-first lattices and single points
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import legendre as npleg
 from scipy.special import eval_legendre
 
 from bmcflow.errors import SpecParseError
@@ -283,4 +287,83 @@ def test_probe_lattice_matches_meshgrid(theta, phi):
     sin and cos taken over the meshgrid, bit for bit."""
     T, P = np.meshgrid(theta, phi, indexing="ij")
     want = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P), np.cos(T)], axis=-1)
-    assert np.array_equal(probe_lattice(theta, phi), want)
+    lattice = probe_lattice(theta, phi)
+    assert np.array_equal(lattice, want)
+    assert all(lattice[..., i].flags.c_contiguous for i in range(3))
+
+
+def _row_major_derivative(t, pts, axes):
+    """A monomial term differentiated along axes, by the power rule on (..., 3) points."""
+    c, exps = t.coef, list(t.powers)
+    for k in axes:
+        c *= exps[k]
+        exps[k] -= 1
+    out = np.full(pts.shape[:-1], c)
+    for k, e in enumerate(exps):
+        if e:
+            out = out * pts[..., k] ** e
+    return out
+
+
+def _row_major_term(t, pts):
+    """(value, gradient, Hessian) of one term, each formed as a whole (..., 3) or (..., 3, 3) array."""
+    g, h = np.zeros(pts.shape), np.zeros(pts.shape[:-1] + (3, 3))
+    if hasattr(t, "powers"):
+        value = _row_major_derivative(t, pts, ())
+        for i in range(3):
+            if t.powers[i]:
+                g[..., i] = _row_major_derivative(t, pts, (i,))
+            for j in range(3):
+                if t.powers[i] and t.powers[j] > (i == j):
+                    h[..., i, j] = _row_major_derivative(t, pts, (i, j))
+    elif hasattr(t, "p"):
+        decay = np.exp(-t.k * (1.0 - np.sum(pts * t.p, axis=-1)))
+        value = t.coef * decay
+        g = (t.coef * t.k * decay)[..., None] * t.p
+        h = (t.coef * t.k**2 * decay)[..., None, None] * np.outer(t.p, t.p)
+    else:
+        p = npleg.Legendre.basis(t.l)
+        value = t.coef * p(pts[..., 2])
+        g[..., 2] = t.coef * p.deriv()(pts[..., 2])
+        h[..., 2, 2] = t.coef * p.deriv(2)(pts[..., 2])
+    return value, g, h
+
+
+def _row_major_calculus(f, pts):
+    """f, grad F, grad_S f and the tangent Hessian by sums of whole-array terms and np.sum radial parts."""
+    pts = np.array(pts, dtype=float)
+    value, g, h = np.zeros(pts.shape[:-1]), np.zeros(pts.shape), np.zeros(pts.shape[:-1] + (3, 3))
+    for t in f.terms:
+        tv, tg, th = _row_major_term(t, pts)
+        value, g, h = value + tv, g + tg, h + th
+    grad_sphere = g - np.sum(pts * g, axis=-1, keepdims=True) * pts
+    basis = _tangent_basis(pts)
+    radial = np.sum(pts * g, axis=-1)[..., None, None]
+    return value, g, grad_sphere, basis @ h @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
+
+
+def _identical(a, b):
+    """Equal shapes and equal bits, the signs of zeros included."""
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("spec", ["2", "-1.3x", "0.7x^2 y z^3 - y^4", "1.1bump(3; 1,-2,0.5)", "-0.4bump(-2; 0,0,1)",
+                                  "0.3legendre(5)", "2 - z^2 + 0.5bump(4; 1,1,1) + 0.2legendre(3) - x y"])
+def test_one_gradient_path_matches_row_major_formulas(spec):
+    """Each term adds its gradient into one component-first accumulator,
+    and the radial parts are summed component by component; the values,
+    gradients and tangent Hessians are those of the whole-array (..., 3)
+    formulas, bit for bit, on a row-major stack (poles included), on a
+    component-first probe lattice and at a single point."""
+    f = parse_f_spec(spec)
+    stack = np.concatenate([sphere_points(60, seed=5), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]]])
+    lattice = probe_lattice((np.arange(12) + 0.5) * np.pi / 12, 2.0 * np.pi * np.arange(24) / 24)
+    for pts in (stack, lattice, stack[7], stack[-3]):
+        before = pts.copy()
+        value, g, grad_sphere, H = _row_major_calculus(f, pts)
+        assert _identical(f(pts), value)
+        assert _identical(f.ambient_grad(pts), g)
+        assert _identical(f.grad_sphere(pts), grad_sphere)
+        assert _identical(f.tangent_hessian(pts)[0], H)
+        assert np.array_equal(pts, before)
