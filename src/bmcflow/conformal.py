@@ -28,6 +28,7 @@ which has exactly unit boundary volume, peaks at p with value
 Its zonal Legendre coefficients decay like (1-eps)^l.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,9 +42,10 @@ from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesiz
 _NORTH = np.array([0.0, 0.0, 1.0])
 # Radii of the caps on which the flow's detector and bubble probe measure concentration.
 CAP_RADII = (0.1, 0.2, 0.5)
-# normalize accepts a map at residual |S(v)| / vol(v) <= _NORMALIZE_TOL, within at most _NORMALIZE_ITERS Newton steps.
+# normalize accepts a map at residual |S(v)| / vol(v) <= _NORMALIZE_TOL, within _NORMALIZE_ITERS Newton steps a start.
 _NORMALIZE_TOL = 1e-8
 _NORMALIZE_ITERS = 100
+_SERIES_BELOW = 0.25  # ball radius below which _bubble_center sums g's series
 
 
 def unit_direction(p, what):
@@ -165,11 +167,7 @@ def center_of_mass(u):
 
 def _map_from_ball_point(b):
     norm = float(np.linalg.norm(b))
-    if norm < 1e-14:
-        return ConformalMap(_NORTH, 1.0)
-    p = b / norm
-    delta = (1.0 - norm) / (1.0 + norm)
-    return ConformalMap(p, delta)
+    return ConformalMap(b / norm, (1.0 - norm) / (1.0 + norm)) if norm >= 1e-14 else ConformalMap(_NORTH, 1.0)
 
 
 def _center_jacobian(w, vol, grid, b):
@@ -191,19 +189,50 @@ def _center_jacobian(w, vol, grid, b):
     return (2.0 * k * M.reshape(3, 3) - 2.0 * np.outer(m, b) - (k * a[0] + vol) * np.eye(3)) / vol
 
 
+def _bubble_center(s):
+    """g(s) = |S|/vol of the n = 2 bubble whose ball point has radius s in (0, 1), and g'(s).
+
+    g = (1+s^2)/(2s) - (1-s^2)^2/(4s^2) ln((1+s)/(1-s)), which cancels below _SERIES_BELOW; there
+    g = 4s/3 - sum_{k>=2} 4 s^{2k-1} / ((2k+1)(2k-1)(2k-3)), summed from k = 16 down.
+    """
+    if s < _SERIES_BELOW:
+        g = dg = 0.0
+        for k in range(16, 1, -1):
+            c = 4.0 * s ** (2 * k - 2) / ((2 * k + 1) * (2 * k - 1) * (2 * k - 3))
+            g, dg = g + c, dg + (2 * k - 1) * c
+        return s * (4.0 / 3.0 - g), 4.0 / 3.0 - dg
+    q, ln = 1.0 - s * s, 2.0 * math.atanh(s)
+    return (1.0 + s * s) / (2.0 * s) - q * q / (4.0 * s * s) * ln, q / (s * s) * ((1.0 + s * s) * ln / (2.0 * s) - 1.0)
+
+
+def _bubble_radius(r):
+    """g^{-1}(r) for r in (0, 1) by Newton from 3r/4; a step that leaves the bracket [lo, hi] of the root bisects it."""
+    lo, hi, s = 0.0, 1.0, 0.75 * r
+    for _ in range(100):
+        g, dg = _bubble_center(s)
+        lo, hi = (s, hi) if g < r else (lo, s)
+        t = s + (r - g) / dg
+        s, last = (t if lo < t < hi else 0.5 * (lo + hi)), s
+        if s == last:
+            break
+    return s
+
+
 def normalize(u):
     """Find the Moebius dilation whose volume-preserving pullback of u
     has zero center of mass.
 
     Damped Newton over the open-ball point b = (1-eps)p on the
-    scale-invariant residual R(b) = S(v_b) / vol(v_b) of the pullback
-    v_b, starting from b0 = R(u)/2, so a map that squeezes u's volume
-    between the grid nodes cannot pass for centered.  The Jacobian is the
-    closed-form derivative of the change-of-variables centre S(v_b) / vol(u)
-    (_center_jacobian), which costs no pullback.  The residual, the line
-    search and the returned state use the true pullback.  Near the
-    constant field the map is not unique; if the solve stalls there the
-    identity map is returned.
+    scale-invariant residual R(b) = S(v_b) / vol(v_b) of the pullback v_b,
+    so a map that squeezes u's volume between the grid nodes cannot pass
+    for centered.  It starts at b0 = g^{-1}(|R0|) R0/|R0|, R0 = S(u)/vol(u),
+    the bubble centred where u is, and restarts from R0/2 if that fails
+    (or only there, where |R0| is 0 or >= 1).  Each iteration makes one
+    Jacobian, the closed-form, pullback-free derivative of the change-of-
+    variables centre (_center_jacobian) plus a correction that Broyden's
+    rank-one update fits to the accepted steps.  The residual, the line
+    search and the result use the true pullback.  Near the constant field
+    the map is not unique; a stalled solve there returns the identity.
     """
     w = volume_density(u.values)
     vol = u.grid.integrate(w)
@@ -214,35 +243,34 @@ def normalize(u):
         v = pullback_normalized(u, mp)
         return center_of_mass(v)[0] / volume(v), mp, v
 
-    b = R0 / 2.0
-    R, mp, v = residual(b)
-    for _ in range(_NORMALIZE_ITERS):
+    r0 = float(np.linalg.norm(R0))
+    for b in (_bubble_radius(r0) / r0 * R0, R0 / 2.0) if 0.0 < r0 < 1.0 else (R0 / 2.0,):
+        R, mp, v = residual(b)
+        D = np.zeros((3, 3))
+        for _ in range(_NORMALIZE_ITERS):
+            rnorm = float(np.linalg.norm(R))
+            if rnorm <= _NORMALIZE_TOL:
+                return NormalizedState(map=mp, v=v, residual=rnorm)
+            J = _center_jacobian(w, vol, u.grid, b) + D
+            try:
+                d = np.linalg.solve(J, -R)
+            except np.linalg.LinAlgError:
+                break
+            for t in 0.5 ** np.arange(14.0):  # step fractions 1, 1/2, ..., 2^-13
+                b_new = b + t * d
+                if np.linalg.norm(b_new) < 1.0 - 1e-12:
+                    R_new, mp_new, v_new = residual(b_new)
+                    if np.linalg.norm(R_new) < rnorm:
+                        D += np.outer((R_new - R) / t - J @ d, d) / (d @ d)
+                        b, R, mp, v = b_new, R_new, mp_new, v_new
+                        break
+            else:
+                break
         rnorm = float(np.linalg.norm(R))
         if rnorm <= _NORMALIZE_TOL:
             return NormalizedState(map=mp, v=v, residual=rnorm)
-        J = _center_jacobian(w, vol, u.grid, b)
-        try:
-            d = np.linalg.solve(J, -R)
-        except np.linalg.LinAlgError:
-            break
-        stepped = False
-        t = 1.0
-        while t > 1e-4:
-            b_new = b + t * d
-            if np.linalg.norm(b_new) < 1.0 - 1e-12:
-                R_new, mp_new, v_new = residual(b_new)
-                if np.linalg.norm(R_new) < rnorm:
-                    b, R, mp, v = b_new, R_new, mp_new, v_new
-                    stepped = True
-                    break
-            t *= 0.5
-        if not stepped:
-            break
-    rnorm = float(np.linalg.norm(R))
-    if rnorm <= _NORMALIZE_TOL:
-        return NormalizedState(map=mp, v=v, residual=rnorm)
-    if float(np.linalg.norm(R0)) <= 1e-8:
-        return NormalizedState(map=ConformalMap(_NORTH, 1.0), v=u, residual=float(np.linalg.norm(R0)))
+    if r0 <= 1e-8:
+        return NormalizedState(map=ConformalMap(_NORTH, 1.0), v=u, residual=r0)
     raise NormalizeError(f"center-of-mass solve stalled at residual {rnorm:.3e}", best_map=mp, best_residual=rnorm)
 
 

@@ -132,15 +132,25 @@ def legendre_rows(L, x):
     below T_ll = -sqrt((2l+1)/(2l)) sin(theta) T_{l-1,l-1}, and T_11 = -sqrt(3) sin(theta).
     """
     sin_theta = np.sqrt(1.0 - x**2)
+    # a_lm and b_lm of every m < l, degree l's in rows l(l-1)/2 .. l(l+1)/2 - 1 (b_{l,l-1} = 0 is not
+    # read), and the sectoral factor of degree l in entry l - 1.  Degrees and orders are whole floats,
+    # so every value matches the per-degree integer arithmetic bit for bit.
+    deg = np.repeat(np.arange(L + 1.0), np.arange(L + 1))[:, None]
+    m2 = (np.arange(L * (L + 1) / 2)[:, None] - deg * (deg - 1.0) / 2.0) ** 2
+    a = np.sqrt((4 * deg * deg - 1) / (deg * deg - m2))
+    b = np.sqrt((2 * deg + 1) * ((deg - 1) ** 2 - m2) / ((2 * deg - 3) * (deg * deg - m2)))
+    d = np.arange(1.0, L + 1)
+    ratio = (2 * d + 1) / (2 * d)
+    ratio[:1] = 3.0
+    sectoral = -np.sqrt(ratio)
     older, row = np.zeros((0, len(x))), np.ones((1, len(x)))
     yield row
     for l in range(1, L + 1):
-        m2 = np.arange(l, dtype=float)[:, None] ** 2
+        k = l * (l - 1) // 2
         new = np.empty((l + 1, len(x)))
-        new[:l] = np.sqrt((4 * l * l - 1) / (l * l - m2)) * x * row
-        b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - m2[:-1]) / ((2 * l - 3) * (l * l - m2[:-1])))
-        new[: l - 1] -= b * older
-        new[l] = -np.sqrt(3.0 if l == 1 else (2 * l + 1) / (2 * l)) * sin_theta * row[l - 1]
+        new[:l] = a[k : k + l] * x * row
+        new[: l - 1] -= b[k : k + l - 1] * older
+        new[l] = sectoral[l - 1] * sin_theta * row[l - 1]
         older, row = row, new
         yield row
 

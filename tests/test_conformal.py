@@ -12,14 +12,21 @@ Validates:
 - center-of-mass values against a closed-form loop integral
 - volume and energy invariance of the weighted pullback
 - the recentering solve on bubbles and on the constant, and on a sum of
-  two bubbles whose volume a degenerate map squeezes off the grid
+  two bubbles whose volume a degenerate map squeezes off the grid; its
+  residual, volume and (for bubbles) map on random perturbed bubbles,
+  two-bubble sums and smooth fields
+- the n = 2 bubble centre g(s) against quadrature, its series against its
+  closed form at the switch, its derivative against differences, and its
+  inverse, the solve's start
 - the NormalizeError of a solve cut short names the map it stopped at
   and that map's residual
 - the change of variables S(pullback) = mean(phi^{-1}(y) u^{2#}) and its
   differences against the true pullback; the closed-form Jacobian against
-  per-map differences; a bound on the pullbacks a solve makes, one
-  Jacobian per Newton iteration and no pass over the nodes outside a
-  pullback; the line search halving a Newton step that leaves the ball
+  per-map differences; bounds on the pullbacks a solve makes on resolved
+  and unresolved bubbles, one Jacobian per Newton iteration and no pass
+  over the nodes outside a pullback; the line search halving a Newton
+  step that leaves the ball; the restart from R0/2 when the solve from
+  the bubble start stalls
 - the cap integrals the flow's detector reads: a sharp bubble's flags
   and its one cluster, and no flag on the constant
 - pullback of a nonpositive field raises AdmissibilityError
@@ -38,6 +45,9 @@ from bmcflow import conformal
 from bmcflow.conformal import (
     CAP_RADII,
     ConformalMap,
+    _SERIES_BELOW,
+    _bubble_center,
+    _bubble_radius,
     _cap_multipliers,
     _center_jacobian,
     _map_from_ball_point,
@@ -417,11 +427,13 @@ def test_normalize_keeps_volume_of_two_bubbles():
 
 @pytest.mark.parametrize("max_iter", [0, 1])
 def test_normalize_error_reports_its_map(monkeypatch, max_iter):
-    """A solve cut short after max_iter Newton steps raises NormalizeError;
-    best_residual is |S(v)| / vol(v) of the pullback by best_map (about
-    0.388 after 0 steps and 0.133 after 1)."""
+    """A solve cut short after max_iter Newton steps from each start raises
+    NormalizeError; best_residual is |S(v)| / vol(v) of the pullback by
+    best_map, where the restart from R0/2 stopped (about 0.234 after 0
+    steps and 0.0245 after 1).  The witness is the two-bubble sum: a
+    single bubble's solve starts at its exact map and takes no step."""
     g = make_grid(31)
-    u = bubble_field([0.0, 0.6, 0.8], 0.4, g)
+    u = two_bubbles(g)
     monkeypatch.setattr(conformal, "_NORMALIZE_ITERS", max_iter)
     with pytest.raises(NormalizeError) as info:
         normalize(u)
@@ -513,9 +525,8 @@ def test_normalize_maps_the_nodes_once_per_jacobian(monkeypatch):
     assert re.fullmatch(r"\(a\)(J(\(a\))+)+", "".join(events)), events
 
 
-def test_normalize_makes_few_pullbacks(monkeypatch):
-    """The Jacobian comes from the change of variables, so a solve pays
-    pullbacks only for its residuals: at most 8 for the 0.4-bubble at L = 31."""
+def counted_pullbacks(monkeypatch):
+    """The list of maps that normalize pulls back by from now on."""
     calls = []
 
     def counted(u, mp):
@@ -523,16 +534,69 @@ def test_normalize_makes_few_pullbacks(monkeypatch):
         return pullback_normalized(u, mp)
 
     monkeypatch.setattr(conformal, "pullback_normalized", counted)
+    return calls
+
+
+def test_normalize_makes_few_pullbacks(monkeypatch):
+    """The Jacobian comes from the change of variables and the solve starts
+    at the bubble that has u's centre, so a solve pays pullbacks only for
+    its residuals: at most 2 for the 0.4-bubble at L = 31 (measured: 1)."""
+    calls = counted_pullbacks(monkeypatch)
     g = make_grid(31)
     assert normalize(bubble_field(N_POLE, 0.4, g)).residual <= 1e-8
-    assert 1 <= len(calls) <= 8
+    assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize("p", [N_POLE, np.array([0.48, -0.6, 0.64]), np.array([-0.36, 0.34, -0.87])])
+def test_normalize_resolved_bubble_in_two_pullbacks(monkeypatch, p):
+    """eps = 0.3 bubbles at L = 31, the perfbench recentering input, take at
+    most 2 pullbacks: the start, and one Newton step for the truncation of
+    the bubble at L = 31 (from a start at R0/2 they took 6)."""
+    calls = counted_pullbacks(monkeypatch)
+    assert normalize(bubble_field(p, 0.3, make_grid(31))).residual <= 1e-8
+    assert 1 <= len(calls) <= 2
+
+
+def test_normalize_unresolved_bubble_converges_superlinearly(monkeypatch):
+    """On the eps = 0.15 bubble at (0.3, -0.2, 0.9), unresolved at L = 8, the
+    grid residual and the continuum Jacobian disagree; the secant correction
+    makes the solve superlinear: at most 10 pullbacks (measured: 8; 46 with
+    the uncorrected Jacobian from R0/2)."""
+    calls = counted_pullbacks(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="unresolved"):
+        u = bubble_field(np.array([0.3, -0.2, 0.9]), 0.15, make_grid(8))
+    assert normalize(u).residual <= 1e-8
+    assert len(calls) <= 10
+
+
+def test_normalize_restarts_from_half_the_centre(monkeypatch):
+    """On the eps = 0.05 bubble at (0.189, -0.198, 0.962), far from resolved
+    at L = 8, the grid centre R0 overstates the concentration, and no step
+    from the bubble start lowers the residual; the solve restarts from R0/2
+    and converges."""
+    points = []
+    jacobian = conformal._center_jacobian
+
+    def counted_jacobian(w, vol, grid, b):
+        points.append(b)
+        return jacobian(w, vol, grid, b)
+
+    monkeypatch.setattr(conformal, "_center_jacobian", counted_jacobian)
+    g = make_grid(8)
+    with pytest.warns(RuntimeWarning, match="unresolved"):
+        u = bubble_field(np.array([0.189, -0.198, 0.962]), 0.05, g)
+    R0 = center_of_mass(u)[0] / volume(u)
+    assert normalize(u).residual <= 1e-8
+    assert np.linalg.norm(points[0] - R0) > 1e-2
+    assert np.array_equal(points[1], R0 / 2.0)
 
 
 def test_normalize_halves_a_step_that_leaves_the_ball(monkeypatch):
-    """The solve for an eps = 0.15 bubble at (0.3, -0.2, 0.9), unresolved at
-    L = 8, meets a Newton step that leaves the ball, takes half of it, and
-    still ends at residual <= 1e-8.  Each iteration's ball point comes from
-    its Jacobian call and its Newton step from np.linalg.solve."""
+    """The solve for an eps = 0.05 bubble at (0.44, -0.85, -0.29), unresolved
+    at L = 8, meets a Newton step that leaves the ball (its third), takes
+    half of it, and still ends at residual <= 1e-8 without a restart.  Each
+    iteration's ball point comes from its Jacobian call and its Newton step
+    from np.linalg.solve."""
     points, newton = [], []
     jacobian, solve = conformal._center_jacobian, np.linalg.solve
 
@@ -548,12 +612,93 @@ def test_normalize_halves_a_step_that_leaves_the_ball(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     g = make_grid(8)
     with pytest.warns(RuntimeWarning, match="unresolved"):
-        u = bubble_field(np.array([0.3, -0.2, 0.9]), 0.15, g)
+        u = bubble_field(np.array([0.44, -0.85, -0.29]), 0.05, g)
     assert normalize(u).residual <= 1e-8
     fractions = [np.linalg.norm(b1 - b0) / np.linalg.norm(d) for b0, b1, d in zip(points, points[1:], newton)]
     halved = [k for k, t in enumerate(fractions) if abs(t - 0.5) < 1e-9]
     assert halved, fractions
     assert all(np.linalg.norm(points[k] + newton[k]) >= 1.0 - 1e-12 for k in halved)
+
+
+def closed_form_center(s):
+    """g(s) of _bubble_center written out: (1+s^2)/(2s) - (1-s^2)^2/(4s^2) ln((1+s)/(1-s))."""
+    return (1.0 + s * s) / (2.0 * s) - (1.0 - s * s) ** 2 / (4.0 * s * s) * np.log((1.0 + s) / (1.0 - s))
+
+
+@pytest.mark.parametrize("eps", [0.9, 0.5, 0.3, 0.15])
+def test_bubble_center_against_quadrature(eps):
+    """|S|/vol of the eps-bubble, whose ball point has radius s = 1 - eps,
+    is g(1 - eps) to 1e-10 at L = 85 (measured: 1e-15, and 3.5e-12 at
+    eps = 0.15, where the grid truncates the bubble)."""
+    u = bubble_field(np.array([0.48, -0.6, 0.64]), eps, make_grid(85))
+    S, _ = center_of_mass(u)
+    assert abs(np.linalg.norm(S) / volume(u) - _bubble_center(1.0 - eps)[0]) <= 1e-10
+
+
+def test_bubble_center_series_meets_closed_form():
+    """At the switch the series (just below it) and the closed form agree
+    to 1e-14 relative, and g' agrees with central differences of g on both
+    branches and near s = 1."""
+    s = _SERIES_BELOW
+    below = np.nextafter(s, 0.0)
+    assert abs(_bubble_center(below)[0] - closed_form_center(below)) <= 1e-14 * closed_form_center(below)
+    assert abs(_bubble_center(s)[0] - closed_form_center(s)) <= 1e-14 * closed_form_center(s)
+    assert abs(_bubble_center(below)[1] - _bubble_center(s)[1]) <= 1e-13
+    for s in (1e-3, 0.1, 0.2, 0.3, 0.5, 0.9, 0.999):
+        h = 1e-5 * min(s, 1.0 - s)
+        diff = (_bubble_center(s + h)[0] - _bubble_center(s - h)[0]) / (2.0 * h)
+        assert abs(diff - _bubble_center(s)[1]) <= 1e-6 * _bubble_center(s)[1]
+
+
+def test_bubble_radius_inverts_the_center():
+    """g^{-1}(g(s)) = s on s in [1e-6, 1 - 1e-6], to 1e-13 or, near s = 1,
+    to four times what half an ulp of g moves s, 2^-53 / g'(s) (4e-12 at
+    s = 1 - 1e-6, where g' = 2.7e-5); measured: within a third of the bound."""
+    s = np.concatenate((np.geomspace(1e-6, 0.5, 200), 1.0 - np.geomspace(1e-6, 0.5, 200)))
+    for si in s:
+        g, dg = _bubble_center(si)
+        assert abs(_bubble_radius(g) - si) <= max(1e-13, 4.0 * 2.0**-53 / dg)
+
+
+def random_field(kind, g, rng):
+    """A positive field of the given kind, and for a bubble its generating map's (p, eps).
+
+    bubble: eps uniform in [0.5, 0.9] at L = 15 and in [0.25, 0.9] at L = 31;
+    perturbed: a bubble times 1 + 0.2 (smooth - 1) with smooth from
+    smooth_positive_coeffs; two: a bubble plus a bubble weighted in [0.2, 1];
+    smooth: smooth_positive_coeffs.  Below those eps the grid truncates the
+    pullback enough to move its volume by more than 1e-6 (8.9e-6 for a
+    perturbed eps = 0.4 bubble at L = 15), whatever map the solve returns.
+    """
+    lo = 0.5 if g.L < 31 else 0.25
+    p, eps = random_unit(rng), rng.uniform(lo, 0.9)
+    bubble = bubble_field(p, eps, g)
+    if kind == "bubble":
+        return bubble, (p, eps / (2.0 - eps))
+    smooth = BoundaryField(g, coeffs=smooth_positive_coeffs(g.L, rng))
+    if kind == "perturbed":
+        return BoundaryField(g, values=bubble.values * (1.0 + 0.2 * (smooth.values - 1.0))), None
+    if kind == "two":
+        other = bubble_field(random_unit(rng), rng.uniform(lo, 0.9), g)
+        return BoundaryField(g, values=bubble.values + rng.uniform(0.2, 1.0) * other.values), None
+    return smooth, None
+
+
+@pytest.mark.parametrize("L", [15, 31])
+@pytest.mark.parametrize("kind", ["bubble", "perturbed", "two", "smooth"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normalize_random_fields(L, kind, seed):
+    """Each solve reaches residual <= 1e-8 and keeps the volume to 1e-6; on
+    a bubble it recovers the generating map's p and eps to 1e-6."""
+    rng = np.random.default_rng(2800 + 10 * seed + L)
+    g = make_grid(L)
+    u, truth = random_field(kind, g, rng)
+    out = normalize(u)
+    assert out.residual <= 1e-8
+    assert abs(volume(out.v) / volume(u) - 1.0) <= 1e-6
+    if truth is not None:
+        assert np.linalg.norm(out.map.p - truth[0]) <= 1e-6
+        assert abs(out.map.eps - truth[1]) <= 1e-6
 
 
 def _detector(u):

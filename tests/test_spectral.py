@@ -4,6 +4,7 @@ Validates:
 - Gauss-Legendre quadrature exactness on polynomial integrands
 - analyze/synthesize round trips and Parseval's identity
 - the degree multipliers of the normal-derivative operator
+- legendre_rows bit for bit against a per-degree-coefficient reference
 - point evaluation (synth_at) against zonal Legendre sums, grid
   synthesis at every node, and a per-degree Legendre sum off the grid,
   also at point counts around its block size; its poles, the longitude
@@ -262,6 +263,34 @@ def test_synth_at_point_shapes():
     scale = np.abs(full).max()
     assert np.abs(synth_at(coeffs, pts[1]) - full[1]).max() <= 1e-14 * scale
     assert abs(synth_at(coeffs, pts[1, 3]) - full[1, 3]) <= 1e-14 * scale
+
+
+def legendre_rows_per_degree(L, x):
+    """Reference legendre_rows: the recurrence coefficients a_lm and b_lm formed anew for each degree."""
+    sin_theta = np.sqrt(1.0 - x**2)
+    older, row = np.zeros((0, len(x))), np.ones((1, len(x)))
+    yield row
+    for l in range(1, L + 1):
+        m2 = np.arange(l, dtype=float)[:, None] ** 2
+        new = np.empty((l + 1, len(x)))
+        new[:l] = np.sqrt((4 * l * l - 1) / (l * l - m2)) * x * row
+        b = np.sqrt((2 * l + 1) * ((l - 1) ** 2 - m2[:-1]) / ((2 * l - 3) * (l * l - m2[:-1])))
+        new[: l - 1] -= b * older
+        new[l] = -np.sqrt(3.0 if l == 1 else (2 * l + 1) / (2 * l)) * sin_theta * row[l - 1]
+        older, row = row, new
+        yield row
+
+
+@pytest.mark.parametrize("L", [8, 31, 63, 85])
+def test_legendre_rows_match_per_degree_coefficients(L):
+    """legendre_rows, which forms its recurrence coefficients once per call,
+    gives the rows of the per-degree reference bit for bit, at the grid
+    nodes and at the colatitudes of _fourier_table."""
+    for x in (make_grid(L).x, np.cos(np.pi * np.arange(L + 2) / (L + 1))):
+        got, want = list(legendre_rows(L, x)), list(legendre_rows_per_degree(L, x))
+        assert len(got) == len(want) == L + 1
+        for g_row, w_row in zip(got, want):
+            assert g_row.shape == w_row.shape and g_row.tobytes() == w_row.tobytes()
 
 
 @pytest.mark.parametrize("L", [4, 31, 85])
