@@ -30,6 +30,8 @@ _MERGE_TOL = 1e-6
 _MERGE_COS = np.cos(2.0 * _MERGE_TOL)  # every pair within _MERGE_TOL has its Gram entry above this
 _MERGE_BLOCK = 64  # Gram rows formed at once, so the merge's memory is linear in the points
 _CIRCLE_SAMPLES = 8192
+_TIE_REL = 8.0 * np.finfo(float).eps  # lattice values of |grad f|^2 this close, relatively, tie as one plateau
+_PROBE_BLOCK = 32  # lattice rows whose gradient is formed at once, so the sweep stays in cache
 
 
 @dataclass
@@ -53,10 +55,48 @@ class KVerdict:
     reason: str = ""
 
 
-def _probe_points(L):
-    """Rectangular probe lattice, 4L colatitudes by 8L longitudes, denser than the spectral grid."""
+def _probe_angles(L):
+    """Colatitudes and longitudes of the probe lattice, 4L by 8L, denser than the spectral grid."""
     n_th, n_ph = 4 * L, 8 * L
-    return probe_lattice((np.arange(n_th) + 0.5) * np.pi / n_th, 2.0 * np.pi * np.arange(n_ph) / n_ph)
+    return (np.arange(n_th) + 0.5) * np.pi / n_th, 2.0 * np.pi * np.arange(n_ph) / n_ph
+
+
+def _probe_points(L):
+    """The rectangular probe lattice of _probe_angles(L), as probe_lattice lays it out."""
+    return probe_lattice(*_probe_angles(L))
+
+
+def _lattice_grad_sq(f, theta, phi):
+    """|grad_S f|^2 on probe_lattice(theta, phi), _PROBE_BLOCK rows at a time: the whole lattice's, bit for bit."""
+    g2 = np.empty((len(theta), len(phi)))
+    for start in range(0, len(theta), _PROBE_BLOCK):
+        rows = slice(start, start + _PROBE_BLOCK)
+        g2[rows] = np.sum(f.grad_sphere(probe_lattice(theta[rows], phi)) ** 2, axis=-1)
+    return g2
+
+
+def _lattice_minima(g2):
+    """(rows, cols), in raster order, of one point per local-minimum plateau of g2 (n_th, n_ph).
+
+    A candidate is <= (1 + _TIE_REL) times the least value of its 3 x 3
+    block, periodic in longitude and inf past the end rows (a NaN there
+    fails).  It is dropped when it ties, each value within that factor of
+    the other, with a neighbour earlier in raster order: the three above,
+    the left one except in column 0, the right one in the last column
+    (column 0).  So a run flat up to roundoff seeds at its first point, a
+    flat row at column 0, and a run of inf (tied with the inf above) never.
+    """
+    (n_th, n_ph), near = g2.shape, 1.0 + _TIE_REL
+    pad = np.full((n_th + 2, n_ph + 2), np.inf)
+    pad[1:-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = g2, g2[:, -1], g2[:, 0]
+    across = np.minimum(np.minimum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
+    low = np.minimum(np.minimum(across[:-2], across[1:-1]), across[2:])
+    rows, cols = np.divmod(np.flatnonzero(g2 <= near * low), n_ph)
+    earlier = np.stack([pad[rows, cols], pad[rows, cols + 1], pad[rows, cols + 2],
+                        np.where(cols > 0, pad[rows + 1, cols], np.inf),
+                        np.where(cols == n_ph - 1, pad[rows + 1, cols + 2], np.inf)])
+    keep = ~np.any(earlier <= near * g2[rows, cols], axis=0)
+    return rows[keep], cols[keep]
 
 
 def _merge(xs, gns):
@@ -81,27 +121,27 @@ def _merge(xs, gns):
 def find_critical_points(f, grid, collect_warnings=None):
     """Locate all critical points of f by probe-lattice seeding + Newton.
 
-    Seeds are the lattice points where |grad f|^2 is <= its eight
-    neighbours (periodic in longitude), plus the two poles, all refined
-    by one f.newton_critical call and merged by _merge: each joins the
-    first point in seed order within 1e-6 geodesic, located at the one
-    of least gradient.  Tangent Hessians and values of the located
+    |grad_S f|^2 is swept over the 4L x 8L probe lattice 32 rows at a time
+    (_lattice_grad_sq).  Seeds are one point per local-minimum plateau of
+    it, the first in raster order of each run within 8 eps (relative) of
+    <= its eight neighbours (_lattice_minima), plus the two poles, all
+    refined by one f.newton_critical call and merged by _merge: each
+    joins the first point in seed order within 1e-6 geodesic, located at
+    the one of least gradient.  Tangent Hessians and values of the located
     points are evaluated in one batch; each Laplacian is its Hessian's
-    trace.  Raises NotMorseError for constant f or a degenerate tangent
-    Hessian at a located point (the first, in that order).
+    trace.  Raises NotMorseError for constant f (f is read on the lattice
+    only when |grad_S f|^2 vanishes there) or a degenerate tangent Hessian
+    at a located point (the first, in that order).
     """
-    pts = _probe_points(grid.L)
-    g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
-    fvals = f(pts)
-    if g2.max() < 1e-18 and fvals.max() - fvals.min() < 1e-14:
+    theta, phi = _probe_angles(grid.L)
+    g2 = _lattice_grad_sq(f, theta, phi)
+    if g2.max() < 1e-18 and np.ptp(f(_probe_points(grid.L))) < 1e-14:
         raise NotMorseError("function is constant: not Morse")
 
-    (n_th, n_ph), minima = g2.shape, np.ones(g2.shape, dtype=bool)
-    pad = np.full((n_th + 2, n_ph + 2), np.inf)
-    pad[1:-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = g2, g2[:, -1], g2[:, 0]
-    for a, b in np.ndindex(3, 3):  # the centre too, which only NaN fails
-        minima &= g2 <= pad[a:a + n_th, b:b + n_ph]
-    seeds = np.concatenate([pts[minima], [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    rows, cols = _lattice_minima(g2)
+    sin_theta = np.sin(theta[rows])  # the products probe_lattice forms, so the seeds are its points bit for bit
+    seeds = np.concatenate([np.stack([sin_theta * np.cos(phi[cols]), sin_theta * np.sin(phi[cols]),
+                                      np.cos(theta[rows])], axis=-1), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     xs, ok = f.newton_critical(seeds)
     if collect_warnings is not None:
         collect_warnings.extend(f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok])

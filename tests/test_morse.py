@@ -11,6 +11,9 @@ Validates:
   time, and batched (a bound on Hessian calls)
 - the seeds and the loop-free merge: bit for bit the points, warnings
   and failures of a sequential merge, one refined point at a time
+- the row-block sweep of |grad_S f|^2 and the seed vectors, bit for bit
+  the whole-lattice ones; one seed per plateau, against a loop over the
+  lattice; f read on the lattice only when the sweep finds no gradient
 - the extrema of non-axial targets against their extreme critical values
 - axis-symmetry parsing, invariance detection, and the two symmetric
   existence criteria
@@ -24,6 +27,10 @@ from bmcflow.errors import NotMorseError, SpecParseError
 from bmcflow.morse import (
     _DEGENERATE_TOL,
     _MERGE_TOL,
+    _TIE_REL,
+    _lattice_grad_sq,
+    _lattice_minima,
+    _probe_angles,
     _probe_points,
     check_conditions,
     check_symmetry,
@@ -289,6 +296,177 @@ def test_merge_matches_sequential_reference(spec, L):
     got = [(cp.location.tobytes(), cp.value, cp.laplacian, cp.index, cp.hessian_eigs) for cp in points]
     assert (warnings, got) == want
     assert bool(warnings) == spec.startswith("2 + bump(-40")
+
+
+def _reference_minima(g2):
+    """(row, col) pairs of _lattice_minima's rule, one lattice point at a time."""
+    n_th, n_ph = g2.shape
+    near = 1.0 + _TIE_REL
+
+    def at(r, c):
+        return g2[r, c % n_ph] if 0 <= r < n_th else np.inf
+
+    seeds = []
+    for r, c in np.ndindex(n_th, n_ph):
+        v = g2[r, c]
+        block = [at(r + a, c + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+        if not all(v <= near * w for w in block):  # False at any NaN
+            continue
+        earlier = [at(r - 1, c - 1), at(r - 1, c), at(r - 1, c + 1)]
+        earlier += [g2[r, c - 1]] if c > 0 else []
+        earlier += [g2[r, 0]] if c == n_ph - 1 else []
+        if not any(w <= near * v and v <= near * w for w in earlier):
+            seeds.append((r, c))
+    return seeds
+
+
+def _minima(g2):
+    return [(int(r), int(c)) for r, c in zip(*_lattice_minima(np.asarray(g2, dtype=float)))]
+
+
+def test_lattice_minima_keeps_an_isolated_strict_minimum():
+    g2 = 1.0 + np.add.outer((np.arange(5) - 2.0) ** 2, (np.arange(8) - 3.0) ** 2)
+    assert _minima(g2) == [(2, 3)]
+
+
+def test_flat_periodic_row_seeds_once_at_column_0():
+    g2 = np.full((3, 8), 2.0)
+    g2[1] = 1.0
+    assert _minima(g2) == [(1, 0)]
+
+
+def test_ulp_jittered_row_seeds_once():
+    """The polar rows of a zonal target differ only by rounding, e.g. 6.4e-4 (1 + k eps)."""
+    g2 = np.full((3, 8), 1e-3)
+    g2[1] = 6.4e-4 * (1.0 + np.array([3, 0, 5, 1, 7, 2, 6, 4]) * np.finfo(float).eps)
+    assert len(_minima(g2)) == 1
+
+
+@pytest.mark.parametrize("tied, kept", [
+    ([(1, 2), (1, 3)], (1, 2)),   # left neighbour
+    ([(1, 2), (2, 2)], (1, 2)),   # the one above
+    ([(1, 2), (2, 3)], (1, 2)),   # above and to the left
+    ([(1, 3), (2, 2)], (1, 3)),   # above and to the right
+    ([(1, 0), (1, 7)], (1, 0)),   # the last column's right neighbour wraps to column 0
+    ([(1, 7), (2, 0)], (1, 7)),   # above and to the left, across the wrap
+])
+def test_a_tie_drops_only_the_later_point(tied, kept):
+    """Of two tied neighbouring minima the earlier in raster order keeps
+    its seed (its tie is with a later point), the later one loses it."""
+    rows, cols = np.indices((4, 8))
+    g2 = 5.0 + np.min([np.maximum(abs(rows - r), np.minimum(abs(cols - c), 8 - abs(cols - c))) for r, c in tied],
+                      axis=0)  # rising with the periodic Chebyshev distance to the tied pair
+    for rc in tied:
+        g2[rc] = 1.0
+    assert _minima(g2) == [kept]
+
+
+def test_separated_plateaus_seed_once_each():
+    g2 = np.full((3, 8), 5.0)
+    g2[1] = [1.0, 1.0, 5.0, 5.0, 1.0, 1.0 + 2 * np.finfo(float).eps, 1.0, 5.0]
+    assert _minima(g2) == [(1, 0), (1, 4)]
+
+
+def test_nan_never_seeds():
+    """A NaN point is no seed, and neither is a minimum next to one."""
+    g2 = 1.0 + np.add.outer((np.arange(5) - 2.0) ** 2, (np.arange(8) - 3.0) ** 2)
+    g2[2, 3] = np.nan
+    assert _minima(g2) == []
+    g2[2, 3], g2[1, 4] = 1.0, np.nan
+    assert _minima(g2) == []
+    assert _minima(np.full((2, 8), np.nan)) == []
+
+
+def test_inf_never_seeds():
+    """An overflowed |grad|^2 is no start for Newton: a run of inf ties
+    with the inf above it, past the first row or in the row itself."""
+    g2 = np.repeat([[3.0], [2.0], [1.5], [1.0]], 8, axis=1)
+    g2[:2, 1:6] = np.inf
+    assert _minima(g2) == [(3, 0)]
+    assert _minima(np.full((2, 8), np.inf)) == []
+
+
+def test_lattice_minima_matches_a_loop_over_points():
+    """Random small lattices with many exact ties, roundoff-sized gaps,
+    inf and NaN: the loop-free rule equals the rule applied point by point."""
+    rng = np.random.default_rng(30)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(3, 9)))
+        g2 = rng.integers(0, 3, size=shape) * (1.0 + rng.integers(-12, 13, size=shape) * eps)
+        g2[rng.random(shape) < 0.05] = np.nan
+        g2[rng.random(shape) < 0.05] = np.inf
+        assert _minima(g2) == _reference_minima(g2), g2
+
+
+def _seeds(spec, L):
+    """The seeds find_critical_points hands to its one newton_critical call."""
+    f, seeds = parse_f_spec(spec), []
+    newton_critical = f.newton_critical
+
+    def recorded(s):
+        seeds.append(s)
+        return newton_critical(s)
+
+    f.newton_critical = recorded
+    try:
+        find_critical_points(f, make_grid(L))
+    except NotMorseError:
+        pass
+    assert len(seeds) == 1
+    return seeds[0]
+
+
+@pytest.mark.parametrize("spec, most", [("2 - z^2", 5), ("2 + 0.5z", 4), (ELLIPSOID, 10)])
+def test_one_seed_per_plateau_at_L31(spec, most):
+    """The polar rows of a zonal target, flat up to rounding, seed once
+    each (509 and 249 seeds with the two poles when every point of a
+    plateau seeded); the ellipsoid keeps its 10."""
+    seeds = _seeds(spec, 31)
+    assert len(seeds) <= most
+    if spec == ELLIPSOID:
+        assert len(seeds) == most
+
+
+@pytest.mark.parametrize("L", [4, 8, 31, 63, 85])
+@pytest.mark.parametrize("spec", POINCARE_HOPF_TARGETS)
+def test_row_block_sweep_is_bit_identical(spec, L):
+    """32-row blocks (the last one shorter unless 32 divides 4L) give
+    the whole lattice's |grad_S f|^2 bit for bit."""
+    f = parse_f_spec(spec)
+    want = np.sum(f.grad_sphere(_probe_points(L)) ** 2, axis=-1)
+    assert np.array_equal(_lattice_grad_sq(f, *_probe_angles(L)), want)
+
+
+@pytest.mark.parametrize("L", [8, 31, 85])
+@pytest.mark.parametrize("spec", POINCARE_HOPF_TARGETS + ["2 - z^2"])
+def test_seed_vectors_are_the_lattice_points(spec, L):
+    """The seeds built from (row, column) indices are the probe-lattice
+    points bit for bit, in raster order, followed by the two poles."""
+    f = parse_f_spec(spec)
+    rows, cols = _lattice_minima(np.sum(f.grad_sphere(_probe_points(L)) ** 2, axis=-1))
+    seeds = _seeds(spec, L)
+    assert np.array_equal(seeds, np.concatenate([_probe_points(L)[rows, cols], [[0, 0, 1.0], [0, 0, -1.0]]]))
+
+
+def test_constant_test_reads_f_on_the_lattice_only_when_flat(monkeypatch):
+    """A target with a gradient is never evaluated on a lattice-sized
+    input; "1" still is, and is rejected as constant."""
+    grid, sizes = make_grid(31), []
+    call = PrescribedFunction.__call__
+
+    def counted(self, pts):
+        sizes.append(np.size(pts))
+        return call(self, pts)
+
+    monkeypatch.setattr(PrescribedFunction, "__call__", counted)
+    lattice = _probe_points(grid.L).size
+    find_critical_points(parse_f_spec(ELLIPSOID), grid)
+    assert sizes and max(sizes) < lattice
+    sizes.clear()
+    with pytest.raises(NotMorseError, match="^function is constant: not Morse$"):
+        find_critical_points(parse_f_spec("1"), grid)
+    assert sizes == [lattice]
 
 
 def test_constant_rejected():
