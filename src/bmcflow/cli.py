@@ -131,7 +131,9 @@ def _load_experiment(path):
     flow_fields = doc.get("flow", {})
     _reject_unknown(flow_fields, FlowConfig.__dataclass_fields__, "flow config fields")
     config = FlowConfig(**flow_fields).validate()
-    checks = list(doc.get("checks", ["identities"]))
+    checks = doc.get("checks", ["identities"])
+    if not isinstance(checks, list):
+        raise ConfigError(f"checks must be a list of names, got {checks!r}")
     _reject_unknown(checks, _CHECKS, "checks")
     u0_spec = doc.get("u0_spec", {"type": "constant", "value": 1.0})
     return {**ints, "f_spec": f_spec, "u0_spec": u0_spec, "checks": checks, "flow": config}

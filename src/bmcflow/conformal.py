@@ -79,11 +79,6 @@ class ConformalMap:
     def inverse(self):
         return ConformalMap(self.p, 1.0 / self.eps)
 
-    @property
-    def width(self):
-        """Concentration parameter of the bubble this map's inverse generates."""
-        return 2.0 * self.eps / (1.0 + self.eps)
-
 
 @dataclass
 class NormalizedState:

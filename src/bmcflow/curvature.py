@@ -151,21 +151,10 @@ def energy_functional(u, fv):
     report keeps u^{2#} at the nodes, so its callers need not form it again.
     """
     require_positive(u.values, "conformal factor")
-    return _energy_report(u, fv, volume_density(u.values))
+    return energy_report(u, fv, volume_density(u.values))
 
 
-def curvature_and_energy(u, dtn_values, fv):
-    """(H at the nodes, energy_functional(u, fv)) of a u whose node values the caller has found positive.
-
-    dtn_values holds DtN u at the nodes.  One u^2 serves both
-    H = (a_n DtN u + u) / (u^2 u) and u^{2#} = (u^2)^2; the results are
-    those of mean_curvature_values and energy_functional bit for bit.
-    """
-    u2 = u.values * u.values
-    return mean_curvature_values(u.values, dtn_values, u2), _energy_report(u, fv, u2 * u2)
-
-
-def _energy_report(u, fv, density):
+def energy_report(u, fv, density):
     """energy_functional without its positivity check, with density = u^{2#} at the nodes given."""
     E = total_energy(u)
     denom, sign = weighted_mean_sign(u.grid, fv, density)

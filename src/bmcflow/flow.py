@@ -40,14 +40,15 @@ band limit, and at L = 63 a concentrated bubble runs with E_f monotone.
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .conformal import CAP_RADII, cap_integrals
-from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, curvature_and_energy, energy_weights, flow_bounds,
-                        require_positive, volume_density)
+from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_report, energy_weights, flow_bounds,
+                        mean_curvature_values, require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
 from .spectral import BoundaryField, analyze, dtn_apply, synthesize
 
@@ -71,15 +72,16 @@ _FINISH_MATVECS = 300
 TAU = 0.8
 
 
-# Types the FlowConfig annotations admit from JSON: bool is no number, a tuple is a list of numbers.
+# Types the FlowConfig annotations admit from JSON: bool is no number, a float is finite, a tuple is a list of numbers.
 _ADMITS = {float: numbers.Real, int: numbers.Integral, bool: bool}
 
 
 def admits(kind, value):
     """FlowConfig's type rule for a JSON value; the CLI checks its integer keys by it too."""
-    if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(admits(float, v) for v in value)
-    return isinstance(value, _ADMITS[kind]) and isinstance(value, bool) == (kind is bool)
+    if kind is tuple:  # its reader names a component that is not finite
+        return isinstance(value, (list, tuple)) and all(admits(numbers.Real, v) for v in value)
+    return (isinstance(value, _ADMITS.get(kind, kind)) and isinstance(value, bool) == (kind is bool)
+            and (kind is not float or abs(value) <= sys.float_info.max))
 
 
 @dataclass
@@ -112,15 +114,13 @@ class FlowState:
     """One flow state, evaluated once: u and every node field that the step, the verdict tests and the row read.
 
     _evaluate fills the fields down to min_u; init_state and step set the
-    bounds and the clock.  lam_f = lambda f and r = lambda f - H are the
-    residual's node arrays.
+    bounds and the clock.  r = lambda f - H is the residual at the nodes.
     """
     u: BoundaryField
     f_values: np.ndarray
     dtn: np.ndarray            # DtN u at the grid nodes
     H: np.ndarray              # mean curvature at the grid nodes
     energy_report: object
-    lam_f: np.ndarray
     r: np.ndarray
     min_u: float
     bounds: object = None
@@ -190,10 +190,10 @@ def _evaluate(coeffs, grid, f_values, project):
     if project:
         c = grid.integrate(volume_density(values)) ** (-1.0 / TWO_SHARP)
         coeffs, values, dtn, min_u = c * coeffs, c * values, c * dtn, c * min_u
-    u = BoundaryField(grid, values=values, coeffs=coeffs)
-    H, report = curvature_and_energy(u, dtn, f_values)
-    lam_f = report.lam * f_values
-    return FlowState(u=u, f_values=f_values, dtn=dtn, H=H, energy_report=report, lam_f=lam_f, r=lam_f - H,
+    u, u2 = BoundaryField(grid, values=values, coeffs=coeffs), values * values
+    H = mean_curvature_values(values, dtn, u2)
+    report = energy_report(u, f_values, u2 * u2)
+    return FlowState(u=u, f_values=f_values, dtn=dtn, H=H, energy_report=report, r=report.lam * f_values - H,
                      min_u=min_u)
 
 
@@ -434,8 +434,8 @@ def _record(traj, state, F2, max_u):
     """Append the row of the current state and run the cap-mass detector, both from one reduction.
 
     The row is built as ordered (name, value) pairs, which name the
-    trajectory's columns.  It reads r = lambda f - H, lambda f and min u
-    from the state, w = u^{2#} from its energy report, and F2 = mean(r^2 w)
+    trajectory's columns.  It reads r = lambda f - H, f and min u from
+    the state, lambda and w = u^{2#} from its energy report, and F2 = mean(r^2 w)
     and max u from run.  The detector's density is W = |H|^n w; a node is
     flagged when the integral of W over its cap is >= TAU^n omega_n at
     every radius in CAP_RADII.  Cap integrals are spherical convolutions
@@ -445,15 +445,14 @@ def _record(traj, state, F2, max_u):
     error.  Returns (flags over the nodes, the total mass integral
     |H|^n dmu_g, S = mean(x w)).
 
-    The seven integrands are written into one array: w, lambda f r w,
-    r^4 w, W and x w.  No node is flagged while the cap integrals of
-    some radius peak below the threshold, so the nodes are compared only
-    when every peak reaches it.
+    The seven integrands are written into one array: w, lambda f r w
+    (f lambda, then times r, in place), r^4 w, W and x w.
     """
     rep, grid, r, w = state.energy_report, state.u.grid, state.r, state.energy_report.density
     fields = np.empty((7,) + grid.shape)
     fields[0] = w
-    np.multiply(state.lam_f, r, out=fields[1])
+    np.multiply(state.f_values, rep.lam, out=fields[1])
+    fields[1] *= r
     np.multiply(r, r, out=fields[2])
     np.square(fields[2], out=fields[2])
     np.abs(state.H, out=fields[3])
@@ -463,20 +462,16 @@ def _record(traj, state, F2, max_u):
     moments = grid.integrate(fields)
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
     caps = cap_integrals(fields[3], grid, CAP_RADII)
-    peaks = [float(cap.max()) for cap in caps]
     row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
            ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
            ("min_u", state.min_u),
            ("max_u", max_u),
            ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
-    row += [(f"capmass_r{radius:g}", peak / OMEGA_N) for radius, peak in zip(CAP_RADII, peaks)]
+    row += [(f"capmass_r{radius:g}", float(cap.max()) / OMEGA_N) for radius, cap in zip(CAP_RADII, caps)]
     row += [("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
     traj.columns = tuple(name for name, _ in row)
     traj.rows.append([value for _, value in row])
-    threshold = TAU**N * OMEGA_N
-    if any(peak < threshold for peak in peaks):
-        return np.zeros(grid.shape, dtype=bool), OMEGA_N * mass, S
-    return np.all(caps >= threshold, axis=0), OMEGA_N * mass, S
+    return np.all(caps >= TAU**N * OMEGA_N, axis=0), OMEGA_N * mass, S
 
 
 def run(state, config):

@@ -24,6 +24,7 @@ import numpy as np
 from .curvature import N, target_report
 from .errors import NotMorseError, SpecParseError
 from .prescribed import probe_lattice
+from .spectral import sphere_points
 
 _DEGENERATE_TOL = 1e-8
 _MERGE_TOL = 1e-6
@@ -59,11 +60,6 @@ def _probe_angles(L):
     """Colatitudes and longitudes of the probe lattice, 4L by 8L, denser than the spectral grid."""
     n_th, n_ph = 4 * L, 8 * L
     return (np.arange(n_th) + 0.5) * np.pi / n_th, 2.0 * np.pi * np.arange(n_ph) / n_ph
-
-
-def _probe_points(L):
-    """The rectangular probe lattice of _probe_angles(L), as probe_lattice lays it out."""
-    return probe_lattice(*_probe_angles(L))
 
 
 def _lattice_grad_sq(f, theta, phi):
@@ -135,13 +131,12 @@ def find_critical_points(f, grid, collect_warnings=None):
     """
     theta, phi = _probe_angles(grid.L)
     g2 = _lattice_grad_sq(f, theta, phi)
-    if g2.max() < 1e-18 and np.ptp(f(_probe_points(grid.L))) < 1e-14:
+    if g2.max() < 1e-18 and np.ptp(f(probe_lattice(theta, phi))) < 1e-14:
         raise NotMorseError("function is constant: not Morse")
 
-    rows, cols = _lattice_minima(g2)
-    sin_theta = np.sin(theta[rows])  # the products probe_lattice forms, so the seeds are its points bit for bit
-    seeds = np.concatenate([np.stack([sin_theta * np.cos(phi[cols]), sin_theta * np.sin(phi[cols]),
-                                      np.cos(theta[rows])], axis=-1), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    rows, cols = _lattice_minima(g2)  # sphere_points forms probe_lattice's products, so seeds are its points
+    seeds = np.concatenate([sphere_points(np.sin(theta[rows]), np.cos(theta[rows]), phi[cols]).T,
+                            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
     xs, ok = f.newton_critical(seeds)
     if collect_warnings is not None:
         collect_warnings.extend(f"Newton did not converge from seed {np.round(seed, 3)}" for seed in seeds[~ok])

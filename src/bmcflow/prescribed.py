@@ -38,6 +38,7 @@ from numpy.polynomial import legendre as npleg
 
 from .conformal import unit_direction
 from .errors import SpecParseError
+from .spectral import sphere_points
 
 # extrema scans a lattice of this many colatitudes by twice as many longitudes.
 _EXTREMA_PROBE = 64
@@ -77,13 +78,11 @@ class _Mono:
             if a:
                 acc[i] += self._derivative(xyz, (i,))
 
-    def hess(self, pts):
-        h = np.zeros(pts.shape[:-1] + (3, 3))
+    def add_hess(self, xyz, acc):
         for i in range(3):
             for j in range(3):
                 if self.powers[i] and self.powers[j] > (i == j):
-                    h.T[j, i] = self._derivative(pts.T, (i, j))
-        return h
+                    acc[j, i] += self._derivative(xyz, (i, j))
 
     def bound(self):
         b = abs(self.coef) * max(1.0, sum(self.powers) ** 2)
@@ -112,8 +111,8 @@ class _Bump:
     def add_grad(self, xyz, acc):
         acc += np.multiply.outer(self.p, self.coef * self.k * self._decay(xyz))
 
-    def hess(self, pts):
-        return (self.coef * self.k**2 * self._decay(pts.T).T)[..., None, None] * np.outer(self.p, self.p)
+    def add_hess(self, xyz, acc):
+        acc += np.multiply.outer(np.outer(self.p, self.p), self.coef * self.k**2 * self._decay(xyz))
 
     def bound(self):
         scale = abs(self.coef) * np.exp(2.0 * max(0.0, -self.k))
@@ -138,10 +137,8 @@ class _Legendre:
     def add_grad(self, xyz, acc):
         acc[2] += self.coef * self._dp(xyz[2])
 
-    def hess(self, pts):
-        h = np.zeros(pts.shape[:-1] + (3, 3))
-        h[..., 2, 2] = self.coef * self._ddp(pts[..., 2])
-        return h
+    def add_hess(self, xyz, acc):
+        acc[2, 2] += self.coef * self._ddp(xyz[2])
 
     def bound(self):
         b = abs(self.coef) * max(1.0, float(self.l) ** 4)
@@ -281,10 +278,11 @@ class PrescribedFunction:
         return g
 
     def ambient_hess(self, pts):
+        """hess F (..., 3, 3) at points (..., 3): each term adds its Hessian into the one (3, 3, ...) view h.T."""
         pts = np.asarray(pts, dtype=float)
         h = np.zeros(pts.shape[:-1] + (3, 3))
         for t in self.terms:
-            h = h + t.hess(pts)
+            t.add_hess(pts.T, h.T)
         return h
 
     def grad_sphere(self, pts):
@@ -361,9 +359,7 @@ def probe_lattice(theta, phi):
     As in Grid.nodes, each coordinate [..., i] is contiguous.  Outer products of the 1-D sines and
     cosines: the same values, bit for bit, as taking sin and cos over the meshgrid of theta and phi.
     """
-    sin_theta = np.sin(theta)[:, None]
-    return np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi),
-                                        np.cos(theta)[:, None])).transpose(1, 2, 0)
+    return sphere_points(np.sin(theta)[:, None], np.cos(theta)[:, None], phi).transpose(1, 2, 0)
 
 
 def _dot3(a, b):

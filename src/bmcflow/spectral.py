@@ -49,10 +49,6 @@ class Grid:
     def phi(self):
         return 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
 
-    @property
-    def sin_theta(self):
-        return np.sqrt(1.0 - self.x**2)
-
     def nodes(self):
         """Unit vectors of all grid nodes, shape (n_lat, n_lon, 3): one cached read-only array."""
         return self._nodes
@@ -60,8 +56,7 @@ class Grid:
     @cached_property
     def _nodes(self):
         """Stored component-first, so that each coordinate nodes()[..., i] is contiguous."""
-        st, phi = self.sin_theta[:, None], self.phi[None, :]
-        xyz = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), self.x[:, None]))
+        xyz = sphere_points(np.sqrt(1.0 - self.x**2)[:, None], self.x[:, None], self.phi)
         xyz.flags.writeable = False
         return xyz.transpose(1, 2, 0)
 
@@ -122,6 +117,11 @@ class Grid:
         if values.shape[-2:] != self.shape:
             raise ValueError(f"values shape {values.shape} does not match grid {self.shape}")
         return (values * self._weights).sum(axis=(-2, -1))
+
+
+def sphere_points(sin_theta, cos_theta, phi):
+    """Component-first unit vectors (sin t cos p, sin t sin p, cos t), shape (3,) + the inputs' broadcast shape."""
+    return np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta))
 
 
 def legendre_rows(L, x):

@@ -208,16 +208,17 @@ def test_c09_bubble_identities():
 
 def test_c10_recentering():
     """Recentering the 0.4 bubble: residual <= 1e-8, pullback within
-    1e-5 of the constant, parameters recovered within 1e-3."""
+    1e-5 of the constant, parameters recovered within 1e-3 (the map's
+    dilation relative to 0.4/(2 - 0.4), which generates the bubble)."""
     g = make_grid(31)
     out = normalize(bubble_field(N_POLE, 0.4, g))
     v_dev = float(np.abs(out.v.values - 1.0).max())
-    width_err = abs(out.map.width - 0.4)
+    eps_err = abs(out.map.eps / (0.4 / 1.6) - 1.0)
     p_err = float(np.linalg.norm(out.map.p - N_POLE))
     ok = (out.residual <= 1e-8 and v_dev <= 1e-5
-          and width_err <= 1e-3 and p_err <= 1e-3)
+          and eps_err <= 1e-3 and p_err <= 1e-3)
     _report(10, ok, f"residual {out.residual:.2e}, |v-1| {v_dev:.2e}, "
-                    f"width err {width_err:.2e}, center err {p_err:.2e}")
+                    f"dilation err {eps_err:.2e}, center err {p_err:.2e}")
 
 
 def test_c11_counting_machinery():

@@ -301,6 +301,21 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
                  id="fractional-mode-m"),
     pytest.param({"u0_spec": {"type": "perturbation", "random": {"lmax": 3.9, "amp": 0.01}}},
                  id="fractional-random-lmax"),
+    pytest.param({"flow": {"t_end": float("nan")}}, id="nan-t_end"),
+    pytest.param({"flow": {"t_end": float("inf")}}, id="infinite-t_end"),
+    pytest.param({"flow": {"t_end": 10**400}}, id="integer-t_end-past-doubles"),
+    pytest.param({"flow": {"conv_tol": float("nan")}}, id="nan-conv_tol"),
+    pytest.param({"flow": {"blowup_maxu": float("nan")}}, id="nan-blowup_maxu"),
+    pytest.param({"flow": {"dt_max": float("inf")}}, id="infinite-dt_max"),
+    pytest.param({"u0_spec": {"type": "constant", "value": float("nan")}}, id="nan-constant-value"),
+    pytest.param({"u0_spec": {"type": "constant", "value": float("inf")}}, id="infinite-constant-value"),
+    pytest.param({"u0_spec": {"type": "perturbation", "base": float("nan")}}, id="nan-base"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": float("inf")}]}},
+                 id="infinite-mode-amp"),
+    pytest.param({"u0_spec": {"type": "perturbation", "random": {"lmax": 3, "amp": float("nan")}}},
+                 id="nan-random-amp"),
+    pytest.param({"checks": {"identities": 1}}, id="checks-object"),
+    pytest.param({"checks": "morse"}, id="checks-string"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     """Out-of-range or wrongly typed settings and unknown names exit 64
@@ -333,6 +348,15 @@ def test_u0_spec_type_error_names_the_field(tmp_path, capsys, u0_spec, name):
     cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", u0_spec=u0_spec)
     assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 64
     assert f"u0_spec field {name} must be of type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [{"identities": 1}, "morse"])
+def test_checks_must_be_a_list_of_names(tmp_path, capsys, checks):
+    """checks is a JSON list: an object is not read by its keys, and a
+    string is not split into letters."""
+    cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", checks=checks)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert "checks must be a list of names" in capsys.readouterr().err
 
 
 def test_flow_run_unreadable_config(tmp_path, capsys):

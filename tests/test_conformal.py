@@ -201,14 +201,6 @@ def test_map_validation():
         ConformalMap(N_POLE, -1.0)
 
 
-def test_width_matches_concentration_parameter():
-    """A bubble with concentration eps comes from the chart dilation
-    eps/(2-eps); width inverts that relation."""
-    for eps in (0.05, 0.3, 0.4, 0.7, 1.0):
-        mp = ConformalMap(N_POLE, eps / (2.0 - eps))
-        assert abs(mp.width - eps) < 1e-14
-
-
 def test_bubble_field_closed_form_and_map_form_agree():
     """The closed form is the conformal factor, to the power (n-1)/2, of the
     inverse of the generating map ConformalMap(p, eps/(2-eps))."""
@@ -385,13 +377,13 @@ def test_pullback_identity():
 
 
 def test_normalize_recovers_bubble_parameters():
-    """Recentering a 0.4-bubble returns a map of width 0.4 whose pullback
-    is the constant."""
+    """Recentering a 0.4-bubble returns the map of dilation 0.4/(2 - 0.4)
+    that generates it, whose pullback is the constant."""
     g = make_grid(31)
     u = bubble_field(N_POLE, 0.4, g)
     out = normalize(u)
     assert out.residual <= 1e-8
-    assert abs(out.map.width - 0.4) < 1e-6
+    assert abs(out.map.eps / (0.4 / 1.6) - 1.0) < 1e-6
     assert float(out.map.p @ N_POLE) > 1.0 - 1e-6
     assert np.abs(out.v.values - 1.0).max() < 1e-5
 

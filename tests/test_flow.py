@@ -415,6 +415,18 @@ def test_row_matches_reference_functions():
         assert abs(row[name] - value) <= 1e-14 * max(1.0, abs(value)), name
 
 
+@pytest.mark.parametrize("spec", ["2 - z^2", "0.3 + z", "2 + 0.5z"])
+def test_row_lambda_prime_is_the_reference_bit_for_bit(spec):
+    """The row forms lambda f r w in the order lambda_prime does,
+    ((lambda f) r) w, so its lambda_prime column equals the reference
+    exactly; forming (r lambda) f instead changes the last bits."""
+    g = make_grid(15)
+    cfg = FlowConfig(t_end=0.3, conv_tol=1e-14)
+    state = init_state(perturbed_constant(g), parse_f_spec(spec), cfg)
+    traj = run(state, cfg)
+    assert traj.column("lambda_prime")[-1] == lambda_prime(state.u, state.f_values, state.energy_report.lam, H=state.H)
+
+
 @pytest.mark.parametrize("spec", ["2 - z^2", "0.3 + z"])
 @pytest.mark.parametrize("project", [False, True])
 def test_evaluate_matches_one_quantity_functions(spec, project):
@@ -436,16 +448,14 @@ def test_evaluate_matches_one_quantity_functions(spec, project):
 
 
 def _assert_record_fields(state):
-    lam_f = state.energy_report.lam * state.f_values
-    assert np.array_equal(state.lam_f, lam_f)
-    assert np.array_equal(state.r, lam_f - state.H)
+    assert np.array_equal(state.r, state.energy_report.lam * state.f_values - state.H)
     assert state.min_u == float(state.u.values.min())
 
 
 @pytest.mark.parametrize("project", [True, False])
 def test_state_record_fields_match_their_definitions(project):
-    """The FlowState carries lambda f, r = lambda f - H and min u, equal bit
-    for bit to forming them from the state's own u, f, lambda and H, after
+    """The FlowState carries r = lambda f - H and min u, equal bit for bit
+    to forming them from the state's own u, f, lambda and H, after
     init_state and after a step, with and without volume projection (a
     projected min u is c times the unscaled minimum, which must equal the
     minimum of the scaled values)."""
@@ -487,9 +497,9 @@ def test_detector_threshold_lies_in_its_range():
 
 
 def test_record_flags_match_every_node_comparison(monkeypatch):
-    """_record compares the nodes only when every radius's cap peak reaches
-    tau^n omega_n; its flags equal the comparison at every node when the
-    threshold lies below all peaks, at each peak, and between them."""
+    """_record's flags are the comparison of every node's caps with
+    tau^n omega_n at every radius, when the threshold lies below all
+    peaks, at each peak, and between them."""
     g = make_grid(31)
     state = init_state(bubble_field(N_POLE, 0.2, g), parse_f_spec("2 + 0.5z"), FlowConfig())
     _, _, peaks = _record_flags(state, 0.5, monkeypatch)

@@ -21,7 +21,6 @@ SRC = ROOT / "src" / "bmcflow"
 UNCALLED_ALLOWED = {
     "conformal.ConformalMap.inverse": "the inverse map that tests compose with boundary_action to check "
                                       "inversion and the change of variables of normalize's Jacobian",
-    "conformal.ConformalMap.width": "the concentration parameter acceptance check c10 reads off a recentering map",
     "curvature.energy_functional": "the reference that test_evaluate_matches_one_quantity_functions compares "
                                    "_evaluate's energy report against",
     "curvature.lambda_prime": "the reference that test_row_matches_reference_functions compares _record's row against",

@@ -31,7 +31,6 @@ from bmcflow.morse import (
     _lattice_grad_sq,
     _lattice_minima,
     _probe_angles,
-    _probe_points,
     check_conditions,
     check_symmetry,
     counts_mi,
@@ -40,7 +39,7 @@ from bmcflow.morse import (
     parse_sym_spec,
     solve_k_system,
 )
-from bmcflow.prescribed import PrescribedFunction, parse_f_spec
+from bmcflow.prescribed import PrescribedFunction, parse_f_spec, probe_lattice
 from bmcflow.spectral import make_grid
 
 ELLIPSOID = "4 + 0.3x^2 + 0.6y^2 + 1.05z^2"
@@ -238,7 +237,7 @@ def _sequential_critical_points(f, grid):
     geodesic of a point already located replaces it if its gradient is
     smaller, and is located anew otherwise.
     """
-    pts = _probe_points(grid.L)
+    pts = probe_lattice(*_probe_angles(grid.L))
     g2 = np.sum(f.grad_sphere(pts) ** 2, axis=-1)
     neighborhood_min = np.ones_like(g2, dtype=bool)
     for dth, dph in [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]:
@@ -434,7 +433,7 @@ def test_row_block_sweep_is_bit_identical(spec, L):
     """32-row blocks (the last one shorter unless 32 divides 4L) give
     the whole lattice's |grad_S f|^2 bit for bit."""
     f = parse_f_spec(spec)
-    want = np.sum(f.grad_sphere(_probe_points(L)) ** 2, axis=-1)
+    want = np.sum(f.grad_sphere(probe_lattice(*_probe_angles(L))) ** 2, axis=-1)
     assert np.array_equal(_lattice_grad_sq(f, *_probe_angles(L)), want)
 
 
@@ -444,9 +443,9 @@ def test_seed_vectors_are_the_lattice_points(spec, L):
     """The seeds built from (row, column) indices are the probe-lattice
     points bit for bit, in raster order, followed by the two poles."""
     f = parse_f_spec(spec)
-    rows, cols = _lattice_minima(np.sum(f.grad_sphere(_probe_points(L)) ** 2, axis=-1))
+    rows, cols = _lattice_minima(np.sum(f.grad_sphere(probe_lattice(*_probe_angles(L))) ** 2, axis=-1))
     seeds = _seeds(spec, L)
-    assert np.array_equal(seeds, np.concatenate([_probe_points(L)[rows, cols], [[0, 0, 1.0], [0, 0, -1.0]]]))
+    assert np.array_equal(seeds, np.concatenate([probe_lattice(*_probe_angles(L))[rows, cols], [[0, 0, 1.0], [0, 0, -1.0]]]))
 
 
 def test_constant_test_reads_f_on_the_lattice_only_when_flat(monkeypatch):
@@ -460,7 +459,7 @@ def test_constant_test_reads_f_on_the_lattice_only_when_flat(monkeypatch):
         return call(self, pts)
 
     monkeypatch.setattr(PrescribedFunction, "__call__", counted)
-    lattice = _probe_points(grid.L).size
+    lattice = probe_lattice(*_probe_angles(grid.L)).size
     find_critical_points(parse_f_spec(ELLIPSOID), grid)
     assert sizes and max(sizes) < lattice
     sizes.clear()

@@ -500,6 +500,20 @@ def test_batch_trailing_shape_checked():
         g.integrate(np.zeros((2, 9, 17)))
 
 
+@pytest.mark.parametrize("L", [4, 8, 31, 63, 85])
+def test_nodes_match_colatitude_formula(L):
+    """The grid nodes are (sqrt(1 - x^2) cos phi, sqrt(1 - x^2) sin phi, x)
+    at the Gauss nodes x and the longitudes phi, bit for bit; the array is
+    read-only and each coordinate nodes()[..., i] is contiguous."""
+    g = make_grid(L)
+    sin_theta, phi = np.sqrt(1.0 - g.x**2)[:, None], 2.0 * np.pi * np.arange(g.n_lon) / g.n_lon
+    want = np.stack(np.broadcast_arrays(sin_theta * np.cos(phi), sin_theta * np.sin(phi), g.x[:, None]), axis=-1)
+    nodes = g.nodes()
+    assert nodes.shape == g.shape + (3,) and np.array_equal(nodes, want)
+    assert not nodes.flags.writeable
+    assert all(nodes[..., i].flags.c_contiguous for i in range(3))
+
+
 def test_nodes_cached_read_only():
     g = make_grid(8)
     nodes = g.nodes()
