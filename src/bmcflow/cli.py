@@ -7,7 +7,8 @@ Subcommands:
       verdict.json, (when requested) identities.json, and (when the
       flow tried a Newton finish) certificate.json per run.
       Exit 0 for Converged/HorizonReached, 2 for Concentrating,
-      3 for scheme failures, 64 for unparseable input.
+      3 for Failed (an unresolved state or a scheme failure), 64 for
+      unparseable input or configs whose stems name one output directory.
 
   morse check --f SPEC [--sym SPEC]
       Critical-point report as JSON on stdout.  Without --sym, exit 0
@@ -79,9 +80,19 @@ def _reject_unknown(given, known, what):
 
 def _typed(block, key, kind, default=None):
     """block[key] (or the default when it is absent and one is given), checked by FlowConfig's type rule."""
-    value = block[key] if default is None else block.get(key, default)
+    if default is None and key not in block:
+        raise ConfigError(f"u0_spec field {key} is missing")
+    value = block.get(key, default)
     if not admits(kind, value):
         raise ConfigError(f"u0_spec field {key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _object(value, known, what):
+    """value, checked to be a JSON object whose keys all lie in known; what names it in the message."""
+    if not admits(dict, value):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    _reject_unknown(value, known, f"{what} fields")
     return value
 
 
@@ -99,13 +110,15 @@ def _build_u0(spec, grid, rng):
     L = grid.L
     coeffs = np.zeros((L + 1, 2 * L + 1))
     coeffs[0, L] = _typed(spec, "base", float, 1.0)
-    for mode in spec.get("modes", []):
+    for mode in _typed(spec, "modes", list, []):
+        mode = _object(mode, ("l", "m", "amp"), "u0_spec mode")
         l, m = _typed(mode, "l", int), _typed(mode, "m", int)
         if not (0 <= l <= L and -l <= m <= l):
             raise ConfigError(f"mode (l={l}, m={m}) outside the band limit L={L}")
         coeffs[l, m + L] += _typed(mode, "amp", float)
     rand = spec.get("random")
     if rand is not None:
+        rand = _object(rand, ("lmax", "amp"), "u0_spec random")
         lmax = min(_typed(rand, "lmax", int), L)
         amp = _typed(rand, "amp", float)
         for l in range(1, lmax + 1):
@@ -128,9 +141,7 @@ def _load_experiment(path):
     f_spec = doc.get("f_spec")
     if not isinstance(f_spec, str):
         raise ConfigError("config needs an f_spec string")
-    flow_fields = doc.get("flow", {})
-    _reject_unknown(flow_fields, FlowConfig.__dataclass_fields__, "flow config fields")
-    config = FlowConfig(**flow_fields).validate()
+    config = FlowConfig(**_object(doc.get("flow", {}), FlowConfig.__dataclass_fields__, "flow config")).validate()
     checks = doc.get("checks", ["identities"])
     if not isinstance(checks, list):
         raise ConfigError(f"checks must be a list of names, got {checks!r}")
@@ -195,6 +206,11 @@ def cmd_flow_run(args):
     if len(configs) == 1:
         return _run_experiment(configs[0], args.out)
     outs = [str(Path(args.out) / Path(path).stem) for path in configs]
+    sharing = {out: [path for path, o in zip(configs, outs) if o == out] for out in outs}
+    clashes = [f"{', '.join(paths)} -> {out}" for out, paths in sharing.items() if len(paths) > 1]
+    if clashes:
+        print(f"config error: configs share an output directory: {'; '.join(clashes)}", file=sys.stderr)
+        return _EXIT_USAGE
     workers = max(1, min(args.jobs, len(configs)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -40,7 +40,7 @@ from .errors import NormalizeError
 from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
 
 _NORTH = np.array([0.0, 0.0, 1.0])
-# Radii of the caps on which the flow's detector and bubble probe measure concentration.
+# Radii of the caps on which bubble probe measures concentration.
 CAP_RADII = (0.1, 0.2, 0.5)
 # normalize accepts a map at residual |S(v)| / vol(v) <= _NORMALIZE_TOL, within _NORMALIZE_ITERS Newton steps a start.
 _NORMALIZE_TOL = 1e-8

@@ -14,12 +14,15 @@ a multiplicative constant.  The initial data and every accepted step
 pass the same tests, in this order, and the first that holds ends the
 run with its verdict:
 
+  Failed          tail > _TAIL_MAX = 1e-4: the resolution gate (below)
   Converged       sqrt(F2) = ||lambda f - H||_{L2(dmu_g)} < conv_tol
   Concentrating   max u exceeds blowup_maxu
   HorizonReached  t within dt_min of t_end; the last step is clipped to it
 
-A recorded step that no test ends may still end as Concentrating when
-the cap-mass detector flags a cluster.  Otherwise, once MIN_ROWS = 3
+tail is the share of the energy E = sum (2l+1) c_lm^2 held by the
+degrees l > 2L/3: a state whose spectrum reaches its top third is not
+resolved on its grid (Boyd 2001, ch. 2), so no verdict about the flow's
+limit is given for it.  Once MIN_ROWS = 3
 rows are recorded, a recorded state with sqrt(F2) below h = 1e4 conv_tol
 and centre of mass |S| < 0.2 is handed off to newton_finish, which
 solves H = lambda f to roundoff by Newton-Krylov.  A certified solution
@@ -46,7 +49,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conformal import CAP_RADII, cap_integrals
 from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_report, energy_weights, flow_bounds,
                         mean_curvature_values, require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
@@ -67,9 +69,9 @@ _HANDOFF = 1e4
 _HANDOFF_S = 0.2
 _FINISH_TOL = 1e-12
 _FINISH_MATVECS = 300
-# The cap-mass detector's threshold: a node is flagged when its cap of every radius in CAP_RADII carries
-# TAU^n omega_n of |H|^n dmu_g.  TAU must lie in (0, 2^(1/n)).
-TAU = 0.8
+# The resolution gate: the largest share of E that the degrees l > 2L/3 may hold.  The resolved runs measured
+# read at most 7.5e-5 (most below 1e-6), the aliasing ones 2.5e-4 and up.
+_TAIL_MAX = 1e-4
 
 
 # Types the FlowConfig annotations admit from JSON: bool is no number, a float is finite, a tuple is a list of numbers.
@@ -430,23 +432,16 @@ def newton_finish(state, conv_tol):
     return record, new
 
 
-def _record(traj, state, F2, max_u):
-    """Append the row of the current state and run the cap-mass detector, both from one reduction.
+def _record(traj, state, F2, max_u, tail):
+    """Append the row of the current state; returns (the total mass integral |H|^n dmu_g, S = mean(x w)).
 
     The row is built as ordered (name, value) pairs, which name the
     trajectory's columns.  It reads r = lambda f - H, f and min u from
-    the state, lambda and w = u^{2#} from its energy report, and F2 = mean(r^2 w)
-    and max u from run.  The detector's density is W = |H|^n w; a node is
-    flagged when the integral of W over its cap is >= TAU^n omega_n at
-    every radius in CAP_RADII.  Cap integrals are spherical convolutions
-    with the cap indicators, evaluated by Funk-Hecke multipliers, so they
-    carry the truncation error of the band-limited density; TAU (below
-    2^{1/n}) should not lie closer to the theoretical threshold than that
-    error.  Returns (flags over the nodes, the total mass integral
-    |H|^n dmu_g, S = mean(x w)).
+    the state, lambda and w = u^{2#} from its energy report, and F2 = mean(r^2 w),
+    max u and the resolution gate's tail from run.
 
     The seven integrands are written into one array: w, lambda f r w
-    (f lambda, then times r, in place), r^4 w, W and x w.
+    (f lambda, then times r, in place), r^4 w, |H|^n w and x w.
     """
     rep, grid, r, w = state.energy_report, state.u.grid, state.r, state.energy_report.density
     fields = np.empty((7,) + grid.shape)
@@ -461,36 +456,41 @@ def _record(traj, state, F2, max_u):
     np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[4:])
     moments = grid.integrate(fields)
     vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
-    caps = cap_integrals(fields[3], grid, CAP_RADII)
     row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
            ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
            ("min_u", state.min_u),
            ("max_u", max_u),
-           ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S)))]
-    row += [(f"capmass_r{radius:g}", float(cap.max()) / OMEGA_N) for radius, cap in zip(CAP_RADII, caps)]
-    row += [("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
+           ("S_x", S[0]), ("S_y", S[1]), ("S_z", S[2]), ("S_norm", float(np.linalg.norm(S))),
+           ("tail", tail), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
     traj.columns = tuple(name for name, _ in row)
     traj.rows.append([value for _, value in row])
-    return np.all(caps >= TAU**N * OMEGA_N, axis=0), OMEGA_N * mass, S
+    return OMEGA_N * mass, S
 
 
 def run(state, config):
     """Advance until a verdict and return the Trajectory; every run ends here, Failed included.
 
     The initial data and every accepted step pass the tests listed in
-    the module docstring.  A step is recorded every record_every steps
-    and whenever a test ends the run; only then do the cap-mass detector
-    and the hand-off test of the Newton finish run.  When step() raises
+    the module docstring, the resolution gate first.  A step is recorded
+    every record_every steps and whenever a test ends the run; only then
+    does the hand-off test of the Newton finish run.  When step() raises
     FlowFailure, the run ends as Failed: the exception's message is the
     reason, and the rows recorded so far are kept.
     """
     config.validate()
     traj = Trajectory(bounds=state.bounds)
     handoff = _HANDOFF * config.conv_tol
+    top = 2 * state.u.grid.L // 3 + 1          # tail: the share of E = sum (2l+1) c_lm^2 in degrees l >= top
+    weights = energy_weights(state.u.grid.L)[top:]
     while True:
+        c = state.u.coeffs[top:]
+        tail = float((weights * c * c).sum()) / state.energy_report.E
         F2, max_u = _f2(state), float(state.u.values.max())
         res, at, verdict = np.sqrt(F2), f"t={state.t:.6g}", None
-        if res < config.conv_tol:
+        if tail > _TAIL_MAX:
+            verdict = "Failed", (f"resolution gate: degrees l > 2L/3 hold {tail:.3e} of E, "
+                                 f"above _TAIL_MAX = {_TAIL_MAX:g}, at {at}")
+        elif res < config.conv_tol:
             verdict = "Converged", (f"initial residual {res:.3e} below conv_tol" if state.steps == 0
                                     else f"residual {res:.3e} below conv_tol at {at}")
         elif max_u > config.blowup_maxu:
@@ -498,12 +498,9 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            flags, mass, S = _record(traj, state, F2, max_u)
-            if verdict is None and flags.any():
-                verdict = "Concentrating", ("cap-mass detector flagged the initial data"
-                                            if state.steps == 0 else f"cap-mass detector fired at {at}")
-            elif (verdict is None and res < handoff and len(traj.rows) >= MIN_ROWS
-                  and np.linalg.norm(S) < _HANDOFF_S):
+            mass, S = _record(traj, state, F2, max_u, tail)
+            if (verdict is None and res < handoff and len(traj.rows) >= MIN_ROWS
+                    and np.linalg.norm(S) < _HANDOFF_S):
                 record, new = newton_finish(state, config.conv_tol)
                 traj.info.setdefault("finish", []).append({"t": state.t, "handoff_residual": float(res),
                                                            **record})
@@ -520,25 +517,11 @@ def run(state, config):
             except FlowFailure as exc:
                 verdict = "Failed", str(exc)
         traj.verdict, traj.reason = verdict
-        if traj.verdict == "Concentrating":
-            traj.info["concentration"] = _concentration_info(flags, state.u.grid, mass, S)
+        if traj.verdict == "Concentrating":     # the concentration block of verdict.json; Q = S/|S|
+            norm = float(np.linalg.norm(S))
+            traj.info["concentration"] = {"total_mass": float(mass), "S": [float(v) for v in S],
+                                          "Q": [float(v) for v in S / norm] if norm > 1e-10 else None}
         return traj
-
-
-def _concentration_info(flags, grid, total_mass, S):
-    """The concentration block of verdict.json: flagged nodes merged into clusters 0.5 rad apart, S and Q = S/|S|."""
-    clusters = []
-    for pt in grid.nodes()[flags]:
-        if all(np.arccos(np.clip(pt @ c, -1.0, 1.0)) > 0.5 for c in clusters):
-            clusters.append(pt)
-    norm = float(np.linalg.norm(S))
-    return {
-        "clusters": [[float(v) for v in pt] for pt in clusters],
-        "uniqueness_warning": len(clusters) >= 2,
-        "total_mass": float(total_mass),
-        "S": [float(v) for v in S],
-        "Q": [float(v) for v in S / norm] if norm > 1e-10 else None,
-    }
 
 
 def _fd_derivative(t, y):

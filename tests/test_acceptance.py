@@ -5,7 +5,8 @@ criteria cover: operator exactness, volume conservation, energy decay,
 the multiplier window, the multiplier-derivative identity, the curvature
 barrier, convergence on a constant and on a symmetric sign-definite
 target, bubble closed forms, recentering, the critical-point counting
-machinery, the trace inequality, and byte-level determinism.
+machinery, the trace inequality, byte-level determinism, and the
+resolution of the bump run.
 """
 
 import itertools
@@ -298,3 +299,12 @@ def test_c13_determinism(tmp_path):
     b2 = (tmp_path / "b" / "trajectory.csv").read_bytes()
     ok = b1 == b2 and len(b1) > 0
     _report(13, ok, f"{len(b1)} bytes, identical {b1 == b2}")
+
+
+def test_c14_bump_run_resolved(run_bump_target):
+    """The bump run, a slow concentration at the north pole, keeps its
+    energy in the lower degrees: its largest tail, the share of E in
+    degrees l > 2L/3, stays at or below 1e-8, far under the resolution
+    gate's bound."""
+    tail = float(run_bump_target["traj"].column("tail").max())
+    _report(14, tail <= 1e-8, f"bump run largest tail {tail:.2e}")

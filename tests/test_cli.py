@@ -2,8 +2,9 @@
 
 Validates:
 - exit codes: 0 converged/horizon, 2 concentrating, 3 admissibility or
-  scheme failure, 64 unparseable input (non-finite numbers in f too),
-  1 for failed checks
+  scheme failure, 64 unparseable input (non-finite numbers in f too,
+  config blocks of the wrong JSON type, configs that share an output
+  directory), 1 for failed checks
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
   morse.json, certificate.json, also of a failed run) and the config echo
 - byte-identical reruns of a seeded experiment
@@ -316,19 +317,55 @@ def test_flow_run_config_errors(tmp_path, capsys, mutate):
                  id="nan-random-amp"),
     pytest.param({"checks": {"identities": 1}}, id="checks-object"),
     pytest.param({"checks": "morse"}, id="checks-string"),
+    pytest.param({"flow": "fast"}, id="flow-string"),
+    pytest.param({"flow": []}, id="flow-list"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": "l2"}}, id="modes-string"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": {"l": 2, "m": 0, "amp": 0.05}}},
+                 id="modes-object"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [[2, 0, 0.05]]}}, id="mode-list"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "amp": 0.05}]}}, id="mode-without-m"),
+    pytest.param({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": 0.05, "n": 1}]}},
+                 id="mode-unknown-field"),
+    pytest.param({"u0_spec": {"type": "perturbation", "random": [3, 0.01]}}, id="random-list"),
+    pytest.param({"u0_spec": {"type": "perturbation", "random": {"lmax": 3}}}, id="random-without-amp"),
+    pytest.param({"u0_spec": {"type": "perturbation", "random": {"lmax": 3, "amp": 0.01, "seed": 2}}},
+                 id="random-unknown-field"),
 ])
 def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     """Out-of-range or wrongly typed settings and unknown names exit 64
     with a one-line message, before the output directory exists; a bad
-    flow setting or integer key is named in the message."""
+    flow setting or block and an integer key are named in the message."""
     cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
     out = tmp_path / "out"
     assert main(["flow", "run", "--config", cfg, "--out", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
-    for name in mutate.get("flow", {}) or set(mutate) & {"L", "n", "seed"}:
+    flow_block = mutate.get("flow", {})
+    for name in (flow_block if isinstance(flow_block, dict) else ["flow config"]) or set(mutate) & {"L", "n", "seed"}:
         assert f"{name} must" in err or f"'{name}'" in err
+
+
+@pytest.mark.parametrize("mutate, named", [
+    ({"flow": "fast"}, "flow config must be a JSON object, got 'fast'"),
+    ({"flow": []}, "flow config must be a JSON object, got []"),
+    ({"u0_spec": {"type": "perturbation", "modes": "l2"}}, "u0_spec field modes must be of type list"),
+    ({"u0_spec": {"type": "perturbation", "modes": {"l": 2}}}, "u0_spec field modes must be of type list"),
+    ({"u0_spec": {"type": "perturbation", "modes": [[2, 0, 0.05]]}}, "u0_spec mode must be a JSON object"),
+    ({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "amp": 0.05}]}}, "u0_spec field m is missing"),
+    ({"u0_spec": {"type": "perturbation", "modes": [{"l": 2, "m": 0, "amp": 0.05, "n": 1}]}},
+     "unknown u0_spec mode fields: ['n']"),
+    ({"u0_spec": {"type": "perturbation", "random": [3, 0.01]}}, "u0_spec random must be a JSON object"),
+    ({"u0_spec": {"type": "perturbation", "random": {"lmax": 3}}}, "u0_spec field amp is missing"),
+    ({"u0_spec": {"type": "perturbation", "random": {"lmax": 3, "amp": 0.01, "seed": 2}}},
+     "unknown u0_spec random fields: ['seed']"),
+])
+def test_config_block_errors_name_the_field(tmp_path, capsys, mutate, named):
+    """A flow, modes or random block of the wrong JSON type, and a missing
+    or unknown field of a mode or of random, are named in the message."""
+    cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
+    assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("u0_spec, name", [
@@ -388,6 +425,25 @@ def test_flow_run_multiple_configs(tmp_path):
     assert main(["flow", "run", "--config", quiet, sharp, "--out", str(out)]) == 2
     assert (out / "quiet" / "verdict.json").exists()
     assert (out / "sharp" / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_flow_run_refuses_colliding_outputs(tmp_path, capsys, jobs):
+    """Two configs with one stem would write one output directory, the
+    second over the first (or racing it under --jobs): exit 64 before
+    any run starts, naming both configs and the directory."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = write_config(tmp_path / "a" / "exp.json")
+    second = write_config(tmp_path / "b" / "exp.json", f_spec="2 - z^2")
+    other = write_config(tmp_path / "other.json")
+    out = tmp_path / "out"
+    argv = ["flow", "run", "--config", first, other, second, "--out", str(out), "--jobs", str(jobs)]
+    assert main(argv) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert f"{first}, {second} -> {out / 'exp'}" in err and other not in err
 
 
 @pytest.mark.parametrize("jobs, workers", [(10000, 2), (2, 2), (0, None), (1, None)])

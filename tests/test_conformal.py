@@ -1,4 +1,4 @@
-"""Tests for Moebius dilations, bubbles, recentering, and the detector.
+"""Tests for Moebius dilations, bubbles, recentering, and cap integrals.
 
 Validates:
 - boundary_action: the conformal factor at the fixed points, the
@@ -27,8 +27,9 @@ Validates:
   over the nodes outside a pullback; the line search halving a Newton
   step that leaves the ball; the restart from R0/2 when the solve from
   the bubble start stalls
-- the cap integrals the flow's detector reads: a sharp bubble's flags
-  and its one cluster, and no flag on the constant
+- the cap integrals that bubble probe reports: a sharp bubble's cap
+  fractions and their peak at its centre, and the constant's caps equal
+  to the cap areas
 - pullback of a nonpositive field raises AdmissibilityError
 - the cap multipliers against scipy's eval_legendre, and the batched
   cap integrals against one synthesis per radius
@@ -61,7 +62,6 @@ from bmcflow.conformal import (
 )
 from bmcflow.curvature import TWO_SHARP, mean_curvature, total_energy, volume
 from bmcflow.errors import AdmissibilityError, NormalizeError
-from bmcflow.flow import _concentration_info
 from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
 
 N_POLE = np.array([0.0, 0.0, 1.0])
@@ -694,35 +694,27 @@ def test_normalize_random_fields(L, kind, seed):
 
 
 def _detector(u):
-    """Cap integrals of u^4 (the detector's density |H|^2 u^4 where H = 1), the
-    nodes flagged at tau = 0.8 and the clusters the flow reports for them."""
-    g = u.grid
-    caps = cap_integrals(u.values**4, g, CAP_RADII)
-    flags = np.all(caps >= 0.8**2 * 4.0 * np.pi, axis=0)
-    return caps, flags, _concentration_info(flags, g, 0.0, np.zeros(3))
+    """Cap integrals of u^4 (|H|^2 u^4 where H = 1), at every radius of CAP_RADII."""
+    return cap_integrals(u.values**4, u.grid, CAP_RADII)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_concentration_flags_sharp_bubble():
     """Frozen grid evaluation (notes): at degree 63 the truncated 0.05
     bubble carries cap fractions 0.7298 / 0.9105 / 0.9647 at radii
-    0.1 / 0.2 / 0.5, all above tau^2 = 0.64: one cluster at the peak."""
+    0.1 / 0.2 / 0.5, each largest at a node next to the bubble's centre."""
     g = make_grid(63)
-    caps, flags, info = _detector(bubble_field(N_POLE, 0.05, g))
+    caps = _detector(bubble_field(N_POLE, 0.05, g))
     for cap, want in zip(caps, (0.7298, 0.9105, 0.9647)):
         assert abs(float(cap.max()) / (4.0 * np.pi) - want) < 1e-3
-    assert flags.any()
-    assert len(info["clusters"]) == 1
-    assert info["clusters"][0] @ N_POLE > 0.99
-    assert not info["uniqueness_warning"]
+        assert g.nodes()[np.unravel_index(np.argmax(cap), g.shape)] @ N_POLE > 0.99
 
 
 def test_concentration_quiet_on_constant():
+    """u = 1 spreads its mass evenly: every cap carries its area 2 pi (1 - cos r)."""
     g = make_grid(63)
-    _, flags, info = _detector(BoundaryField(g, values=np.ones(g.shape)))
-    assert not flags.any()
-    assert info["clusters"] == []
-    assert not info["uniqueness_warning"]
+    for r, cap in zip(CAP_RADII, _detector(BoundaryField(g, values=np.ones(g.shape)))):
+        assert np.abs(cap - 2.0 * np.pi * (1.0 - np.cos(r))).max() <= 1e-12
 
 
 def test_pullback_rejects_nonpositive_field():

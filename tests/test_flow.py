@@ -9,16 +9,20 @@ Validates:
 - a full convergence run: monotone normalized energy, unit volume to
   projection accuracy, step-size rules, verdicts, and the recorded
   diagnostic identities; a run that converges without a hand-off
-- concentration verdicts from the amplitude guard and from the
-  cap-mass detector at t = 0, two clusters from glued antipodal
-  bubbles, and the concentration block of a unit bubble against its
-  oracles (total mass 4 pi, S the row's and center_of_mass's)
+- the concentration verdict of the amplitude guard, and its block on a
+  unit bubble against its oracles (total mass 4 pi, S the row's and
+  center_of_mass's)
+- the resolution gate: unresolved initial data (sharp bubbles at L = 63,
+  one or two, an aliasing bubble at L = 8 and an eps = 0.02 bubble at
+  L = 15) ends Failed at t = 0 with one row, whose tail equals the
+  share of E in degrees l > 2L/3 of the analyzed u0, also where the
+  residual, amplitude or horizon test would end the run at t = 0
 - CSV round-trip and the verdict document
 - a recorded row against the curvature layer's one-quantity functions,
-  and the number of Legendre stages a recorded step costs
+  and the number of Legendre stages a recorded step costs (a row costs
+  none)
 - _evaluate's H and EnergyReport against mean_curvature_values and
-  energy_functional bit for bit, and the row's detector flags against
-  the cap integrals compared at every node
+  energy_functional bit for bit
 - the FlowState record: lambda f, lambda f - H and min u after
   init_state and after a step, projected or not, and step updating and
   returning the state it is given
@@ -35,7 +39,6 @@ Validates:
   for an exhausted GMRES budget, and its transform count; its GMRES
   against a dense solve
 - with the finish off, the terminal decay rate mu_+/4 of f = 1
-- the detector's threshold TAU inside (0, 2^(1/n))
 - the identity oracle on a target rescaled by 1e30
 """
 
@@ -64,7 +67,7 @@ N_POLE = np.array([0.0, 0.0, 1.0])
 EXPECTED_COLUMNS = (
     "t", "dt", "lambda", "E", "E_f", "F2", "lambda_prime", "vol_err",
     "min_u", "max_u", "S_x", "S_y", "S_z", "S_norm",
-    "capmass_r0.1", "capmass_r0.2", "capmass_r0.5",
+    "tail",
     "Lp_res_p4", "min_H_minus_lambda_f",
 )
 
@@ -297,9 +300,9 @@ def test_record_every_thins_rows():
 
 
 def test_amplitude_guard_verdict():
-    """An offset bubble (no longer a steady state) trips the max-u guard
-    rather than the cap detector: its caps are below threshold at small
-    radii but its peak exceeds the configured amplitude."""
+    """An offset bubble (no longer a steady state) is resolved at L = 31,
+    and its peak exceeds the configured amplitude: the max-u guard ends
+    the run."""
     g = make_grid(31)
     cfg = FlowConfig(blowup_maxu=2.0)
     u0 = BoundaryField(g, values=bubble_field(N_POLE, 0.3, g).values + 0.2)
@@ -312,36 +315,42 @@ def test_amplitude_guard_verdict():
     assert conc["Q"][2] > 0.99
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_detector_fires_on_initial_data():
-    g = make_grid(63)
-    cfg = FlowConfig()
-    state = init_state(bubble_field(N_POLE, 0.05, g), parse_f_spec("1"), cfg)
-    traj = run(state, cfg)
-    assert traj.verdict == "Concentrating"
-    assert "initial data" in traj.reason
-    assert len(traj.rows) == 1
-    conc = traj.info["concentration"]
-    assert len(conc["clusters"]) == 1
-    assert not conc["uniqueness_warning"]
+def _glued_pair(g):
+    return BoundaryField(g, values=bubble_field(N_POLE, 0.05, g).values + bubble_field(-N_POLE, 0.05, g).values)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_detector_reports_two_bubbles():
-    """Glued antipodal 0.05 bubbles flag two clusters at t = 0 and trip
-    the uniqueness warning."""
-    g = make_grid(63)
-    u0 = BoundaryField(g, values=bubble_field(N_POLE, 0.05, g).values + bubble_field(-N_POLE, 0.05, g).values)
-    traj = run(init_state(u0, parse_f_spec("2 + 0.5z"), FlowConfig()), FlowConfig())
-    assert traj.verdict == "Concentrating"
-    assert "initial data" in traj.reason
-    conc = traj.info["concentration"]
-    assert len(conc["clusters"]) == 2
-    assert conc["uniqueness_warning"]
+@pytest.mark.parametrize("L, spec, u0", [
+    pytest.param(63, "1", lambda g: bubble_field(N_POLE, 0.05, g), id="L63-bubble"),
+    pytest.param(63, "2 + 0.5z", _glued_pair, id="L63-glued-pair"),
+    pytest.param(8, "1", lambda g: bubble_field([1.0, 0.0, 0.0], 0.5, g), id="L8-aliasing-bubble"),
+    pytest.param(15, "2 + 0.5z", lambda g: bubble_field([0.2, 0.1, 0.97], 0.02, g), id="L15-eps0.02-bubble"),
+])
+def test_resolution_gate_fails_unresolved_initial_data(L, spec, u0):
+    """Initial data whose degrees l > 2L/3 hold more than _TAIL_MAX of E
+    ends Failed at t = 0 with one row, and the reason names the gate.  The
+    row's tail is the share of E = sum (2l+1) c_lm^2 in those degrees, for
+    the analyzed values of u0: the share does not see the constant that
+    scales u0 to unit volume.  The gate comes first: a config under which
+    the residual, amplitude or horizon test would end the run at t = 0
+    leaves the verdict Failed."""
+    g = make_grid(L)
+    values = u0(g).values
+    state = init_state(BoundaryField(g, values=values), parse_f_spec(spec), FlowConfig())
+    traj = run(state, FlowConfig())
+    assert traj.verdict == "Failed" and state.t == 0.0 and len(traj.rows) == 1
+    assert traj.reason.startswith("resolution gate") and "t=0" in traj.reason
+    c = spectral.analyze(values, g)
+    energy = curvature.energy_weights(L) * c * c
+    want = energy[2 * L // 3 + 1:].sum() / energy.sum()
+    tail = traj.column("tail")[0]
+    assert tail > flow._TAIL_MAX and abs(tail - want) <= 1e-12 * want
+    for cfg in (FlowConfig(conv_tol=1e3), FlowConfig(blowup_maxu=0.5), FlowConfig(t_end=1e-7)):
+        assert run(init_state(BoundaryField(g, values=values), parse_f_spec(spec), cfg), cfg).verdict == "Failed"
 
 
 def test_concentration_block_oracles():
-    """An eps = 0.5 bubble has H = 1 and unit volume, so the detector's
+    """An eps = 0.5 bubble has H = 1 and unit volume, so the block's
     total mass, integral |H|^2 dmu_g, is 4 pi; S is the row's S columns
     and center_of_mass of the state, bit for bit."""
     g = make_grid(31)
@@ -480,46 +489,11 @@ def test_step_updates_and_returns_the_state_it_is_given():
     assert state.energy_report.E_f != before
 
 
-def _record_flags(state, tau, monkeypatch):
-    """(flags _record returns, flags of the cap integrals compared at every node) for the state at TAU = tau."""
-    monkeypatch.setattr(flow, "TAU", tau)
-    w = state.energy_report.density
-    F2, max_u = state.u.grid.integrate(state.r * state.r * w), float(state.u.values.max())
-    flags, _, _ = flow._record(flow.Trajectory(), state, F2, max_u)
-    caps = conformal.cap_integrals(np.abs(state.H) ** 2 * w, state.u.grid, conformal.CAP_RADII)
-    return flags, np.all(caps >= tau**2 * 4.0 * np.pi, axis=0), [float(cap.max()) for cap in caps]
-
-
-def test_detector_threshold_lies_in_its_range():
-    """Concentration is cap mass above TAU^n omega_n for one TAU in
-    (0, 2^(1/n)); TAU is a constant that no config validates."""
-    assert 0.0 < flow.TAU < 2.0 ** (1.0 / curvature.N)
-
-
-def test_record_flags_match_every_node_comparison(monkeypatch):
-    """_record's flags are the comparison of every node's caps with
-    tau^n omega_n at every radius, when the threshold lies below all
-    peaks, at each peak, and between them."""
-    g = make_grid(31)
-    state = init_state(bubble_field(N_POLE, 0.2, g), parse_f_spec("2 + 0.5z"), FlowConfig())
-    _, _, peaks = _record_flags(state, 0.5, monkeypatch)
-    fractions = sorted(p / (4.0 * np.pi) for p in peaks)
-    assert fractions[0] < fractions[-1] < 2.0
-    taus = [np.sqrt(0.5 * fractions[0]), *np.sqrt(fractions), np.sqrt(0.5 * (fractions[0] + fractions[1]))]
-    any_flagged = []
-    for tau in taus:
-        flags, want, _ = _record_flags(state, tau, monkeypatch)
-        assert np.array_equal(flags, want), tau
-        any_flagged.append(bool(want.any()))
-    assert any_flagged[0] and not any_flagged[-1]
-
-
 def test_legendre_stages_per_recorded_step(monkeypatch):
     """Analyses and syntheses are counted apart, at every module that
     binds them.  A step costs two of each (per stage an analysis of the
-    remainder and one synthesis of the stage and its DtN image) and a row
-    one of each (the cap-mass density, analyzed and synthesized for all
-    radii at once); each runs one Legendre stage."""
+    remainder and one synthesis of the stage and its DtN image), each
+    running one Legendre stage, and a recorded row none."""
     g = make_grid(10)
     cfg = FlowConfig(dt_max=0.01, t_end=0.2, conv_tol=1e-14)
     state = init_state(perturbed_constant(g, amp=0.05), parse_f_spec("1"), cfg)
@@ -536,7 +510,7 @@ def test_legendre_stages_per_recorded_step(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     traj = run(state, cfg)
     assert state.steps == 20 and len(traj.rows) == 21
-    assert calls == {"analyze": 2 * state.steps + len(traj.rows), "synthesize": 2 * state.steps + len(traj.rows)}
+    assert calls == {"analyze": 2 * state.steps, "synthesize": 2 * state.steps}
 
     # A finished run adds its Newton attempt: one analysis of the hand-off's
     # residual, one synthesis and one analysis per iteration and per GMRES
@@ -548,7 +522,7 @@ def test_legendre_stages_per_recorded_step(monkeypatch):
     (attempt,) = traj.info["finish"]
     assert attempt["certified"] and attempt["matvecs"] > attempt["iterations"] > 0
     newton = attempt["iterations"] + attempt["matvecs"]
-    flowing = 2 * state.steps + len(traj.rows)
+    flowing = 2 * state.steps
     assert calls == {"analyze": flowing + 1 + newton, "synthesize": flowing + newton + 1}
 
 
