@@ -61,10 +61,11 @@ _EF_RISE_REL = 1e-13
 # Recorded rows that check_identities' three-point differences need; a run hands off to the Newton finish,
 # and `flow run` writes identities.json, only once this many are recorded.
 MIN_ROWS = 3
-# The Newton finish: tried on a recorded state with sqrt F2 below _HANDOFF conv_tol (ten times lower after
-# each refusal, which changes nothing else), at least MIN_ROWS rows and centre of mass |S| < _HANDOFF_S (a
-# concentrating run, |S| near 1, has no solution nearby); it must reach a residual _FINISH_TOL relative
-# within _FINISH_MATVECS matvecs, its whole work budget.
+# The Newton finish: tried on a recorded state with sqrt F2 below _HANDOFF conv_tol (ten times lower after each
+# refusal, which changes nothing else), at least MIN_ROWS rows and centre of mass |S| < _HANDOFF_S (a concentrating
+# run, |S| near 1, has no solution nearby); it must reach a residual _FINISH_TOL relative within _FINISH_MATVECS
+# matvecs, its whole work budget.  Each GMRES solve stops at min(1e-2, max(res, 0.1 _FINISH_TOL / res)): the floor
+# (Eisenstat & Walker 1996; Kelley 2003, sec. 3.2.3) keeps the last from oversolving.
 _HANDOFF = 1e4
 _HANDOFF_S = 0.2
 _FINISH_TOL = 1e-12
@@ -375,8 +376,10 @@ def newton_finish(state, conv_tol):
     R(c) = (2l+1) c - lambda analyze(f u^3) to zero.  Each step solves
     J d = -R, with J v = (2l+1) v - 3 lambda analyze(f u^2 synthesize(v)),
     by _gmres right-preconditioned by diag(2l+1) to the relative tolerance
-    min(1e-2, |R| / |(2l+1) c|); no matrix is formed.  A matvec costs one
-    synthesis and one analysis, and so does each iteration's new residual.
+    min(1e-2, max(res, 0.1 _FINISH_TOL / res)), res = |R| / |(2l+1) c|, a
+    floor against oversolving (Eisenstat & Walker 1996; Kelley 2003, 3.2.3);
+    no matrix is formed.  A matvec costs one synthesis and one analysis,
+    and so does each iteration's new residual.
     u* is refused unless |R| falls at every iteration and reaches
     _FINISH_TOL |(2l+1) c| within _FINISH_MATVECS matvecs (the solve is
     bounded by contraction and this work budget, not by an iteration
@@ -404,7 +407,7 @@ def newton_finish(state, conv_tol):
     while res > _FINISH_TOL:
         fu2 = (3.0 * lam) * fv * (u * u)
         y, spent = _gmres(lambda v: v - analyze(fu2 * synthesize(v / precond, grid), grid), -R,
-                          min(1e-2, res), _FINISH_MATVECS - record["matvecs"])
+                          min(1e-2, max(res, 0.1 * _FINISH_TOL / res)), _FINISH_MATVECS - record["matvecs"])
         record["matvecs"] += spent
         if y is None:
             return refuse(f"GMRES did not converge within {_FINISH_MATVECS} matvecs")

@@ -33,11 +33,11 @@ Validates:
 - the Newton finish: the same u* and E_f from two hand-off residuals,
   u* unchanged by rescaling f, refused attempts on the bump target and
   on non-zonal data that leave the run's outputs as they were, a
-  hand-off at the third row that certifies the later limit, also where
-  Newton needs a 7th iteration, refusals on an
+  hand-off at the third row that certifies the later limit without
+  oversolving, also where Newton needs a 7th iteration, refusals on an
   obstructed target, at a saddle of higher E_f, at an aliased limit and
   for an exhausted GMRES budget, and its transform count; its GMRES
-  against a dense solve
+  against a dense solve, at tolerances from 1e-2 to 1e-12
 - with the finish off, the terminal decay rate mu_+/4 of f = 1
 - the identity oracle on a target rescaled by 1e30
 """
@@ -681,13 +681,30 @@ def test_refused_first_handoff_changes_nothing_else(tmp_path, monkeypatch):
     assert attempts[1:] == later and later[-1]["certified"]
 
 
-@pytest.mark.parametrize("a2, a4", [(0.02, 0.02), (0.06, 0.06)])
-def test_handoff_at_the_third_row_certifies_the_later_limit(monkeypatch, a2, a4):
+@pytest.mark.parametrize("a2, a4, iterations, matvecs", [pytest.param(0.02, 0.02, 4, 20, id="0.02-0.02"),
+                                                        pytest.param(0.06, 0.06, 5, 23, id="0.06-0.06")])
+def test_handoff_at_the_third_row_certifies_the_later_limit(monkeypatch, a2, a4, iterations, matvecs):
     """At both ends of the converge benchmark's amplitude range, 1 + a2 Y20
     + a4 Y40 on 2 - z^2 at L = 31 hands off at the third row and is
-    certified on that attempt; u* is the one certified from the threshold
-    ten times lower, to 1e-10, and so is E_f, to 1e-12."""
+    certified on that attempt, in the given Newton iterations and matvecs;
+    u* is the one certified from the threshold ten times lower, to 1e-10,
+    and so is E_f, to 1e-12.  No GMRES solve oversolves: none asks for a
+    relative residual below min(1e-2, 0.1 _FINISH_TOL / res), res being
+    its right-hand side's norm over the hand-off scale |(2l+1) c|."""
     g = make_grid(31)
+    scales, asked = [], []
+    finish, gmres = flow.newton_finish, flow._gmres
+
+    def spy_finish(state, conv_tol):
+        scales.append(float(np.linalg.norm(curvature.energy_weights(31) * state.u.coeffs)))
+        return finish(state, conv_tol)
+
+    def spy_gmres(apply, b, rtol, budget):
+        asked.append((float(np.linalg.norm(b)) / scales[-1], rtol))
+        return gmres(apply, b, rtol, budget)
+
+    monkeypatch.setattr(flow, "newton_finish", spy_finish)
+    monkeypatch.setattr(flow, "_gmres", spy_gmres)
     finals = []
     for handoff in (flow._HANDOFF, flow._HANDOFF / 10.0):
         monkeypatch.setattr(flow, "_HANDOFF", handoff)
@@ -702,6 +719,8 @@ def test_handoff_at_the_third_row_certifies_the_later_limit(monkeypatch, a2, a4)
     (attempt,) = traj.info["finish"]
     assert len(traj.rows) == 3 and early.steps == 2
     assert attempt["residual"] <= flow._FINISH_TOL and attempt["sqrt_F2"] < FlowConfig().conv_tol
+    assert (attempt["iterations"], attempt["matvecs"]) == (iterations, matvecs)
+    assert asked and all(rtol >= min(1e-2, 0.1 * flow._FINISH_TOL / res) for res, rtol in asked)
     assert float(np.abs(early.u.values - late.u.values).max()) <= 1e-10
     assert abs(early.energy_report.E_f - late.energy_report.E_f) <= 1e-12
 
@@ -752,14 +771,20 @@ def test_terminal_rate_is_a_quarter_of_the_first_stable_eigenvalue(modes):
 
 
 def test_gmres_matches_a_dense_solve():
-    """_gmres reaches its tolerance on a nonsymmetric 40 x 40 system and
-    agrees with a dense solve; short of its budget it returns None."""
+    """_gmres reaches each tolerance, from the finish's loosest 1e-2 down
+    to 1e-12, on a nonsymmetric 40 x 40 system, in matvecs that do not
+    fall as the tolerance does, and at 1e-12 agrees with a dense solve;
+    short of its budget it returns None."""
     rng = np.random.default_rng(5)
     A = np.eye(40) + 0.3 * rng.standard_normal((40, 40)) / np.sqrt(40)
     b = rng.standard_normal((5, 8))
-    x, matvecs = flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, 1e-12, 60)
-    assert 0 < matvecs <= 40
-    assert np.linalg.norm(A @ x.ravel() - b.ravel()) <= 1e-12 * np.linalg.norm(b)
+    spent = []
+    for rtol in (1e-2, 1e-5, 1e-9, 1e-12):
+        x, matvecs = flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, rtol, 60)
+        assert 0 < matvecs <= 40
+        assert np.linalg.norm(A @ x.ravel() - b.ravel()) <= rtol * np.linalg.norm(b)
+        spent.append(matvecs)
+    assert spent == sorted(spent)
     assert np.allclose(x.ravel(), np.linalg.solve(A, b.ravel()), rtol=0.0, atol=1e-10)
     assert flow._gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b, 1e-12, 3) == (None, 3)
 
