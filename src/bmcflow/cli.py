@@ -47,7 +47,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -67,87 +67,76 @@ _EXIT_CONCENTRATING = 2
 _EXIT_FAILURE = 3
 _EXIT_USAGE = 64
 
-_EXPERIMENT_KEYS = ("seed", "L", "n", "f_spec", "u0_spec", "flow", "checks")
-_U0_FIELDS = {"constant": ("value",), "bubble": ("p", "eps"), "perturbation": ("base", "modes", "random")}
+# Each block's fields in echo order: (JSON type by flow.admits, None for a nested block; default, MISSING if required)
+_SCHEMA = {
+    "config root": {"seed": (int, 0), "L": (int, 31), "n": (int, 2), "f_spec": (str, MISSING),
+                    "u0_spec": (None, {"type": "constant", "value": 1.0}), "checks": (list, ["identities"]),
+                    "flow": (None, {})},
+    "constant u0_spec": {"type": (str, MISSING), "value": (float, 1.0)},
+    "bubble u0_spec": {"type": (str, MISSING), "p": (tuple, MISSING), "eps": (float, MISSING)},
+    "perturbation u0_spec": {"type": (str, MISSING), "base": (float, 1.0), "modes": (list, []), "random": (None, None)},
+    "u0_spec mode": {"l": (int, MISSING), "m": (int, MISSING), "amp": (float, MISSING)},
+    "u0_spec random": {"lmax": (int, MISSING), "amp": (float, MISSING)},
+    "flow config": {f.name: (f.type, f.default) for f in fields(FlowConfig)},
+}
 _CHECKS = ("identities", "morse")
 
 
-def _reject_unknown(given, known, what):
-    unknown = [name for name in given if name not in known]
+def _read(block, what):
+    """The config block named what, checked against _SCHEMA[what]: its fields in schema order, defaults filled in."""
+    if not admits(dict, block):
+        raise ConfigError(f"{what} must be a JSON object, got {block!r}")
+    schema = _SCHEMA[what]
+    unknown = [name for name in block if name not in schema]
     if unknown:
-        raise ConfigError(f"unknown {what}: {unknown}")
-
-
-def _typed(block, key, kind, default=None):
-    """block[key] (or the default when it is absent and one is given), checked by FlowConfig's type rule."""
-    if default is None and key not in block:
-        raise ConfigError(f"u0_spec field {key} is missing")
-    value = block.get(key, default)
-    if not admits(kind, value):
-        raise ConfigError(f"u0_spec field {key} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _object(value, known, what):
-    """value, checked to be a JSON object whose keys all lie in known; what names it in the message."""
-    if not admits(dict, value):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    _reject_unknown(value, known, f"{what} fields")
-    return value
+        raise ConfigError(f"unknown {what} fields: {unknown}")
+    for name, (kind, default) in schema.items():
+        if name not in block and default is MISSING:
+            raise ConfigError(f"{what} field {name} is missing")
+        if name in block and kind is not None and not admits(kind, block[name]):
+            raise ConfigError(f"{what} field {name} must be of type {kind.__name__}, got {block[name]!r}")
+    return {name: block.get(name, default) for name, (_, default) in schema.items()}
 
 
 def _build_u0(spec, grid, rng):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"u0_spec must be a JSON object, got {spec!r}")
-    kind = spec.get("type")
-    if kind not in _U0_FIELDS:
-        raise ConfigError(f"unknown u0_spec type {kind!r}")
-    _reject_unknown(spec, ("type",) + _U0_FIELDS[kind], f"{kind} u0_spec fields")
+    kind = spec.get("type") if admits(dict, spec) else None
+    if f"{kind} u0_spec" not in _SCHEMA:
+        raise ConfigError(f"u0_spec must be a JSON object whose type is constant, bubble or perturbation, got {spec!r}")
+    spec = _read(spec, f"{kind} u0_spec")
     if kind == "constant":
-        return BoundaryField(grid, values=np.full(grid.shape, float(_typed(spec, "value", float, 1.0))))
+        return BoundaryField(grid, values=np.full(grid.shape, float(spec["value"])))
     if kind == "bubble":
-        return bubble_field(_typed(spec, "p", tuple), float(_typed(spec, "eps", float)), grid)
+        return bubble_field(spec["p"], float(spec["eps"]), grid)
     L = grid.L
     coeffs = np.zeros((L + 1, 2 * L + 1))
-    coeffs[0, L] = _typed(spec, "base", float, 1.0)
-    for mode in _typed(spec, "modes", list, []):
-        mode = _object(mode, ("l", "m", "amp"), "u0_spec mode")
-        l, m = _typed(mode, "l", int), _typed(mode, "m", int)
+    coeffs[0, L] = spec["base"]
+    for mode in spec["modes"]:
+        mode = _read(mode, "u0_spec mode")
+        l, m = mode["l"], mode["m"]
         if not (0 <= l <= L and -l <= m <= l):
-            raise ConfigError(f"mode (l={l}, m={m}) outside the band limit L={L}")
-        coeffs[l, m + L] += _typed(mode, "amp", float)
-    rand = spec.get("random")
-    if rand is not None:
-        rand = _object(rand, ("lmax", "amp"), "u0_spec random")
-        lmax = min(_typed(rand, "lmax", int), L)
-        amp = _typed(rand, "amp", float)
-        for l in range(1, lmax + 1):
-            coeffs[l, L - l:L + l + 1] += amp * rng.standard_normal(2 * l + 1)
+            raise ConfigError(f"u0_spec mode (l={l}, m={m}) lies outside the band limit L={L}")
+        coeffs[l, m + L] += mode["amp"]
+    if spec["random"] is not None:
+        rand = _read(spec["random"], "u0_spec random")
+        if rand["lmax"] < 0:
+            raise ConfigError(f"u0_spec random field lmax must be >= 0, got {rand['lmax']}")
+        for l in range(1, min(rand["lmax"], L) + 1):
+            coeffs[l, L - l:L + l + 1] += rand["amp"] * rng.standard_normal(2 * l + 1)
     return BoundaryField(grid, coeffs=coeffs)
 
 
 def _load_experiment(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(doc, _EXPERIMENT_KEYS, "config keys")
-    ints = {"seed": doc.get("seed", 0), "L": doc.get("L", 31), "n": doc.get("n", 2)}
-    for key, value in ints.items():
-        if not admits(int, value):
-            raise ConfigError(f"{key} must be of type int, got {value!r}")
-    if ints["n"] != 2:
-        raise ConfigError(f"only the two-sphere boundary (n=2) is supported, got n={ints['n']}")
-    f_spec = doc.get("f_spec")
-    if not isinstance(f_spec, str):
-        raise ConfigError("config needs an f_spec string")
-    config = FlowConfig(**_object(doc.get("flow", {}), FlowConfig.__dataclass_fields__, "flow config")).validate()
-    checks = doc.get("checks", ["identities"])
-    if not isinstance(checks, list):
-        raise ConfigError(f"checks must be a list of names, got {checks!r}")
-    _reject_unknown(checks, _CHECKS, "checks")
-    u0_spec = doc.get("u0_spec", {"type": "constant", "value": 1.0})
-    return {**ints, "f_spec": f_spec, "u0_spec": u0_spec, "checks": checks, "flow": config}
+        exp = _read(json.load(fh), "config root")
+    if exp["n"] != 2:
+        raise ConfigError(f"config root field n must be 2 (the two-sphere boundary), got {exp['n']}")
+    if exp["seed"] < 0:
+        raise ConfigError(f"config root field seed must be >= 0, got {exp['seed']}")
+    unknown = [name for name in exp["checks"] if name not in _CHECKS]
+    if unknown:
+        raise ConfigError(f"config root field checks names unknown checks: {unknown}")
+    exp["flow"] = FlowConfig(**_read(exp["flow"], "flow config")).validate()
+    return exp
 
 
 def _json_default(obj):
@@ -247,16 +236,14 @@ def cmd_bubble_probe(args):
     try:
         p = [float(v) for v in args.p.split(",")]
         direction = unit_direction(p, "--p")
-        if not 0.0 < args.eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {args.eps}")
         grid = make_grid(args.L)
+        u = bubble_field(p, args.eps, grid)
     except (ValueError, ConfigError) as exc:
         print(f"bad probe arguments: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    u = bubble_field(p, args.eps, grid)
     H = mean_curvature(u)
     S, Q = center_of_mass(u)
-    caps = cap_integrals(volume_density(u.values), grid, CAP_RADII)
+    caps = cap_integrals(volume_density(u.values), grid, CAP_RADII, direction)
     doc = {
         "p": [float(v) for v in direction],
         "eps": args.eps,
@@ -266,7 +253,7 @@ def cmd_bubble_probe(args):
         "max_H_deviation": float(np.abs(H.values - 1.0).max()),
         "peak": float(u.values.max()),
         "peak_closed_form": ((2.0 - args.eps) / args.eps) ** ((N - 1.0) / 2.0),
-        "cap_mass_fraction": {f"{r:g}": float(cap.max()) / OMEGA_N for r, cap in zip(CAP_RADII, caps)},
+        "cap_mass_fraction": {f"{r:g}": float(cap) / OMEGA_N for r, cap in zip(CAP_RADII, caps)},
         "cap_mass_closed_form": {f"{r:g}": bubble_cap_mass(args.eps, r) for r in CAP_RADII},
         "center_of_mass_S": [float(v) for v in S],
         "Q": None if Q is None else [float(v) for v in Q],

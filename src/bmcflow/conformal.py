@@ -37,7 +37,7 @@ import numpy as np
 
 from .curvature import N, require_positive, volume, volume_density
 from .errors import NormalizeError
-from .spectral import BoundaryField, analyze, legendre_rows, synth_at, synthesize
+from .spectral import BoundaryField, analyze, legendre_rows, synth_at
 
 _NORTH = np.array([0.0, 0.0, 1.0])
 # Radii of the caps on which bubble probe measures concentration.
@@ -283,11 +283,11 @@ def _cap_multipliers(L, radii):
     return multipliers
 
 
-def cap_integrals(density, grid, radii):
-    """Integral of a gridded density over the cap of each radius around every node.
+def cap_integrals(density, grid, radii, x):
+    """Integral of a gridded density over the cap of each radius around the unit vector x, shape (len(radii),).
 
-    Shape (len(radii), n_lat, n_lon): spherical convolutions with the cap
-    indicators, evaluated by their Funk-Hecke multipliers in one synthesis.
+    Each is the spherical convolution of the density with the cap
+    indicator, evaluated at x: the density's coefficients times the cap's
+    Funk-Hecke multipliers, synthesized at x.
     """
-    return synthesize(analyze(density, grid) * _cap_multipliers(grid.L, tuple(radii)), grid)
-
+    return np.array([synth_at(c, x) for c in analyze(density, grid) * _cap_multipliers(grid.L, tuple(radii))])

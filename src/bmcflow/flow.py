@@ -49,6 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .conformal import center_of_mass
 from .curvature import (N, OMEGA_N, TWO_SHARP, barrier_gamma, energy_report, energy_weights, flow_bounds,
                         mean_curvature_values, require_positive, volume_density)
 from .errors import AdmissibilityError, ConfigError, FlowFailure
@@ -101,14 +102,14 @@ class FlowConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not admits(f.type, value):
-                raise ConfigError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+                raise ConfigError(f"flow config field {f.name} must be of type {f.type.__name__}, got {value!r}")
         if not (0.0 < self.dt_min <= self.dt_max):
-            raise ConfigError(f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
+            raise ConfigError(f"flow config needs 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
         for name in ("conv_tol", "t_end", "blowup_maxu"):
             if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"flow config field {name} must be positive, got {getattr(self, name)}")
         if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+            raise ConfigError(f"flow config field record_every must be >= 1, got {self.record_every}")
         return self
 
 
@@ -147,10 +148,8 @@ class Trajectory:
         return np.array([row[j] for row in self.rows])
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        with open(path, "w") as fh:   # a path would cost savetxt a second open and a URL check
+            np.savetxt(fh, self.rows, fmt="%.17g", delimiter=",", header=",".join(self.columns), comments="")
 
     def verdict_document(self):
         """Verdict, frozen bounds and concentration info as a plain dict with a fixed key order."""
@@ -436,29 +435,27 @@ def newton_finish(state, conv_tol):
 
 
 def _record(traj, state, F2, max_u, tail):
-    """Append the row of the current state; returns (the total mass integral |H|^n dmu_g, S = mean(x w)).
+    """Append the row of the current state; returns its centre of mass S = mean(x w), which the hand-off test reads.
 
     The row is built as ordered (name, value) pairs, which name the
     trajectory's columns.  It reads r = lambda f - H, f and min u from
     the state, lambda and w = u^{2#} from its energy report, and F2 = mean(r^2 w),
     max u and the resolution gate's tail from run.
 
-    The seven integrands are written into one array: w, lambda f r w
-    (f lambda, then times r, in place), r^4 w, |H|^n w and x w.
+    The six integrands are written into one array: w, lambda f r w
+    (f lambda, then times r, in place), r^4 w and x w.
     """
     rep, grid, r, w = state.energy_report, state.u.grid, state.r, state.energy_report.density
-    fields = np.empty((7,) + grid.shape)
+    fields = np.empty((6,) + grid.shape)
     fields[0] = w
     np.multiply(state.f_values, rep.lam, out=fields[1])
     fields[1] *= r
     np.multiply(r, r, out=fields[2])
     np.square(fields[2], out=fields[2])
-    np.abs(state.H, out=fields[3])
-    np.square(fields[3], out=fields[3])             # |H|^n for n = 2
-    fields[1:4] *= w
-    np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[4:])
+    fields[1:3] *= w
+    np.multiply(grid.nodes().transpose(2, 0, 1), w, out=fields[3:])
     moments = grid.integrate(fields)
-    vol, lr, lp4, mass, S = moments[0], moments[1], moments[2], moments[3], moments[4:]
+    vol, lr, lp4, S = moments[0], moments[1], moments[2], moments[3:]
     row = [("t", state.t), ("dt", state.dt), ("lambda", rep.lam), ("E", rep.E), ("E_f", rep.E_f), ("F2", F2),
            ("lambda_prime", -((N - 1.0) / 2.0 * F2 + 0.5 * lr) / rep.denom), ("vol_err", vol - 1.0),
            ("min_u", state.min_u),
@@ -467,7 +464,7 @@ def _record(traj, state, F2, max_u, tail):
            ("tail", tail), ("Lp_res_p4", lp4), ("min_H_minus_lambda_f", -float(r.max()))]
     traj.columns = tuple(name for name, _ in row)
     traj.rows.append([value for _, value in row])
-    return OMEGA_N * mass, S
+    return S
 
 
 def run(state, config):
@@ -501,7 +498,7 @@ def run(state, config):
         elif config.t_end - state.t <= config.dt_min:
             verdict = "HorizonReached", f"t_end={config.t_end:g} reached"
         if verdict is not None or state.steps % config.record_every == 0:
-            mass, S = _record(traj, state, F2, max_u, tail)
+            S = _record(traj, state, F2, max_u, tail)
             if (verdict is None and res < handoff and len(traj.rows) >= MIN_ROWS
                     and np.linalg.norm(S) < _HANDOFF_S):
                 record, new = newton_finish(state, config.conv_tol)
@@ -520,10 +517,11 @@ def run(state, config):
             except FlowFailure as exc:
                 verdict = "Failed", str(exc)
         traj.verdict, traj.reason = verdict
-        if traj.verdict == "Concentrating":     # the concentration block of verdict.json; Q = S/|S|
-            norm = float(np.linalg.norm(S))
+        if traj.verdict == "Concentrating":     # the concentration block of verdict.json
+            S, Q = center_of_mass(state.u)
+            mass = OMEGA_N * state.u.grid.integrate(state.H * state.H * state.energy_report.density)
             traj.info["concentration"] = {"total_mass": float(mass), "S": [float(v) for v in S],
-                                          "Q": [float(v) for v in S / norm] if norm > 1e-10 else None}
+                                          "Q": None if Q is None else [float(v) for v in Q]}
         return traj
 
 

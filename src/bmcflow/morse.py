@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import N, target_report
 from .errors import NotMorseError, SpecParseError
-from .prescribed import probe_lattice
+from .prescribed import probe_lattice, tangent_basis
 from .spectral import sphere_points
 
 _DEGENERATE_TOL = 1e-8
@@ -287,33 +287,29 @@ def _generator_matrix(kind, axis, k):
 
 
 def _circle_max(f, axis_vec):
-    """Maximize f over the great circle orthogonal to axis_vec."""
-    a = axis_vec
-    v1 = np.cross(a, [0.0, 0.0, 1.0])
-    if np.linalg.norm(v1) < 1e-12:
-        v1 = np.cross(a, [1.0, 0.0, 0.0])
-    v1 /= np.linalg.norm(v1)
-    v2 = np.cross(a, v1)
-    t = np.linspace(0, 2 * np.pi, _CIRCLE_SAMPLES, endpoint=False)
-    circ = np.outer(np.cos(t), v1) + np.outer(np.sin(t), v2)
-    vals = f(circ)
-    order = np.argsort(vals)[::-1]
+    """(max, maximizers) of f over the great circle orthogonal to axis_vec, spanned by its tangent_basis.
+
+    The 8 largest of _CIRCLE_SAMPLES samples move to the vertices of their parabolas through both neighbours (one
+    call of f for the 16 neighbours, one for the 8 vertices).  Taken in that order, a vertex more than 1e-12 above
+    the best so far replaces the maximizers, and one within 1e-9 of it joins them.
+    """
+    v1, v2 = tangent_basis(axis_vec)
+    t, dt = np.linspace(0, 2 * np.pi, _CIRCLE_SAMPLES, endpoint=False, retstep=True)
+    vals = f(np.outer(np.cos(t), v1) + np.outer(np.sin(t), v2))
+    top = np.argsort(vals)[::-1][:8]
+    t0 = t[top]
+    near = np.concatenate((t0 - dt, t0 + dt))
+    ym, yp = np.split(f(np.outer(np.cos(near), v1) + np.outer(np.sin(near), v2)), 2)
+    denom = ym - 2 * vals[top] + yp
+    flat = np.abs(denom) < 1e-300
+    ts = np.where(flat, t0, t0 - 0.5 * dt * (yp - ym) / np.where(flat, 1.0, denom))
+    xs = np.outer(np.cos(ts), v1) + np.outer(np.sin(ts), v2)
     best_val, maximizers = -np.inf, []
-    dt = 2 * np.pi / _CIRCLE_SAMPLES
-    for idx in order[:8]:
-        # parabolic polish through the three neighboring samples
-        tm, t0, tp = t[idx] - dt, t[idx], t[idx] + dt
-        ym = float(f(np.cos(tm) * v1 + np.sin(tm) * v2))
-        y0 = vals[idx]
-        yp = float(f(np.cos(tp) * v1 + np.sin(tp) * v2))
-        denom = ym - 2 * y0 + yp
-        ts = t0 if abs(denom) < 1e-300 else t0 - 0.5 * dt * (yp - ym) / denom
-        xs = np.cos(ts) * v1 + np.sin(ts) * v2
-        ys = float(f(xs))
-        if ys > best_val + 1e-12:
-            best_val, maximizers = ys, [xs]
-        elif abs(ys - best_val) <= 1e-9:
-            maximizers.append(xs)
+    for x, y in zip(xs, f(xs)):
+        if y > best_val + 1e-12:
+            best_val, maximizers = float(y), [x]
+        elif abs(y - best_val) <= 1e-9:
+            maximizers.append(x)
     return best_val, maximizers
 
 

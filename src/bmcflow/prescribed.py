@@ -300,7 +300,7 @@ class PrescribedFunction:
         tangent vectors as the rows of basis.
         """
         x = np.asarray(x, dtype=float)
-        basis = _tangent_basis(x)
+        basis = tangent_basis(x)
         radial = _dot3(x.T, self.ambient_grad(x).T).T[..., None, None]
         H = basis @ self.ambient_hess(x) @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
         return H, basis
@@ -367,7 +367,7 @@ def _dot3(a, b):
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-def _tangent_basis(x):
+def tangent_basis(x):
     """Two orthonormal tangent vectors at unit vectors x (..., 3), as rows (..., 2, 3).
 
     Closed form of v1 = x x a / |x x a| and v2 = x x v1 with a = e_z, which

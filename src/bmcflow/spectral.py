@@ -38,19 +38,15 @@ class Grid:
     n_lon: int
 
     @property
-    def n_lat(self):
-        return self.L + 1
-
-    @property
     def shape(self):
-        return (self.n_lat, self.n_lon)
+        return (self.L + 1, self.n_lon)
 
     @property
     def phi(self):
         return 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
 
     def nodes(self):
-        """Unit vectors of all grid nodes, shape (n_lat, n_lon, 3): one cached read-only array."""
+        """Unit vectors of all grid nodes, shape (L+1, n_lon, 3): one cached read-only array."""
         return self._nodes
 
     @cached_property

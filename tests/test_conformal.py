@@ -27,12 +27,12 @@ Validates:
   over the nodes outside a pullback; the line search halving a Newton
   step that leaves the ball; the restart from R0/2 when the solve from
   the bubble start stalls
-- the cap integrals that bubble probe reports: a sharp bubble's cap
-  fractions and their peak at its centre, and the constant's caps equal
-  to the cap areas
+- the cap integrals that bubble probe reports, at the bubble's centre:
+  resolved bubbles' cap fractions against bubble_cap_mass, and the
+  constant's caps about any point equal to the cap areas
 - pullback of a nonpositive field raises AdmissibilityError
 - the cap multipliers against scipy's eval_legendre, and the batched
-  cap integrals against one synthesis per radius
+  cap integrals against one evaluation per radius
 """
 
 import re
@@ -62,7 +62,7 @@ from bmcflow.conformal import (
 )
 from bmcflow.curvature import TWO_SHARP, mean_curvature, total_energy, volume
 from bmcflow.errors import AdmissibilityError, NormalizeError
-from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at, synthesize
+from bmcflow.spectral import BoundaryField, analyze, make_grid, synth_at
 
 N_POLE = np.array([0.0, 0.0, 1.0])
 S_POLE = np.array([0.0, 0.0, -1.0])
@@ -693,28 +693,32 @@ def test_normalize_random_fields(L, kind, seed):
         assert abs(out.map.eps - truth[1]) <= 1e-6
 
 
-def _detector(u):
-    """Cap integrals of u^4 (|H|^2 u^4 where H = 1), at every radius of CAP_RADII."""
-    return cap_integrals(u.values**4, u.grid, CAP_RADII)
+def _cap_fractions(u, x):
+    """Cap integrals of u^4 (|H|^2 u^4 where H = 1) around x at every radius of CAP_RADII, over 4 pi."""
+    return cap_integrals(u.values**4, u.grid, CAP_RADII, x) / (4.0 * np.pi)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_concentration_flags_sharp_bubble():
-    """Frozen grid evaluation (notes): at degree 63 the truncated 0.05
-    bubble carries cap fractions 0.7298 / 0.9105 / 0.9647 at radii
-    0.1 / 0.2 / 0.5, each largest at a node next to the bubble's centre."""
+    """At the centre p of a resolved bubble (truncation (1-eps)^64 <= 1.3e-10
+    at degree 63), the cap fractions equal bubble_cap_mass to 1e-8 relative,
+    at the pole and off the grid's symmetry axes."""
     g = make_grid(63)
-    caps = _detector(bubble_field(N_POLE, 0.05, g))
-    for cap, want in zip(caps, (0.7298, 0.9105, 0.9647)):
-        assert abs(float(cap.max()) / (4.0 * np.pi) - want) < 1e-3
-        assert g.nodes()[np.unravel_index(np.argmax(cap), g.shape)] @ N_POLE > 0.99
+    rng = np.random.default_rng(34)
+    for eps in (0.3, 0.5, 0.8):
+        want = np.array([bubble_cap_mass(eps, r) for r in CAP_RADII])
+        for p in (N_POLE, *rng.standard_normal((2, 3))):
+            p = p / np.linalg.norm(p)
+            assert np.abs(_cap_fractions(bubble_field(p, eps, g), p) / want - 1.0).max() <= 1e-8
 
 
 def test_concentration_quiet_on_constant():
-    """u = 1 spreads its mass evenly: every cap carries its area 2 pi (1 - cos r)."""
+    """u = 1 spreads its mass evenly: every cap, about any point, carries its area 2 pi (1 - cos r)."""
     g = make_grid(63)
-    for r, cap in zip(CAP_RADII, _detector(BoundaryField(g, values=np.ones(g.shape)))):
-        assert np.abs(cap - 2.0 * np.pi * (1.0 - np.cos(r))).max() <= 1e-12
+    u = BoundaryField(g, values=np.ones(g.shape))
+    rng = np.random.default_rng(7)
+    for x in (N_POLE, *rng.standard_normal((3, 3))):
+        caps = 4.0 * np.pi * _cap_fractions(u, x / np.linalg.norm(x))
+        assert np.abs(caps - 2.0 * np.pi * (1.0 - np.cos(CAP_RADII))).max() <= 1e-12
 
 
 def test_pullback_rejects_nonpositive_field():
@@ -742,13 +746,14 @@ def test_cap_kernel_matches_eval_legendre(L):
 
 
 def test_cap_integrals_batched_radii():
-    """Three radii in one synthesis equal one synthesis per radius."""
+    """Three radii in one call equal one call per radius, bit for bit, at a point off the grid."""
     g = make_grid(31)
     rng = np.random.default_rng(5)
     density = BoundaryField(g, coeffs=smooth_positive_coeffs(31, rng)).values ** 4
+    x = np.array([0.36, -0.48, 0.8])
     radii = (0.1, 0.2, 0.5)
-    caps = cap_integrals(density, g, radii)
-    assert caps.shape == (3,) + g.shape
+    caps = cap_integrals(density, g, radii, x)
+    assert caps.shape == (3,)
     for r, cap in zip(radii, caps):
-        want = synthesize(analyze(density, g) * _cap_multipliers(g.L, (r,))[0], g)
-        assert np.abs(cap - want).max() <= 1e-14 * np.abs(want).max()
+        assert cap == cap_integrals(density, g, (r,), x)[0]
+        assert cap == synth_at(analyze(density, g) * _cap_multipliers(g.L, (r,))[0], x)

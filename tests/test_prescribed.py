@@ -25,7 +25,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.special import eval_legendre
 
 from bmcflow.errors import SpecParseError
-from bmcflow.prescribed import _tangent_basis, parse_f_spec, probe_lattice
+from bmcflow.prescribed import parse_f_spec, probe_lattice, tangent_basis
 from bmcflow.spectral import make_grid
 
 
@@ -249,11 +249,11 @@ def test_tangent_stack_matches_points(spec):
     polar = np.abs(pts[:, 2]) >= 0.9
     assert 0 < polar.sum() < len(pts) - 2
     f = parse_f_spec(spec)
-    basis = _tangent_basis(pts)
+    basis = tangent_basis(pts)
     H, H_basis = f.tangent_hessian(pts.reshape(2, -1, 3))
     assert np.array_equal(H_basis.reshape(basis.shape), basis)
     for x, b, h in zip(pts, basis, H.reshape(-1, 2, 2)):
-        assert np.array_equal(_tangent_basis(x), b)
+        assert np.array_equal(tangent_basis(x), b)
         assert np.array_equal(f.tangent_hessian(x)[0], h)
     assert np.abs(basis @ basis.transpose(0, 2, 1) - np.eye(2)).max() < 1e-15
     assert np.abs(np.einsum("kij,kj->ki", basis, pts)).max() < 1e-15
@@ -337,7 +337,7 @@ def _row_major_calculus(f, pts):
         tv, tg, th = _row_major_term(t, pts)
         value, g, h = value + tv, g + tg, h + th
     grad_sphere = g - np.sum(pts * g, axis=-1, keepdims=True) * pts
-    basis = _tangent_basis(pts)
+    basis = tangent_basis(pts)
     radial = np.sum(pts * g, axis=-1)[..., None, None]
     return value, g, grad_sphere, basis @ h @ np.swapaxes(basis, -1, -2) - radial * np.eye(2)
 

@@ -50,7 +50,7 @@ def random_band_limited(L, rng, lmax=None, amp=1.0):
 def test_make_grid_shapes():
     """L+1 latitude nodes and 2L+2 longitudes resolve degree L exactly."""
     g = make_grid(8)
-    assert g.n_lat == 9
+    assert g.shape[0] == 9
     assert g.n_lon == 18
     assert g.shape == (9, 18)
     assert g.nodes().shape == (9, 18, 3)
@@ -315,7 +315,7 @@ def test_fourier_table_cached_read_only(L):
 
 def full_table(g):
     """T[m, j, l] = legendre_rows at every node of g, zero where l < m: the packed (L+1)^3 table."""
-    T = np.zeros((g.L + 1, g.n_lat, g.L + 1))
+    T = np.zeros((g.L + 1, g.L + 1, g.L + 1))
     for l, row in enumerate(legendre_rows(g.L, g.x)):
         T[: l + 1, :, l] = row
     return T
