@@ -47,6 +47,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from functools import lru_cache
 from pathlib import Path
@@ -98,6 +99,15 @@ def _read(block, what):
     return {name: block.get(name, default) for name, (_, default) in schema.items()}
 
 
+@contextmanager
+def _field(what, name):
+    """Re-raise a ValueError from parsing field name of config block what as a ConfigError that names both."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what} field {name}: {exc}") from exc
+
+
 def _build_u0(spec, grid, rng):
     kind = spec.get("type") if admits(dict, spec) else None
     if f"{kind} u0_spec" not in _SCHEMA:
@@ -106,7 +116,10 @@ def _build_u0(spec, grid, rng):
     if kind == "constant":
         return BoundaryField(grid, values=np.full(grid.shape, float(spec["value"])))
     if kind == "bubble":
-        return bubble_field(spec["p"], float(spec["eps"]), grid)
+        with _field("bubble u0_spec", "p"):
+            unit_direction(spec["p"], "bubble center")  # bubble_field's test of p, first, so a refusal of p names p
+        with _field("bubble u0_spec", "eps"):
+            return bubble_field(spec["p"], float(spec["eps"]), grid)
     L = grid.L
     coeffs = np.zeros((L + 1, 2 * L + 1))
     coeffs[0, L] = spec["base"]
@@ -155,8 +168,10 @@ def _run_experiment(config_path, out_dir):
     """One flow run; returns the exit code.  Outputs land in out_dir."""
     try:
         exp = _load_experiment(config_path)
-        f = parse_f_spec(exp["f_spec"])
-        grid = make_grid(exp["L"])
+        with _field("config root", "f_spec"):
+            f = parse_f_spec(exp["f_spec"])
+        with _field("config root", "L"):
+            grid = make_grid(exp["L"])
         rng = np.random.default_rng(exp["seed"])
         u0 = _build_u0(exp["u0_spec"], grid, rng)
     except (ConfigError, SpecParseError, KeyError, TypeError, ValueError, OSError) as exc:

@@ -17,7 +17,6 @@ axis (the two poles).
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +32,6 @@ _MERGE_BLOCK = 64  # Gram rows formed at once, so the merge's memory is linear i
 _CIRCLE_SAMPLES = 8192
 _TIE_REL = 8.0 * np.finfo(float).eps  # lattice values of |grad f|^2 this close, relatively, tie as one plateau
 _PROBE_BLOCK = 32  # lattice rows whose gradient is formed at once, so the sweep stays in cache
-
-
-@dataclass
-class CriticalPoint:
-    location: np.ndarray
-    value: float
-    laplacian: float
-    index: int
-    hessian_eigs: tuple
-
-    @property
-    def counted(self):
-        """Whether this point enters the m-counts (f > 0, Laplacian < 0)."""
-        return self.value > 0.0 and self.laplacian < 0.0
-
-
-@dataclass
-class KVerdict:
-    solvable: bool
-    k: tuple
-    reason: str = ""
 
 
 def _probe_angles(L):
@@ -125,7 +103,10 @@ def find_critical_points(f, grid, collect_warnings=None):
     joins the first point in seed order within 1e-6 geodesic, located at
     the one of least gradient.  Tangent Hessians and values of the located
     points are evaluated in one batch; each Laplacian is its Hessian's
-    trace.  Raises NotMorseError for constant f (f is read on the lattice
+    trace.  Returns the `morse check` entries {"location", "value",
+    "laplacian", "index", "hessian_eigs", "counted"}, sorted by location;
+    counted (f > 0 and Laplacian < 0) marks the points the m-counts take.
+    Raises NotMorseError for constant f (f is read on the lattice
     only when |grad_S f|^2 vanishes there) or a degenerate tangent Hessian
     at a located point (the first, in that order).
     """
@@ -152,11 +133,11 @@ def find_critical_points(f, grid, collect_warnings=None):
             f"degenerate critical point at {np.round(loc[i], 6)} (tangent eigenvalues {eigs[i]}): not Morse"
         )
     points = [
-        CriticalPoint(location=x, value=float(v), laplacian=float(lap), index=int(np.sum(e < 0)),
-                      hessian_eigs=tuple(e))
+        {"location": x.tolist(), "value": float(v), "laplacian": float(lap), "index": int(np.sum(e < 0)),
+         "hessian_eigs": e.tolist(), "counted": bool(v > 0.0 and lap < 0.0)}
         for x, v, lap, e in zip(loc, f(loc), np.trace(H, axis1=-2, axis2=-1), eigs)
     ]
-    points.sort(key=lambda cp: tuple(np.round(cp.location, 9)))
+    points.sort(key=lambda cp: tuple(np.round(cp["location"], 9)))
     return points
 
 
@@ -164,17 +145,17 @@ def counts_mi(points):
     """Vector m_0..m_n: counted critical points grouped by co-index."""
     m = np.zeros(N + 1, dtype=int)
     for cp in points:
-        if cp.counted:
-            m[N - cp.index] += 1
+        if cp["counted"]:
+            m[N - cp["index"]] += 1
     return tuple(int(v) for v in m)
 
 
 def solve_k_system(m, n):
-    """Unique-candidate solve of the counting recursion.
+    """Unique-candidate solve of the counting recursion, as the `k_system` entry {"solvable", "k", "reason"}.
 
     k_0 = m_0 - 1, k_i = m_i - k_{i-1}; solvable iff every k_i >= 0 and
-    k_n = 0.  The obstruction criterion holds exactly when this returns
-    Unsolvable.
+    k_n = 0, and reason names the first k_i that fails.  The obstruction
+    criterion holds exactly when this is not solvable.
     """
     m = list(m)
     if len(m) != n + 1:
@@ -182,17 +163,14 @@ def solve_k_system(m, n):
     k = [m[0] - 1]
     for i in range(1, n + 1):
         k.append(m[i] - k[i - 1])
-    if any(v < 0 for v in k):
-        i = next(i for i, v in enumerate(k) if v < 0)
-        return KVerdict(False, tuple(k), f"k_{i} = {k[i]} < 0")
-    if k[n] != 0:
-        return KVerdict(False, tuple(k), f"k_{n} = {k[n]} != 0")
-    return KVerdict(True, tuple(k))
+    negative = [i for i, v in enumerate(k) if v < 0]
+    reason = f"k_{negative[0]} = {k[negative[0]]} < 0" if negative else f"k_{n} = {k[n]} != 0" if k[n] else ""
+    return {"solvable": not reason, "k": k, "reason": reason}
 
 
 def index_count(points):
     """Signed count over counted points; holds when it differs from (-1)^n."""
-    total = sum((-1) ** cp.index for cp in points if cp.counted)
+    total = sum((-1) ** cp["index"] for cp in points if cp["counted"])
     return {"sum": int(total), "holds": total != (-1) ** N}
 
 
@@ -219,33 +197,18 @@ def check_conditions(f, grid):
         doc["failure"] = str(exc)
         return doc
     m = counts_mi(points)
-    kv = solve_k_system(m, N)
+    k_system = solve_k_system(m, N)
     isum = index_count(points)
     conditions = {
         "positive_mean": sign > 0,
         "simple_bubble_ratio": ratio_ok,
-        "clean_critical_laplacian": bool(all(abs(cp.laplacian) > _DEGENERATE_TOL for cp in points)),
-        "k_system_unsolvable": bool(not kv.solvable),
-        "index_count": bool(isum["holds"]),
+        "clean_critical_laplacian": all(abs(cp["laplacian"]) > _DEGENERATE_TOL for cp in points),
+        "k_system_unsolvable": not k_system["solvable"],
+        "index_count": isum["holds"],
     }
-    criteria = (
-        conditions["simple_bubble_ratio"]
-        and conditions["clean_critical_laplacian"]
-        and conditions["k_system_unsolvable"]
-    )
-    doc.update(
-        morse_ok=True,
-        m=list(m),
-        index_sum=isum["sum"],
-        conditions=conditions,
-        criteria_hold=bool(criteria),
-        points=[
-            {"location": [float(v) for v in cp.location], "value": cp.value, "laplacian": cp.laplacian,
-             "index": cp.index, "hessian_eigs": list(cp.hessian_eigs), "counted": cp.counted}
-            for cp in points
-        ],
-        k_system={"solvable": kv.solvable, "k": list(kv.k), "reason": kv.reason},
-    )
+    criteria = ratio_ok and conditions["clean_critical_laplacian"] and conditions["k_system_unsolvable"]
+    doc.update(morse_ok=True, m=list(m), index_sum=isum["sum"], conditions=conditions, criteria_hold=bool(criteria),
+               points=points, k_system=k_system)
     return doc
 
 

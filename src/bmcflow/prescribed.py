@@ -88,9 +88,6 @@ class _Mono:
         b = abs(self.coef) * max(1.0, sum(self.powers) ** 2)
         return b, b
 
-    def __repr__(self):
-        return f"{self.coef}*x^{self.powers[0]}y^{self.powers[1]}z^{self.powers[2]}"
-
 
 class _Bump:
     def __init__(self, coef, k, p):
@@ -118,9 +115,6 @@ class _Bump:
         scale = abs(self.coef) * np.exp(2.0 * max(0.0, -self.k))
         return scale * max(1.0, self.k * self.k), scale * max(1.0, abs(self.k))
 
-    def __repr__(self):
-        return f"{self.coef}*bump({self.k}; {self.p})"
-
 
 class _Legendre:
     def __init__(self, coef, l):
@@ -143,9 +137,6 @@ class _Legendre:
     def bound(self):
         b = abs(self.coef) * max(1.0, float(self.l) ** 4)
         return b, b
-
-    def __repr__(self):
-        return f"{self.coef}*P_{self.l}(z)"
 
 
 _NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
@@ -348,9 +339,6 @@ class PrescribedFunction:
         x, _ = self.newton_critical(lattice[np.unravel_index([np.argmin(vals), np.argmax(vals)], vals.shape)])
         vmin, vmax = self(x)
         return min(float(vmin), float(vals.min())), max(float(vmax), float(vals.max()))
-
-    def __repr__(self):
-        return f"PrescribedFunction({self.source!r})"
 
 
 def probe_lattice(theta, phi):

@@ -198,7 +198,8 @@ def synthesize(coeffs, grid):
     One Legendre stage against the split table gives the even-degree
     sum E and the odd-degree sum O of each order at the northern nodes;
     a node takes E + O and its mirror (-1)^m (E - O), and one irfft
-    gives the values.
+    gives the values.  For even L a zero degree L + 1 pads the odd rows,
+    so both parities fill the table's h rows, as analyze's output does.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     L, T = grid.L, grid._table
@@ -207,15 +208,12 @@ def synthesize(coeffs, grid):
     h = T.shape[-1]
     c = coeffs.reshape((-1, L + 1, 2 * L + 1))
     B = c.shape[0]
+    if L % 2 == 0:
+        c = np.concatenate((c, np.zeros((B, 1, 2 * L + 1))), axis=1)
     S = np.empty((2, L + 1, 2, B, h))           # [p, m, cos/sin, b, a] of degree 2a + p
-    n = (L + 1) // 2
-    pairs = c[:, : 2 * n].reshape(B, n, 2, 2 * L + 1).transpose(2, 3, 0, 1)
-    S[:, :, 0, :, :n] = pairs[:, L:]
-    S[:, :, 1, :, :n] = pairs[:, L::-1]
-    if n < h:  # even L: degree L ends the even rows and has no odd partner
-        S[0, :, 0, :, n] = c[:, L, L:].T
-        S[0, :, 1, :, n] = c[:, L, L::-1].T
-        S[1, ..., n] = 0.0
+    pairs = c.reshape(B, h, 2, 2 * L + 1).transpose(2, 3, 0, 1)
+    S[:, :, 0] = pairs[:, L:]
+    S[:, :, 1] = pairs[:, L::-1]
     E, O = np.matmul(S.reshape(2 * (L + 1), 2 * B, h), T.reshape(2 * (L + 1), h, h)).reshape(2, L + 1, 2, B, h)
     np.add(E, O, out=S[0])                       # S is free again: [north/mirror, m, cos/sin, b, i]
     np.subtract(E, O, out=S[1])
@@ -356,6 +354,3 @@ class BoundaryField:
         if self._coeffs is None:
             self._coeffs = analyze(self._values, self.grid)
         return self._coeffs
-
-    def __repr__(self):
-        return f"BoundaryField(L={self.grid.L}, min={self.values.min():.3g}, max={self.values.max():.3g})"

@@ -232,11 +232,11 @@ def test_c11_counting_machinery():
     m1 = counts_mi(pts)
     kv1 = solve_k_system(m1, 2)
     rep1 = check_conditions(f1, make_grid(31))
-    part1 = (len(pts) == 6 and m1 == (2, 0, 0) and not kv1.solvable
+    part1 = (len(pts) == 6 and m1 == (2, 0, 0) and not kv1["solvable"]
              and rep1["index_sum"] == 2)
     f2 = parse_f_spec("2 + 0.5z")
     m2 = counts_mi(find_critical_points(f2, make_grid(31)))
-    part2 = m2 == (1, 0, 0) and solve_k_system(m2, 2).solvable
+    part2 = m2 == (1, 0, 0) and solve_k_system(m2, 2)["solvable"]
 
     t0 = time.perf_counter()
     mismatches = 0
@@ -249,12 +249,12 @@ def test_c11_counting_machinery():
             if max(m) <= 5:
                 solvable.add(tuple(m))
         for m in itertools.product(range(6), repeat=n + 1):
-            if solve_k_system(m, n).solvable != (m in solvable):
+            if solve_k_system(m, n)["solvable"] != (m in solvable):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     part3 = mismatches == 0 and elapsed < 1.0
     ok = part1 and part2 and part3
-    _report(11, ok, f"quadric {m1} unsolvable ({kv1.reason}), index sum {rep1['index_sum']}; "
+    _report(11, ok, f"quadric {m1} unsolvable ({kv1['reason']}), index sum {rep1['index_sum']}; "
                     f"tilted {m2} solvable; brute force mismatches {mismatches} "
                     f"({elapsed:.2f} s)")
 

@@ -4,7 +4,8 @@ Validates:
 - exit codes: 0 converged/horizon, 2 concentrating, 3 admissibility or
   scheme failure, 64 unparseable input (non-finite numbers in f too,
   config blocks of the wrong JSON type, every field of every block of
-  cli._SCHEMA given a value of the wrong type, with the block and field
+  cli._SCHEMA given a value of the wrong type, and f_spec, L or a
+  bubble's p or eps that their parsers refuse, with the block and field
   named, configs that share an output directory), 1 for failed checks
 - per-run artifacts (trajectory.csv, verdict.json, identities.json,
   morse.json, certificate.json, also of a failed run) and the config echo
@@ -364,13 +365,21 @@ def test_flow_run_rejects_before_writing(tmp_path, capsys, mutate):
     ({"u0_spec": {"type": "perturbation", "random": {"lmax": 3}}}, "u0_spec random field amp is missing"),
     ({"u0_spec": {"type": "perturbation", "random": {"lmax": 3, "amp": 0.01, "seed": 2}}},
      "unknown u0_spec random fields: ['seed']"),
+    ({"f_spec": "2 - q"}, "config root field f_spec: cannot parse 'q' in term 'q' of '2 - q'"),
+    ({"L": 3}, "config root field L: grid degree must be an integer >= 4, got 3"),
+    ({"u0_spec": {"type": "bubble", "p": [0, 0, 1], "eps": 1.5}},
+     "bubble u0_spec field eps: concentration parameter must be in (0, 1], got 1.5"),
+    ({"u0_spec": {"type": "bubble", "p": [0, 0, 0], "eps": 0.5}},
+     "bubble u0_spec field p: bubble center must be a nonzero vector of three finite components, got [0.0, 0.0, 0.0]"),
 ])
 def test_config_block_errors_name_the_field(tmp_path, capsys, mutate, named):
-    """A flow, modes or random block of the wrong JSON type, and a missing
-    or unknown field of a mode or of random, are named in the message."""
-    cfg = write_config(tmp_path / "exp.json", f_spec="2 - z^2", **mutate)
+    """A flow, modes or random block of the wrong JSON type, a missing or
+    unknown field of a mode or of random, and a value that the f, grid or
+    bubble parser refuses, are named in the one-line message."""
+    cfg = write_config(tmp_path / "exp.json", **{"f_spec": "2 - z^2", **mutate})
     assert main(["flow", "run", "--config", cfg, "--out", str(tmp_path / "out")]) == 64
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("u0_spec, name", [

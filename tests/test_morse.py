@@ -4,7 +4,9 @@ Validates:
 - critical points, indices, and surface Laplacians of two closed-form
   targets (an ellipsoidal quadric and a tilted constant)
 - the co-index counting vector, the k-recursion verdict, and the signed
-  index count against hand-derived values
+  index count against hand-derived values; check_conditions prints the
+  point and k_system entries as find_critical_points and solve_k_system
+  build them
 - rejection of non-Morse inputs
 - Poincare-Hopf: the signed count of all critical points is chi(S^2) = 2
 - the batched Newton refinement: bit for bit the same as one seed at a
@@ -56,16 +58,16 @@ def test_ellipsoid_critical_points():
     assert len(points) == 6
     by_axis = {}
     for cp in points:
-        axis = int(np.argmax(np.abs(cp.location)))
-        assert abs(abs(cp.location[axis]) - 1.0) < 1e-9
+        axis = int(np.argmax(np.abs(cp["location"])))
+        assert abs(abs(cp["location"][axis]) - 1.0) < 1e-9
         by_axis.setdefault(axis, []).append(cp)
     for axis, value, idx, lap in [(0, 4.3, 0, 2.1), (1, 4.6, 1, 0.3), (2, 5.05, 2, -2.4)]:
         assert len(by_axis[axis]) == 2
         for cp in by_axis[axis]:
-            assert abs(cp.value - value) < 1e-9
-            assert cp.index == idx
-            assert abs(cp.laplacian - lap) < 1e-7
-            assert cp.counted == (lap < 0.0)
+            assert abs(cp["value"] - value) < 1e-9
+            assert cp["index"] == idx
+            assert abs(cp["laplacian"] - lap) < 1e-7
+            assert cp["counted"] == (lap < 0.0)
 
 
 def test_ellipsoid_counts_and_k_verdict():
@@ -75,9 +77,9 @@ def test_ellipsoid_counts_and_k_verdict():
     m = counts_mi(find_critical_points(f, make_grid(31)))
     assert m == (2, 0, 0)
     kv = solve_k_system(m, 2)
-    assert not kv.solvable
-    assert kv.k == (1, -1, 1)
-    assert kv.reason == "k_1 = -1 < 0"
+    assert not kv["solvable"]
+    assert kv["k"] == [1, -1, 1]
+    assert kv["reason"] == "k_1 = -1 < 0"
 
 
 def test_ellipsoid_index_count():
@@ -103,20 +105,31 @@ def test_ellipsoid_conditions_report():
     assert rep["index_sum"] == 2
 
 
+@pytest.mark.parametrize("spec", [ELLIPSOID, "2 + 0.5z", "1.34 - 1.36bump(8; 0,0,-1)"])
+def test_check_conditions_reports_the_entries_as_built(spec):
+    """morse check's points and k_system are the entries find_critical_points
+    and solve_k_system return, not a second representation of them."""
+    f, grid = parse_f_spec(spec), make_grid(31)
+    rep = check_conditions(f, grid)
+    assert rep["points"] == find_critical_points(f, grid)
+    assert rep["k_system"] == solve_k_system(rep["m"], 2)
+    assert rep["m"] == list(counts_mi(rep["points"]))
+
+
 def test_tilted_constant_is_solvable():
     """Oracle (sympy, notes): 2 + 0.5z has a counted maximum at the north
     pole only, m = (1,0,0), k = (0,0,0) solvable, index sum 1 = (-1)^2."""
     f = parse_f_spec("2 + 0.5z")
     points = find_critical_points(f, make_grid(31))
     assert len(points) == 2
-    counted = [cp for cp in points if cp.counted]
+    counted = [cp for cp in points if cp["counted"]]
     assert len(counted) == 1
-    assert counted[0].location[2] > 0.99
-    assert abs(counted[0].value - 2.5) < 1e-10
-    assert abs(counted[0].laplacian - (-1.0)) < 1e-8
+    assert counted[0]["location"][2] > 0.99
+    assert abs(counted[0]["value"] - 2.5) < 1e-10
+    assert abs(counted[0]["laplacian"] - (-1.0)) < 1e-8
     kv = solve_k_system(counts_mi(points), 2)
-    assert kv.solvable
-    assert kv.k == (0, 0, 0)
+    assert kv["solvable"]
+    assert kv["k"] == [0, 0, 0]
     rep = check_conditions(f, make_grid(31))
     assert rep["morse_ok"]
     assert not rep["criteria_hold"]
@@ -132,8 +145,8 @@ def test_solve_k_length_check():
 def test_k_terminal_violation_reason():
     """m = (1,0,1) walks through k = (0,0,1): fails only the k_n = 0 leg."""
     kv = solve_k_system((1, 0, 1), 2)
-    assert not kv.solvable
-    assert kv.reason == "k_2 = 1 != 0"
+    assert not kv["solvable"]
+    assert kv["reason"] == "k_2 = 1 != 0"
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,8 +164,8 @@ def test_k_system_closed_form(n, data):
         sum((-1) ** (i - j) * m[j] for j in range(i + 1)) - (-1) ** i
         for i in range(n + 1)
     ]
-    assert list(kv.k) == k_closed
-    assert kv.solvable == (all(v >= 0 for v in k_closed) and k_closed[n] == 0)
+    assert kv["k"] == k_closed
+    assert kv["solvable"] == (all(v >= 0 for v in k_closed) and k_closed[n] == 0)
 
 
 def test_critical_points_shift_invariant():
@@ -164,10 +177,10 @@ def test_critical_points_shift_invariant():
     p2 = find_critical_points(f2, make_grid(31))
     assert len(p1) == len(p2)
     for a, b in zip(p1, p2):
-        assert np.abs(a.location - b.location).max() < 1e-9
-        assert a.index == b.index
-        assert abs(a.laplacian - b.laplacian) < 1e-7
-        assert abs((b.value - a.value) - 3.0) < 1e-9
+        assert np.abs(np.subtract(a["location"], b["location"])).max() < 1e-9
+        assert a["index"] == b["index"]
+        assert abs(a["laplacian"] - b["laplacian"]) < 1e-7
+        assert abs((b["value"] - a["value"]) - 3.0) < 1e-9
 
 
 @pytest.mark.parametrize("L", [16, 31])
@@ -176,7 +189,7 @@ def test_poincare_hopf(spec, L):
     """Sum of (-1)^index over all critical points of a Morse function on
     S^2 is its Euler characteristic 2, so no point is lost or doubled."""
     points = find_critical_points(parse_f_spec(spec), make_grid(L))
-    assert sum((-1) ** cp.index for cp in points) == 2
+    assert sum((-1) ** cp["index"] for cp in points) == 2
 
 
 @pytest.mark.parametrize("spec", [ELLIPSOID, "2 + 0.5z", "3 + x y z + 0.2x^3", "1 + 0.3legendre(3) + 0.1x^2 y",
@@ -204,7 +217,7 @@ def test_extrema_are_the_extreme_critical_values(spec):
     newton_critical, so the smallest and largest critical values located
     at L = 31 are the extrema."""
     f = parse_f_spec(spec)
-    values = [cp.value for cp in find_critical_points(f, make_grid(31))]
+    values = [cp["value"] for cp in find_critical_points(f, make_grid(31))]
     fmin, fmax = f.extrema()
     assert abs(min(values) - fmin) <= 1e-12
     assert abs(max(values) - fmax) <= 1e-12
@@ -292,7 +305,8 @@ def test_merge_matches_sequential_reference(spec, L):
         assert spec == "2 - z^2" and str(exc).startswith("degenerate critical point at ")
         assert L != 31 or str(exc).startswith("degenerate critical point at [ 1.  0. -0.] ")
         return
-    got = [(cp.location.tobytes(), cp.value, cp.laplacian, cp.index, cp.hessian_eigs) for cp in points]
+    got = [(np.array(cp["location"]).tobytes(), cp["value"], cp["laplacian"], cp["index"], tuple(cp["hessian_eigs"]))
+           for cp in points]
     assert (warnings, got) == want
     assert bool(warnings) == spec.startswith("2 + bump(-40")
 
